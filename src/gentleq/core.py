@@ -87,6 +87,8 @@ class Quiver:
 
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]
+    # lookup tables built on first use; not part of ==, hash or repr
+    _memo: _Index | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -163,18 +165,12 @@ class _Index:
             self.into[t].append(a)
 
 
-_INDEX_CACHE: dict[int, tuple[Quiver, _Index]] = {}
-
-
 def _index(q: Quiver) -> _Index:
-    # keyed by id(); fine because Quiver is immutable and the cache is small
-    hit = _INDEX_CACHE.get(id(q))
-    if hit is not None and hit[0] is q:
-        return hit[1]
-    idx = _Index(q)
-    if len(_INDEX_CACHE) > 4096:
-        _INDEX_CACHE.clear()
-    _INDEX_CACHE[id(q)] = (q, idx)
+    # memoized on the quiver itself, so it lives exactly as long as the quiver
+    idx = q._memo
+    if idx is None:
+        idx = _Index(q)
+        object.__setattr__(q, "_memo", idx)
     return idx
 
 

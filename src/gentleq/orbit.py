@@ -24,7 +24,6 @@ from .core import (
     canonical_key,
     compact_key,
     cycle_rank,
-    is_connected,
     parse,
     require_valid,
     opposite,
@@ -89,28 +88,41 @@ class SizeClass:
 
 
 def _arc_multisets(n: int, a: int):
-    """Degree-bounded arc multisets on n labeled vertices (at most 2 in/out)."""
+    """Degree-bounded arc multisets on n labeled vertices, degree sorted.
+
+    Arcs ``(source, target)`` are chosen source row by source row, with at
+    most 2 out and 2 in per vertex.  Only multisets whose per-vertex
+    ``(out-degree, in-degree, loop count)`` is non-decreasing in the vertex
+    index are produced; a row whose out-degree completes below the previous
+    row's, or leaves too few arcs for the rows after it to match it, is
+    pruned at once.  No shape class is lost: listing any quiver's vertices
+    in that order gives a multiset produced here.
+    """
     cells = [(s, t) for s in range(n) for t in range(n)]
     out_deg = [0] * n
     in_deg = [0] * n
     chosen: list[tuple[int, int]] = []
 
-    def rest_capacity(idx: int) -> int:
-        cap = 0
-        seen_sources = set()
-        for s, _t in cells[idx:]:
-            if s not in seen_sources:
-                seen_sources.add(s)
-                cap += 2 - out_deg[s]
-        return cap
-
     def rec(idx: int, remaining: int):
+        if idx and idx % n == 0:
+            done = idx // n - 1
+            if done and out_deg[done] < out_deg[done - 1]:
+                return
+            if remaining < out_deg[done] * (n - 1 - done):
+                return
         if remaining == 0:
-            yield tuple(chosen)
+            loops = [0] * n
+            for s, t in chosen:
+                loops[s] += s == t
+            degrees = list(zip(out_deg, in_deg, loops))
+            if degrees == sorted(degrees):
+                yield tuple(chosen)
             return
-        if idx == len(cells) or remaining > rest_capacity(idx):
+        if idx == len(cells):
             return
         s, t = cells[idx]
+        if remaining > 2 - out_deg[s] + 2 * (n - 1 - s):
+            return
         top = min(2, 2 - out_deg[s], 2 - in_deg[t], remaining)
         for count in range(top, -1, -1):
             out_deg[s] += count
@@ -123,6 +135,19 @@ def _arc_multisets(n: int, a: int):
             in_deg[t] -= count
 
     yield from rec(0, a)
+
+
+def _arcs_connected(n: int, arcs) -> bool:
+    """Weak connectivity of the arc multiset on vertices 0..n-1."""
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for s, t in arcs:
+            if (s in reached) != (t in reached):
+                reached.update((s, t))
+                grew = True
+    return len(reached) == n
 
 
 def _shape_quiver(n: int, arcs) -> BoundQuiver:
@@ -163,12 +188,49 @@ def _junction_choices(bq: BoundQuiver):
     return all_choices
 
 
+def _shapes(n: int, a: int) -> list[BoundQuiver]:
+    """Canonical forms of the connected relation-free quivers of size (n, a).
+
+    Only the degree-sorted labelings from ``_arc_multisets`` are
+    canonicalized.  Each class's canonical form is itself one of them:
+    ``canonical_form`` lists vertices in degree order, because every
+    color-refinement round ranks by a signature that starts with the
+    previous color, and a shape has no junctions.
+    """
+    shapes: dict[str, BoundQuiver] = {}
+    for arcs in _arc_multisets(n, a):
+        if _arcs_connected(n, arcs):
+            shape = canonical_form(_shape_quiver(n, arcs))
+            shapes.setdefault(serialize(shape), shape)
+    return list(shapes.values())
+
+
+def _classes_of_shapes(shapes) -> tuple[BoundQuiver, ...]:
+    """Every valid relation set on every shape, one per class, sorted by key."""
+    out: dict[str, BoundQuiver] = {}
+    for shape in shapes:
+        for combo in itertools.product(*_junction_choices(shape)):
+            relations = frozenset(itertools.chain.from_iterable(combo))
+            cand = BoundQuiver(shape.quiver, relations)
+            if validate(cand):
+                continue
+            form = canonical_form(cand)
+            out.setdefault(serialize(form), form)
+    return tuple(out[k] for k in sorted(out))
+
+
 def enumerate_classes(size: SizeClass, two_cycle: bool = False,
                       vertex_bound: int = DEFAULT_VERTEX_BOUND) -> list[BoundQuiver]:
     """One canonical representative per class of connected valid bound quivers.
 
     With ``two_cycle`` the arrow count must exceed the vertex count by one
     (anything else yields no classes).  Output is sorted by canonical key.
+
+    Shapes (the relation-free quivers) are found by canonicalizing only the
+    labelings whose per-vertex ``(out-degree, in-degree, loop count)`` is
+    non-decreasing; this is complete because every quiver has such a
+    labeling (sort its vertices).  Each shape then takes every admissible
+    relation set.
     """
     if size.vertices > vertex_bound:
         raise BoundExceeded(
@@ -181,25 +243,7 @@ def _enumerate_cached(size: SizeClass, two_cycle: bool) -> tuple[BoundQuiver, ..
     n, a = size.vertices, size.arrows
     if two_cycle and a != n + 1:
         return ()
-    shapes: dict[str, BoundQuiver] = {}
-    for arcs in _arc_multisets(n, a):
-        bq = _shape_quiver(n, arcs)
-        if not is_connected(bq):
-            continue
-        key = canonical_key(bq)
-        if key not in shapes:
-            shapes[key] = canonical_form(bq)
-    out: dict[str, BoundQuiver] = {}
-    for shape in shapes.values():
-        for combo in itertools.product(*_junction_choices(shape)):
-            relations = frozenset(itertools.chain.from_iterable(combo))
-            cand = BoundQuiver(shape.quiver, relations)
-            if validate(cand):
-                continue
-            key = canonical_key(cand)
-            if key not in out:
-                out[key] = canonical_form(cand)
-    return tuple(out[k] for k in sorted(out))
+    return _classes_of_shapes(_shapes(n, a))
 
 
 # ---------------------------------------------------------------------------

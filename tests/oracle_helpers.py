@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
 from gentleq.core import (
     BoundQuiver,
+    canonical_form,
     canonical_key,
     make_bound_quiver,
+    serialize,
     validate,
 )
+from gentleq.orbit import _classes_of_shapes
 
 
 def arrow_maps(bq: BoundQuiver):
@@ -157,6 +161,38 @@ def naive_enumerate(n: int, a: int, two_cycle: bool):
             key = canonical_key(bq)
             reps.setdefault(key, bq)
     return reps
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_shapes(n: int, a: int) -> dict[str, BoundQuiver]:
+    """canonical key -> canonical form of every connected relation-free quiver
+    of size (n, a), found by canonicalizing every labeled arc multiset with
+    at most two arrows into and out of each vertex."""
+    cells = [(s, t) for s in range(n) for t in range(n)]
+    shapes: dict[str, BoundQuiver] = {}
+    for arcs in itertools.combinations_with_replacement(cells, a):
+        outs = [0] * n
+        ins = [0] * n
+        for s, t in arcs:
+            outs[s] += 1
+            ins[t] += 1
+        if max(outs) > 2 or max(ins) > 2:
+            continue
+        vertices = ["v%d" % i for i in range(n)]
+        arrows = [("a%d" % k, "v%d" % s, "v%d" % t) for k, (s, t) in enumerate(arcs)]
+        bq = make_bound_quiver(vertices, arrows, [])
+        if not oracle_connected(bq):
+            continue
+        form = canonical_form(bq)
+        shapes.setdefault(serialize(form), form)
+    return shapes
+
+
+def oracle_enumerate(n: int, a: int, two_cycle: bool) -> tuple[BoundQuiver, ...]:
+    """``enumerate_classes`` with the shape stage replaced by ``oracle_shapes``."""
+    if two_cycle and a != n + 1:
+        return ()
+    return _classes_of_shapes(oracle_shapes(n, a).values())
 
 
 def random_relabel(bq: BoundQuiver, rng: random.Random) -> BoundQuiver:

@@ -1,14 +1,26 @@
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gentleq
 from gentleq.cli import dispatch
 from gentleq.core import parse, serialize
 from gentleq.families import build_family, spec
 
 L0_FILE = serialize(build_family(spec("L0", 1, 0)))
+
+
+def child_env(hash_seed: str) -> dict:
+    """A minimal child environment that still imports this ``gentleq``."""
+    paths = [str(Path(gentleq.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return {"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def run_cli(argv, stdin=""):
@@ -222,7 +234,7 @@ class TestInstalledEntryPoint:
         outs = set()
         for seed in ("1", "2"):
             proc = subprocess.run(args, capture_output=True, text=True,
-                                  env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"})
+                                  env=child_env(seed))
             assert proc.returncode == 0, proc.stderr
             outs.add(proc.stdout)
         assert len(outs) == 1
@@ -233,7 +245,7 @@ class TestInstalledEntryPoint:
         outs = set()
         for seed in ("7", "11"):
             proc = subprocess.run(args, capture_output=True, text=True,
-                                  env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"})
+                                  env=child_env(seed))
             assert proc.returncode == 0, proc.stderr
             outs.add(proc.stdout)
         assert len(outs) == 1

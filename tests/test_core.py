@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -8,6 +10,7 @@ from gentleq.core import (
     NotConnectedError,
     CycleRankError,
     QuiverSyntaxError,
+    canonical_form,
     canonical_key,
     classify_arrows,
     cycle_rank,
@@ -19,6 +22,7 @@ from gentleq.core import (
     validate,
 )
 from gentleq.families import build_family, spec
+from gentleq.orbit import SizeClass, enumerate_classes
 
 from oracle_helpers import oracle_connected, oracle_fin_fails, random_relabel
 
@@ -41,6 +45,35 @@ def a2_quiver():
 
 def two_loops(rels):
     return make_bound_quiver(["x"], [("al", "x", "x"), ("be", "x", "x")], rels)
+
+
+def vertex_degrees(bq):
+    """(out, in, loops, junction) of each vertex, in listed order."""
+    src = {a: s for a, s, _t in bq.arrows}
+    return [
+        (sum(1 for _a, s, _t in bq.arrows if s == v),
+         sum(1 for _a, _s, t in bq.arrows if t == v),
+         sum(1 for _a, s, t in bq.arrows if s == v == t),
+         sum(1 for f, _s in bq.relations if src[f] == v))
+        for v in bq.vertices
+    ]
+
+
+class TestIndexMemo:
+    def test_memo_not_in_eq_hash_repr(self):
+        q1, q2 = parse(L0_TEXT).quiver, parse(L0_TEXT).quiver
+        assert q1.source("a1") == "w1"
+        assert q1._memo is not None and q2._memo is None
+        assert q1 == q2 and hash(q1) == hash(q2) and repr(q1) == repr(q2)
+        assert "_memo" not in repr(q1)
+
+    def test_memo_lives_as_long_as_the_quiver(self):
+        q = parse(L0_TEXT).quiver
+        validate(BoundQuiver(q, frozenset()))
+        ref = weakref.ref(q)
+        del q
+        gc.collect()
+        assert ref() is None
 
 
 class TestParse:
@@ -264,6 +297,19 @@ class TestCanonicalKey:
         rng = random.Random(7)
         bq = build_family(spec("L1", 1, 2, 0, 1, 0))
         assert is_isomorphic(bq, random_relabel(bq, rng))
+
+    def test_canonical_vertices_in_degree_order(self, two_cycle_classes):
+        # every shape class's canonical form is then one of the degree-sorted
+        # labelings the enumerator keeps; a generator that accepts only
+        # labelings equal to their own canonical form depends on this
+        rng = random.Random(20261017)
+        pool = [bq for n in range(1, 6) for bq in two_cycle_classes(n)]
+        pool += [bq for n in range(1, 5) for a in range(2 * n + 1)
+                 for bq in enumerate_classes(SizeClass(n, a))]
+        for bq in pool:
+            for copy in (bq, random_relabel(bq, rng), random_relabel(bq, rng)):
+                degrees = vertex_degrees(canonical_form(copy))
+                assert degrees == sorted(degrees), serialize(bq)
 
     def test_opposite_commutes_with_keys(self, two_cycle_classes):
         for bq in two_cycle_classes(2):

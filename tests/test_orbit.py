@@ -1,12 +1,13 @@
 import pytest
 
-from gentleq.core import canonical_key, opposite, parse
+from gentleq.core import canonical_key, opposite, parse, serialize
 from gentleq.families import build_family, spec, theorem_list
 from gentleq.moves import MoveKind
 from gentleq.orbit import (
     BoundExceeded,
     SizeClass,
     StateLimitExceeded,
+    _shapes,
     enumerate_classes,
     normalize,
     orbit,
@@ -16,7 +17,7 @@ from gentleq.orbit import (
     verify_minimality,
 )
 
-from oracle_helpers import naive_enumerate
+from oracle_helpers import naive_enumerate, oracle_enumerate, oracle_shapes
 
 
 class TestEnumerate:
@@ -56,6 +57,22 @@ class TestEnumerate:
         classes = two_cycle_classes(3)
         keys = [canonical_key(c) for c in classes]
         assert keys == sorted(keys)
+
+
+ORACLE_SIZES = [(n, a) for n in range(1, 5) for a in range(2 * n + 1)] + [(5, 6)]
+
+
+class TestEnumeratorOracle:
+    """The degree-sorted shape stage against canonicalizing every labeling."""
+
+    @pytest.mark.parametrize("n,a", ORACLE_SIZES)
+    def test_matches_all_labelings(self, n, a):
+        assert sorted(serialize(s) for s in _shapes(n, a)) == \
+            sorted(oracle_shapes(n, a))
+        for two_cycle in (False, True):
+            got = [serialize(c) for c in enumerate_classes(SizeClass(n, a), two_cycle)]
+            want = [serialize(c) for c in oracle_enumerate(n, a, two_cycle)]
+            assert got == want
 
 
 class TestOrbit:
