@@ -4,16 +4,24 @@ For a valid bound quiver the arrows fall apart into maximal relation-avoiding
 chains (permitted threads) and maximal relation chains (forbidden threads or
 relation cycles); vertices with at most one arrow in and one arrow out
 contribute trivial threads of either kind depending on whether every
-composition through them is a relation.  Characteristic sequences are the
-cyclic alternations of permitted and forbidden threads satisfying the five
-local matching conditions, plus the pure relation cycles; the multiset of
-their types ``(n, m)`` is invariant under derived equivalence and is the
-workhorse used to separate equivalence classes.
+composition through them is a relation.
+
+Characteristic sequences are found by the forced walk of Avella-Alaminos and
+Geiss ("Combinatorial derived invariants for gentle algebras", JPAA 2008).
+Sign functions give every arrow an epsilon at its target, opposite for the
+two arrows entering a vertex, and a sigma at its source, opposite for the two
+arrows leaving a vertex and opposite to the epsilon of the arrow it composes
+with outside the relations.  From a permitted thread the walk steps to the
+forbidden thread ending at the same vertex with the opposite epsilon, and
+from there to the permitted thread starting at that one's start with the
+opposite sigma.  Each step is one lookup, so the walk is a permutation on the
+threads, and its cycles plus the pure relation cycles are the characteristic
+sequences.  The multiset of their types ``(n, m)`` is invariant under derived
+equivalence and is the workhorse used to separate equivalence classes.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +31,6 @@ from .core import (
     QuiverError,
     composition_successors,
     cycle_rank,
-    relation_successors,
     require_valid,
     _index,
 )
@@ -34,7 +41,6 @@ __all__ = [
     "ArrowCycle",
     "Phi",
     "PairingError",
-    "PairingAmbiguous",
     "PairingIncomplete",
     "UnexpectedPhiTotal",
     "NONDEGENERATE",
@@ -52,10 +58,6 @@ __all__ = [
 
 
 class PairingError(QuiverError):
-    pass
-
-
-class PairingAmbiguous(PairingError):
     pass
 
 
@@ -163,198 +165,139 @@ def _single_successor(succ: dict[str, list[str]]) -> dict[str, str | None]:
     return out
 
 
-def _chains_and_cycles(succ1: dict[str, str | None]):
-    """Decompose a partial-permutation graph on arrows."""
-    pred = {}
-    for a, b in succ1.items():
-        if b is not None:
-            assert b not in pred, "gentleness gives at most one predecessor"
-            pred[b] = a
-    chains = []
-    on_chain = set()
-    for a in sorted(succ1):
-        if a in pred:
-            continue
-        chain = [a]
-        cur = succ1[a]
-        while cur is not None:
-            chain.append(cur)
-            cur = succ1[cur]
-        chains.append(tuple(chain))
-        on_chain.update(chain)
-    cycles = []
-    seen = set(on_chain)
-    for a in sorted(succ1):
-        if a in seen:
-            continue
-        cyc = [a]
-        seen.add(a)
-        cur = succ1[a]
-        while cur != a:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = succ1[cur]
-        start = min(range(len(cyc)), key=lambda i: cyc[i])
-        cycles.append(tuple(cyc[start:] + cyc[:start]))
-    return chains, cycles
+def _threads(bq: BoundQuiver):
+    """Permitted threads, forbidden threads and relation cycles, in one pass.
 
+    The quiver must already be valid.  Each thread comes as ``(thread, start
+    vertex, end vertex, sigma, epsilon)`` with the signs of the forbidden
+    walk; the relation cycles are arrow tuples starting at their least arrow,
+    in increasing order.
 
-def _trivial_vertices(bq: BoundQuiver, in_relations: bool) -> list[str]:
+    Arrow signs: the in-arrows of a vertex get epsilon +1 and -1; an
+    out-arrow gets sigma = -epsilon of the in-arrow it composes with outside
+    the relations, else the opposite of its sibling's sigma, else +1.  A
+    thread carries sigma of its first and epsilon of its last arrow.  A
+    trivial thread at ``v`` takes its signs from the arrow ``g`` leaving and
+    the arrow ``b`` entering ``v``: permitted ``(-sigma(g) or epsilon(b),
+    -epsilon(b) or sigma(g))``, forbidden ``(-sigma(g) or -epsilon(b),
+    -epsilon(b) or -sigma(g))``, where ``or`` falls back when the arrow is
+    missing; at an isolated vertex ``(1, -1)`` and ``(-1, 1)``.
+    """
     idx = _index(bq.quiver)
-    out = []
+    rels = bq.relations
+    free_succ, rel_succ = {}, {}
+    free_pred, rel_pred = set(), set()
+    eps, sig = {}, {}
     for v in bq.vertices:
-        if len(idx.out_of[v]) > 1 or len(idx.into[v]) > 1:
+        ins, outs = idx.into[v], idx.out_of[v]
+        for sign, a in zip((1, -1), ins):
+            eps[a] = sign
+        for b in outs:
+            for a in ins:
+                if (b, a) in rels:
+                    rel_succ[a] = b
+                    rel_pred.add(b)
+                else:
+                    free_succ[a] = b
+                    free_pred.add(b)
+                    sig[b] = -eps[a]
+        for b, sibling in zip(outs, outs[::-1]):
+            if b not in sig:
+                sig[b] = -sig[sibling] if sibling in sig else 1
+
+    def chains(succ, has_pred):
+        out = []
+        for a in idx.src_of:
+            if a not in has_pred:
+                chain = [a]
+                while chain[-1] in succ:
+                    chain.append(succ[chain[-1]])
+                out.append((arrow_thread(chain), idx.src_of[a], idx.tgt_of[chain[-1]],
+                            sig[a], eps[chain[-1]]))
+        return out
+
+    permitted = chains(free_succ, free_pred)
+    forbidden = chains(rel_succ, rel_pred)
+    seen = {a for t, *_ in forbidden for a in t.arrows}
+    cycles = []
+    for a in sorted(idx.src_of.keys() - seen):
+        if a not in seen:
+            cyc = [a]
+            while rel_succ[cyc[-1]] != a:
+                cyc.append(rel_succ[cyc[-1]])
+            seen.update(cyc)
+            cycles.append(tuple(cyc))
+    for v in bq.vertices:
+        ins, outs = idx.into[v], idx.out_of[v]
+        if len(ins) > 1 or len(outs) > 1:
             continue
-        comps = [
-            (o, i) for o in idx.out_of[v] for i in idx.into[v]
-        ]
-        if all(((o, i) in bq.relations) == in_relations for o, i in comps):
-            out.append(v)
-    return out
+        t = trivial_thread(v)
+        g = sig[outs[0]] if outs else 0
+        b = eps[ins[0]] if ins else 0
+        related = bool(ins and outs) and (outs[0], ins[0]) in rels
+        if not related:
+            permitted.append((t, v, v, -g or b or 1, -b or g or -1))
+        if related or not (ins and outs):
+            forbidden.append((t, v, v, -g or -b or -1, -b or -g or 1))
+    return permitted, forbidden, cycles
 
 
 def permitted_threads(bq: BoundQuiver) -> frozenset[Thread]:
     """Maximal relation-avoiding paths plus the qualifying trivial vertices."""
     require_valid(bq)
-    chains, cycles = _chains_and_cycles(_single_successor(composition_successors(bq)))
-    assert not cycles, "validated quivers have no relation-avoiding cycles"
-    threads = {arrow_thread(c) for c in chains}
-    threads.update(trivial_thread(v) for v in _trivial_vertices(bq, in_relations=False))
-    return frozenset(threads)
+    return frozenset(t for t, *_ in _threads(bq)[0])
 
 
 def forbidden_threads(bq: BoundQuiver) -> frozenset[Thread]:
     """Maximal finite relation chains plus the qualifying trivial vertices."""
     require_valid(bq)
-    chains, _cycles = _chains_and_cycles(_single_successor(relation_successors(bq)))
-    threads = {arrow_thread(c) for c in chains}
-    threads.update(trivial_thread(v) for v in _trivial_vertices(bq, in_relations=True))
-    return frozenset(threads)
+    return frozenset(t for t, *_ in _threads(bq)[1])
 
 
 def arrow_cycle_sequences(bq: BoundQuiver) -> frozenset[ArrowCycle]:
     require_valid(bq)
-    _chains, cycles = _chains_and_cycles(_single_successor(relation_successors(bq)))
-    return frozenset(ArrowCycle(c) for c in cycles)
-
-
-class _ThreadInfo:
-    def __init__(self, bq: BoundQuiver):
-        idx = _index(bq.quiver)
-        self.src = {}
-        self.tgt = {}
-        self.start_arrow = {}
-        self.end_arrow = {}
-        for t in itertools.chain(permitted_threads(bq), forbidden_threads(bq)):
-            if t.trivial:
-                self.src[t] = self.tgt[t] = t.vertex
-                self.start_arrow[t] = self.end_arrow[t] = None
-            else:
-                self.src[t] = idx.src_of[t.arrows[0]]
-                self.tgt[t] = idx.tgt_of[t.arrows[-1]]
-                self.start_arrow[t] = t.arrows[0]
-                self.end_arrow[t] = t.arrows[-1]
-
-
-_SEARCH_CAP = 1_000_000
-
-
-def _pairings(bq: BoundQuiver):
-    """All partitions of the threads into valid cyclic alternations.
-
-    A valid solution uses every permitted thread exactly once in the sigma
-    role and every forbidden thread exactly once in the tau role, satisfying
-    the five matching conditions at every index.  Each cycle is rotated to
-    start at its least permitted thread, so distinct solutions differ in
-    substance, not in presentation.
-    """
-    permitted = sorted(permitted_threads(bq), key=_thread_key)
-    forbidden = sorted(forbidden_threads(bq), key=_thread_key)
-    info = _ThreadInfo(bq)
-    has_arrows = bool(bq.arrows)
-    solutions: list[tuple] = []
-    steps = 0
-
-    def tau_candidates(sigma, prev_tau, rem_f):
-        for tau in sorted(rem_f, key=_thread_key):
-            if info.tgt[tau] != info.tgt[sigma]:
-                continue
-            # condition (4)
-            if not sigma.trivial and not tau.trivial and \
-                    info.end_arrow[tau] == info.end_arrow[sigma]:
-                continue
-            # condition (3) for the previous index
-            if prev_tau is not None and prev_tau.trivial and sigma.trivial \
-                    and tau.trivial and has_arrows:
-                continue
-            yield tau
-
-    def sigma_ok(prev_sigma, tau, sigma):
-        if info.src[sigma] != info.src[tau]:
-            return False
-        # condition (5)
-        if not tau.trivial and not sigma.trivial and \
-                info.start_arrow[sigma] == info.start_arrow[tau]:
-            return False
-        # condition (2)
-        if prev_sigma.trivial and tau.trivial and sigma.trivial and has_arrows:
-            return False
-        return True
-
-    def close_ok(cycle):
-        sigma1, tau1 = cycle[0]
-        sigma_n, tau_n = cycle[-1]
-        if not sigma_ok(sigma_n, tau_n, sigma1):
-            return False
-        # condition (3) at the wrap
-        if tau_n.trivial and sigma1.trivial and tau1.trivial and has_arrows:
-            return False
-        return True
-
-    def extend(rem_p, rem_f, done, cycle, pending_sigma):
-        nonlocal steps
-        steps += 1
-        if steps > _SEARCH_CAP:
-            raise PairingError("characteristic-sequence search exceeded its cap")
-        if pending_sigma is not None:
-            prev_tau = cycle[-1][1] if cycle else None
-            for tau in tau_candidates(pending_sigma, prev_tau, rem_f):
-                extend(rem_p, rem_f - {tau}, done, cycle + ((pending_sigma, tau),), None)
-            return
-        if cycle:
-            if close_ok(cycle):
-                extend(rem_p, rem_f, done + (cycle,), (), None)
-            sigma_prev, tau_prev = cycle[-1]
-            for sigma in sorted(rem_p, key=_thread_key):
-                if sigma_ok(sigma_prev, tau_prev, sigma):
-                    extend(rem_p - {sigma}, rem_f, done, cycle, sigma)
-            return
-        if not rem_p:
-            if not rem_f:
-                solutions.append(done)
-            return
-        # start the next cycle at the least remaining permitted thread
-        sigma = min(rem_p, key=_thread_key)
-        extend(rem_p - {sigma}, rem_f, done, (), sigma)
-
-    extend(frozenset(permitted), frozenset(forbidden), (), (), None)
-    if not solutions:
-        raise PairingIncomplete(
-            "no complete pairing of %d permitted and %d forbidden threads"
-            % (len(permitted), len(forbidden))
-        )
-    normalized = {tuple(sorted(sol, key=lambda c: _thread_key(c[0][0]))) for sol in solutions}
-    if len(normalized) > 1:
-        raise PairingAmbiguous("%d distinct complete pairings found" % len(normalized))
-    return [PairCycle(c) for c in normalized.pop()]
+    return frozenset(ArrowCycle(c) for c in _threads(bq)[2])
 
 
 def characteristic_sequences(bq: BoundQuiver) -> tuple:
-    """All characteristic sequences: thread alternations plus relation cycles."""
+    """All characteristic sequences: thread alternations plus relation cycles.
+
+    The alternations are the cycles of the Avella-Alaminos–Geiss walk: from
+    a permitted thread ``H`` to the forbidden thread ending at the end of
+    ``H`` with the opposite epsilon, then to the permitted thread starting at
+    the start of that one with the opposite sigma.  Each cycle starts at its
+    least permitted thread, and the cycles come in that order.
+    """
     require_valid(bq)
-    pair_cycles = _pairings(bq)
-    cycles = sorted(arrow_cycle_sequences(bq), key=lambda c: c.arrows)
-    return tuple(pair_cycles) + tuple(cycles)
+    permitted, forbidden, cycles = _threads(bq)
+    idx = _index(bq.quiver)
+    starts = {(s, sg): (t, e, ep) for t, s, e, sg, ep in permitted}
+    ends = {(e, ep): (t, s, sg) for t, s, e, sg, ep in forbidden}
+    incomplete = PairingIncomplete(
+        "no complete pairing of %d permitted and %d forbidden threads"
+        % (len(permitted), len(forbidden))
+    )
+    if bq.arrows and any(not idx.into[v] and not idx.out_of[v] for v in bq.vertices):
+        raise incomplete  # an isolated vertex would pair only with itself
+    pair_cycles = []
+    try:
+        for t, s, e, sg, ep in sorted(permitted, key=lambda entry: _thread_key(entry[0])):
+            first = (s, sg)
+            if starts.pop(first, None) is None:
+                continue  # already on an earlier cycle
+            pairs = []
+            while True:
+                f, s, sg = ends.pop((e, -ep))
+                pairs.append((t, f))
+                if (s, -sg) == first:
+                    break
+                t, e, ep = starts.pop((s, -sg))
+            pair_cycles.append(PairCycle(tuple(pairs)))
+    except KeyError:
+        raise incomplete from None
+    if ends:
+        raise incomplete
+    return tuple(pair_cycles) + tuple(ArrowCycle(c) for c in cycles)
 
 
 def phi(bq: BoundQuiver) -> Phi:

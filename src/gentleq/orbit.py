@@ -532,9 +532,10 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
     checks: list[_Check] = []
     limited = False
 
-    sweep = sorted(set(_closed_form_specs(bound)))
-    fails = [f for f in _pmap(check_closed_form, sweep, jobs) if f]
-    checks.append(_Check("closed-form-sweep", len(sweep), tuple(fails)))
+    # the generator yields sorted, distinct specs; only _pmap holds their list
+    results = _pmap(check_closed_form, _closed_form_specs(bound), jobs)
+    fails = tuple(f for f in results if f)
+    checks.append(_Check("closed-form-sweep", len(results), fails))
 
     move_fails = []
     op_fails = []

@@ -13,6 +13,14 @@ from gentleq.core import (
     make_bound_quiver,
     serialize,
     validate,
+    _index,
+)
+from gentleq.invariant import (
+    PairCycle,
+    PairingIncomplete,
+    _thread_key,
+    forbidden_threads,
+    permitted_threads,
 )
 from gentleq.orbit import _classes_of_shapes
 
@@ -209,3 +217,93 @@ def random_relabel(bq: BoundQuiver, rng: random.Random) -> BoundQuiver:
     rng.shuffle(verts)
     rels = [(amap[f], amap[s]) for f, s in bq.relations]
     return make_bound_quiver(verts, arrows, rels)
+
+
+def oracle_pairings(bq: BoundQuiver) -> list[PairCycle]:
+    """The characteristic sequences of permitted and forbidden threads, by
+    backtracking over every partition of the threads into cyclic
+    alternations.
+
+    A valid solution uses every permitted thread exactly once in the sigma
+    role and every forbidden thread exactly once in the tau role, satisfying
+    the five local matching conditions at every index.  Each cycle is rotated
+    to start at its least permitted thread, so distinct solutions differ in
+    substance, not in presentation.  Raises ``PairingIncomplete`` when there
+    is no solution and ``AssertionError`` when there is more than one.
+    """
+    permitted = sorted(permitted_threads(bq), key=_thread_key)
+    forbidden = sorted(forbidden_threads(bq), key=_thread_key)
+    idx = _index(bq.quiver)
+    src, tgt, start_arrow, end_arrow = {}, {}, {}, {}
+    for t in permitted + forbidden:
+        if t.trivial:
+            src[t] = tgt[t] = t.vertex
+            start_arrow[t] = end_arrow[t] = None
+        else:
+            src[t] = idx.src_of[t.arrows[0]]
+            tgt[t] = idx.tgt_of[t.arrows[-1]]
+            start_arrow[t] = t.arrows[0]
+            end_arrow[t] = t.arrows[-1]
+    has_arrows = bool(bq.arrows)
+    solutions: list[tuple] = []
+
+    def tau_candidates(sigma, prev_tau, rem_f):
+        for tau in sorted(rem_f, key=_thread_key):
+            if tgt[tau] != tgt[sigma]:
+                continue
+            # condition (4)
+            if not sigma.trivial and not tau.trivial and end_arrow[tau] == end_arrow[sigma]:
+                continue
+            # condition (3) for the previous index
+            if prev_tau is not None and prev_tau.trivial and sigma.trivial \
+                    and tau.trivial and has_arrows:
+                continue
+            yield tau
+
+    def sigma_ok(prev_sigma, tau, sigma):
+        if src[sigma] != src[tau]:
+            return False
+        # condition (5)
+        if not tau.trivial and not sigma.trivial and start_arrow[sigma] == start_arrow[tau]:
+            return False
+        # condition (2)
+        if prev_sigma.trivial and tau.trivial and sigma.trivial and has_arrows:
+            return False
+        return True
+
+    def close_ok(cycle):
+        sigma1, tau1 = cycle[0]
+        sigma_n, tau_n = cycle[-1]
+        if not sigma_ok(sigma_n, tau_n, sigma1):
+            return False
+        # condition (3) at the wrap
+        return not (tau_n.trivial and sigma1.trivial and tau1.trivial and has_arrows)
+
+    def extend(rem_p, rem_f, done, cycle, pending_sigma):
+        if pending_sigma is not None:
+            prev_tau = cycle[-1][1] if cycle else None
+            for tau in tau_candidates(pending_sigma, prev_tau, rem_f):
+                extend(rem_p, rem_f - {tau}, done, cycle + ((pending_sigma, tau),), None)
+            return
+        if cycle:
+            if close_ok(cycle):
+                extend(rem_p, rem_f, done + (cycle,), (), None)
+            sigma_prev, tau_prev = cycle[-1]
+            for sigma in sorted(rem_p, key=_thread_key):
+                if sigma_ok(sigma_prev, tau_prev, sigma):
+                    extend(rem_p - {sigma}, rem_f, done, cycle, sigma)
+            return
+        if not rem_p:
+            if not rem_f:
+                solutions.append(done)
+            return
+        # start the next cycle at the least remaining permitted thread
+        sigma = min(rem_p, key=_thread_key)
+        extend(rem_p - {sigma}, rem_f, done, (), sigma)
+
+    extend(frozenset(permitted), frozenset(forbidden), (), (), None)
+    if not solutions:
+        raise PairingIncomplete("no complete pairing")
+    normalized = {tuple(sorted(sol, key=lambda c: _thread_key(c[0][0]))) for sol in solutions}
+    assert len(normalized) == 1, "%d distinct complete pairings" % len(normalized)
+    return [PairCycle(c) for c in normalized.pop()]

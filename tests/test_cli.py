@@ -9,7 +9,7 @@ import pytest
 import gentleq
 from gentleq.cli import dispatch
 from gentleq.core import parse, serialize
-from gentleq.families import build_family, spec
+from gentleq.families import build_family, phi_formula, spec
 
 L0_FILE = serialize(build_family(spec("L0", 1, 0)))
 
@@ -44,6 +44,14 @@ class TestBasicCommands:
         code, out, _ = run_cli(["phi", str(f)])
         assert code == 0
         assert out == "(1,3): 1\nsum: 1\n"
+
+    def test_phi_thousand_arrows(self, tmp_path):
+        sp = spec("L1", 400, 400, 100, 100, 200)
+        f = tmp_path / "big.quiver"
+        f.write_text(serialize(build_family(sp)))
+        code, out, _ = run_cli(["phi", str(f)])
+        assert code == 0
+        assert out.splitlines() == phi_formula(sp).lines()
 
     def test_validate_ok(self):
         code, out, _ = run_cli(["validate", "-"], stdin=L0_FILE)
@@ -222,7 +230,7 @@ class TestInstalledEntryPoint:
         f.write_text(L0_FILE)
         proc = subprocess.run(
             [sys.executable, "-m", "gentleq.cli", "phi", str(f)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env("random"))
         assert proc.returncode == 0
         assert proc.stdout == "(1,3): 1\nsum: 1\n"
 

@@ -1,7 +1,7 @@
 import pytest
 
 from gentleq.core import make_bound_quiver, opposite
-from gentleq.families import build_family, spec
+from gentleq.families import build_family, phi_formula, spec
 from gentleq.invariant import (
     DEGENERATE,
     NONDEGENERATE,
@@ -17,11 +17,13 @@ from gentleq.invariant import (
     permitted_threads,
     phi,
 )
+from gentleq.orbit import SizeClass, _closed_form_specs, enumerate_classes
 
 from oracle_helpers import (
     oracle_cartan,
     oracle_maximal_antipaths,
     oracle_maximal_paths,
+    oracle_pairings,
 )
 
 
@@ -130,6 +132,57 @@ class TestCharacteristicSequences:
             characteristic_sequences(bq)
 
 
+def disjoint_union(left, right):
+    def names(bq, tag):
+        return (["%s%s" % (tag, v) for v in bq.vertices],
+                [("%s%s" % (tag, a), "%s%s" % (tag, s), "%s%s" % (tag, t))
+                 for a, s, t in bq.arrows],
+                [("%s%s" % (tag, f), "%s%s" % (tag, s)) for f, s in bq.relations])
+
+    (lv, la, lr), (rv, ra, rr) = names(left, "l"), names(right, "r")
+    return make_bound_quiver(lv + rv, la + ra, lr + rr)
+
+
+def assert_walk_matches_search(bq):
+    want = tuple(oracle_pairings(bq)) + tuple(
+        sorted(arrow_cycle_sequences(bq), key=lambda c: c.arrows))
+    assert characteristic_sequences(bq) == want
+
+
+class TestWalkAgainstSearch:
+    """The forced walk against the backtracking search over all pairings."""
+
+    def test_small_classes(self):
+        for n in range(1, 5):
+            for a in range(0, 2 * n + 1):
+                for bq in enumerate_classes(SizeClass(n, a)):
+                    assert_walk_matches_search(bq)
+                    assert_walk_matches_search(opposite(bq))
+
+    def test_two_cycle_classes_n5(self, two_cycle_classes):
+        for bq in two_cycle_classes(5):
+            assert_walk_matches_search(bq)
+            assert_walk_matches_search(opposite(bq))
+
+    def test_closed_form_instances(self):
+        for sp in _closed_form_specs(10):
+            bq = build_family(sp)
+            assert_walk_matches_search(bq)
+            assert_walk_matches_search(opposite(bq))
+
+    def test_disjoint_unions(self, two_cycle_classes):
+        parts = [a2_quiver(), build_family(spec("L0", 1, 0))] + list(two_cycle_classes(3)[:6])
+        for left in parts:
+            for right in parts:
+                assert_walk_matches_search(disjoint_union(left, right))
+            with_point = disjoint_union(left, point())
+            with pytest.raises(PairingIncomplete):
+                oracle_pairings(with_point)
+            with pytest.raises(PairingIncomplete):
+                characteristic_sequences(with_point)
+        assert_walk_matches_search(disjoint_union(point(), point()))
+
+
 class TestPhi:
     def test_hand_anchors(self):
         assert phi(build_family(spec("L0", 1, 0))) == phi_of([((1, 3), 1)])
@@ -160,6 +213,11 @@ class TestPhi:
         # opposites; slow-ish but shared with the acceptance enumeration
         for bq in two_cycle_classes(5):
             assert phi(bq) == phi(opposite(bq))
+
+    def test_thousand_arrows(self):
+        # the walk has no recursion, so long threads cannot overflow the stack
+        sp = spec("L1", 400, 400, 100, 100, 200)
+        assert phi(build_family(sp)) == phi_formula(sp)
 
     def test_linear_quivers_share_phi(self):
         # every gentle quiver with n vertices and n-1 arrows is equivalent to

@@ -7,6 +7,7 @@ from gentleq.orbit import (
     BoundExceeded,
     SizeClass,
     StateLimitExceeded,
+    _closed_form_specs,
     _shapes,
     enumerate_classes,
     normalize,
@@ -181,6 +182,12 @@ class TestVerifyMinimality:
 
 
 class TestVerifyLemmas:
+    def test_closed_form_specs_sorted_and_distinct(self):
+        # the sweep counts and checks the generator's output as it comes
+        for bound in (1, 2, 5, 10, 16):
+            specs = list(_closed_form_specs(bound))
+            assert all(a < b for a, b in zip(specs, specs[1:])), bound
+
     def test_quick_pass(self):
         rep = verify_lemma_tables(bound=5, orbit_vertices=3, sweep_vertices=3)
         assert rep.passed, rep.render()
