@@ -193,11 +193,6 @@ def _gen_apr_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
     return _rebuild(bq, new_src, new_tgt, relations)
 
 
-def _apr_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
-    # a sink meets the generalized preconditions vacuously
-    return _gen_apr_reflect(bq, x)
-
-
 def _hw_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
     if len(bq.vertices) == 1:
         return bq
@@ -253,6 +248,24 @@ def _not_applicable_reason(bq: BoundQuiver, move: Move) -> str | None:
     raise AssertionError(kind)
 
 
+def _generator_images(bq: BoundQuiver) -> tuple[list[BoundQuiver], BoundQuiver]:
+    """The outputs of the generating moves on ``bq``: (reflections, opposite).
+
+    The reflections are ``gen-apr-reflect`` at every vertex meeting its
+    preconditions and ``hw-reflect`` at every sink, without receipts or
+    validation; ``gentleq.orbit`` says why these moves reach every move's
+    output.
+    """
+    idx = _index(bq.quiver)
+    reflections = []
+    for v in sorted(bq.vertices):
+        if _gen_apr_precondition(bq, v) is None:
+            reflections.append(_gen_apr_reflect(bq, v))
+        if not idx.out_of[v]:
+            reflections.append(_hw_reflect(bq, v))
+    return reflections, opposite(bq)
+
+
 def applicable(bq: BoundQuiver, move: Move) -> bool:
     return _not_applicable_reason(bq, move) is None
 
@@ -277,15 +290,12 @@ def apply_move(bq: BoundQuiver, move: Move, _input_key: str | None = None):
     kind, x = move.kind, move.vertex
     if kind is MoveKind.OPPOSITE:
         out = opposite(bq)
-    elif kind is MoveKind.APR_REFLECT:
-        out = _apr_reflect(bq, x)
-    elif kind is MoveKind.GEN_APR_REFLECT:
+    elif kind is MoveKind.APR_REFLECT or kind is MoveKind.GEN_APR_REFLECT:
+        # a sink meets the generalized preconditions vacuously
         out = _gen_apr_reflect(bq, x)
     elif kind is MoveKind.HW_REFLECT:
         out = _hw_reflect(bq, x)
-    elif kind is MoveKind.APR_COREFLECT:
-        out = opposite(_apr_reflect(opposite(bq), x))
-    elif kind is MoveKind.GEN_APR_COREFLECT:
+    elif kind is MoveKind.APR_COREFLECT or kind is MoveKind.GEN_APR_COREFLECT:
         out = opposite(_gen_apr_reflect(opposite(bq), x))
     elif kind is MoveKind.HW_COREFLECT:
         out = opposite(_hw_reflect(opposite(bq), x))

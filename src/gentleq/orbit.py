@@ -1,12 +1,19 @@
 """Exhaustive enumeration, move-orbit search, and the verification drivers.
 
 Enumeration lists every isomorphism class of connected valid bound quivers in
-a size class (optionally restricted to cycle rank two).  Orbits are breadth
-first closures under the move calculus; since every move preserves the size
-class, orbits partition each enumerated class list, which is what the
-verification drivers exploit: completeness (every class reaches a canonical
-family), minimality (no two canonical representatives collide), and the
-table of small equivalence facts used throughout.
+a size class (optionally restricted to cycle rank two).  An orbit is the set
+of classes reachable by moves.  It is closed under three generating moves
+only: ``gen-apr-reflect`` where its preconditions hold, ``hw-reflect`` at
+sinks, and ``opposite``.  They suffice because ``apr-reflect`` is
+``gen-apr-reflect`` at a sink and every coreflection is ``opposite`` after
+the matching reflection after ``opposite``.  Sink reflections are undone by
+source coreflections (Auslander-Platzeck-Reiten), so reachability is
+symmetric and the orbits partition each enumerated class list; every closure
+checks that symmetry on its own edges rather than assuming it.  The
+verification drivers rest on that partition: completeness (every class
+reaches a canonical family), minimality (no two canonical representatives
+collide), and the table of small equivalence facts used throughout.  The
+audit closure ``orbit`` still applies all seven moves and records each edge.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .families import (
     theorem_list,
 )
 from .invariant import phi
-from .moves import apply_move, applicable_moves
+from .moves import _generator_images, apply_move, applicable_moves
 
 __all__ = [
     "SizeClass",
@@ -309,20 +316,76 @@ def theorem_key_table(n: int):
     return table
 
 
+def _check_inverse_edges(edges, op) -> None:
+    """Raise AssertionError unless the reflection edges come in inverse pairs.
+
+    ``op[i]`` is the state index of the opposite of state ``i`` and ``edges``
+    holds the reflection edges ``(i, j)``.  A coreflection is ``opposite``
+    after a reflection after ``opposite``, so the inverse of ``(i, j)`` is
+    the reflection edge ``(op[j], op[i])``.
+    """
+    for i, j in enumerate(op):
+        if op[j] != i:
+            raise AssertionError("opposite is not an involution at state %d" % i)
+    for i, j in edges:
+        if (op[j], op[i]) not in edges:
+            raise AssertionError("reflection edge %d -> %d has no inverse" % (i, j))
+
+
+def _reach(start: BoundQuiver, max_states: int):
+    """Closure of the valid canonical form ``start`` under the generating moves.
+
+    Returns ``(states, complete)``: the serialized canonical forms reached,
+    in breadth-first order, and whether the orbit has at most ``max_states``
+    states.  Each new state is validated once; a complete closure also
+    checks that its reflection edges come in inverse pairs.
+    """
+    forms = [start]  # the breadth-first queue: it grows while it is walked
+    index = {serialize(start): 0}
+    edges = set()
+    op = []
+    complete = True
+    for i, st in enumerate(forms):
+        reflections, opp = _generator_images(st)
+        for pos, out in enumerate(reflections + [opp]):
+            form = canonical_form(out)
+            key = serialize(form)
+            j = index.get(key)
+            if j is None:
+                if len(forms) >= max_states:
+                    complete = False
+                    continue
+                bad = validate(form)
+                if bad:
+                    raise AssertionError(
+                        "a generating move produced an invalid quiver: %s" % (bad,))
+                j = index[key] = len(forms)
+                forms.append(form)
+            if pos < len(reflections):
+                edges.add((i, j))
+            else:
+                op.append(j)
+    if complete:
+        _check_inverse_edges(edges, op)
+    return list(index), complete
+
+
 def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySpec:
     """The least canonical-family spec in the orbit of ``bq``."""
     require_valid(bq, require_connected=True)
     if cycle_rank(bq) != 2:
         raise QuiverError("normalization applies to two-cycle quivers")
-    res = orbit(bq, max_states, theorem_key_table(len(bq.vertices)))
-    if not res.complete:
+    states, complete = _reach(canonical_form(bq), max_states)
+    if not complete:
         raise StateLimitExceeded("orbit exceeded %d states" % max_states)
-    if not res.canonical_hits:
+    table = theorem_key_table(len(bq.vertices))
+    hits = [table[k] for k in states if k in table]
+    if not hits:
         raise NoCanonicalHit(
             "orbit of size %d contains no canonical-family representative "
-            "(candidate counterexample)" % len(res.component)
+            "(candidate counterexample)" % len(states)
         )
-    return min(spec for _key, spec in res.canonical_hits)
+    return min(hits)
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,14 +406,14 @@ def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
         key = serialize(rep)
         if key in assignment:
             continue
-        res = orbit(rep, max_states, table)
-        complete = complete and res.complete
+        states, reached_all = _reach(rep, max_states)
+        complete = complete and reached_all
         oid = len(members)
-        assert res.component <= class_keys, "orbit escaped the enumerated classes"
-        for k in res.component:
+        assert class_keys.issuperset(states), "orbit escaped the enumerated classes"
+        for k in states:
             assignment[k] = oid
-        members[oid] = tuple(sorted(res.component))
-        family[oid] = min((sp for _k, sp in res.canonical_hits), default=None)
+        members[oid] = tuple(sorted(states))
+        family[oid] = min((table[k] for k in states if k in table), default=None)
     return assignment, members, family, complete
 
 

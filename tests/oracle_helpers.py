@@ -8,9 +8,14 @@ import random
 
 from gentleq.core import (
     BoundQuiver,
+    QuiverError,
     canonical_form,
     canonical_key,
+    cycle_rank,
     make_bound_quiver,
+    opposite,
+    parse,
+    require_valid,
     serialize,
     validate,
     _index,
@@ -22,7 +27,16 @@ from gentleq.invariant import (
     forbidden_threads,
     permitted_threads,
 )
-from gentleq.orbit import _classes_of_shapes
+from gentleq.orbit import (
+    DEFAULT_MAX_STATES,
+    NoCanonicalHit,
+    SizeClass,
+    StateLimitExceeded,
+    _classes_of_shapes,
+    enumerate_classes,
+    orbit,
+    theorem_key_table,
+)
 
 
 def arrow_maps(bq: BoundQuiver):
@@ -307,3 +321,54 @@ def oracle_pairings(bq: BoundQuiver) -> list[PairCycle]:
     normalized = {tuple(sorted(sol, key=lambda c: _thread_key(c[0][0]))) for sol in solutions}
     assert len(normalized) == 1, "%d distinct complete pairings" % len(normalized)
     return [PairCycle(c) for c in normalized.pop()]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
+    """``_orbit_partition`` by the audit BFS ``orbit``, under all seven moves.
+
+    Returns (key -> orbit index, orbit index -> sorted member keys,
+    orbit index -> least canonical hit or None, complete flag).
+    """
+    classes = enumerate_classes(SizeClass(n, n + 1), two_cycle=True)
+    table = theorem_key_table(n)
+    class_keys = {serialize(c) for c in classes}
+    assignment: dict[str, int] = {}
+    members: dict[int, tuple] = {}
+    family: dict = {}
+    complete = True
+    for rep in classes:
+        key = serialize(rep)
+        if key in assignment:
+            continue
+        res = orbit(rep, max_states, table)
+        complete = complete and res.complete
+        oid = len(members)
+        assert res.component <= class_keys, "orbit escaped the enumerated classes"
+        for k in res.component:
+            assignment[k] = oid
+        members[oid] = tuple(sorted(res.component))
+        family[oid] = min((sp for _k, sp in res.canonical_hits), default=None)
+    return assignment, members, family, complete
+
+
+def oracle_normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES):
+    """``normalize`` by the audit BFS ``orbit``, under all seven moves."""
+    require_valid(bq, require_connected=True)
+    if cycle_rank(bq) != 2:
+        raise QuiverError("normalization applies to two-cycle quivers")
+    # opposite is a move and an involution, so a quiver and its opposite
+    # reach each other and have the same orbit: one BFS serves both
+    key = min(canonical_key(bq), canonical_key(opposite(bq)))
+    return _oracle_normalize_key(key, max_states)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_normalize_key(key: str, max_states: int):
+    bq = parse(key)
+    res = orbit(bq, max_states, theorem_key_table(len(bq.vertices)))
+    if not res.complete:
+        raise StateLimitExceeded("orbit exceeded %d states" % max_states)
+    if not res.canonical_hits:
+        raise NoCanonicalHit("orbit of size %d has no canonical hit" % len(res.component))
+    return min(sp for _key, sp in res.canonical_hits)

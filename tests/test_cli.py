@@ -177,6 +177,12 @@ class TestGoldenFiles:
         _code, out, _err = run_cli(args)
         assert out == (GOLDEN / name).read_text()
 
+    def test_frozen_orbit(self):
+        # the audit BFS behind `gentleq orbit`, edge count included
+        code, out, _ = run_cli(["orbit", "-"], stdin=serialize(build_family(spec("L0", 2, 1))))
+        assert code == 0
+        assert out == (GOLDEN / "orbit_l0_21.txt").read_text()
+
     def test_frozen_phi(self):
         _code, out, _err = run_cli(
             ["phi", str(GOLDEN / "family_l1_12010.quiver")])

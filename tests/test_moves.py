@@ -119,6 +119,22 @@ class TestApplyMove:
                     back2, _ = apply_move(out, strict)
                     assert is_isomorphic(back2, bq)
 
+    def test_apr_reflect_is_gen_apr_reflect_at_sinks(self, two_cycle_classes):
+        # half of why closing orbits under the generating moves is exact
+        sinks = 0
+        for n in (2, 3, 4):
+            for bq in two_cycle_classes(n):
+                for v in bq.vertices:
+                    if any(s == v for _a, s, _t in bq.arrows):
+                        continue
+                    sinks += 1
+                    out, receipt = apply_move(bq, Move(MoveKind.APR_REFLECT, v))
+                    gen_out, gen_receipt = apply_move(bq, Move(MoveKind.GEN_APR_REFLECT, v))
+                    assert out == gen_out
+                    assert receipt.output_key == gen_receipt.output_key
+                    assert receipt.arrow_map == gen_receipt.arrow_map
+        assert sinks
+
     def test_opposite_conjugation(self, two_cycle_classes):
         pairs = [
             (MoveKind.APR_REFLECT, MoveKind.APR_COREFLECT),

@@ -1,13 +1,18 @@
+import importlib
+import random
+
 import pytest
 
 from gentleq.core import canonical_key, opposite, parse, serialize
-from gentleq.families import build_family, spec, theorem_list
+from gentleq.families import build_family, family_size, spec, theorem_list
 from gentleq.moves import MoveKind
 from gentleq.orbit import (
     BoundExceeded,
     SizeClass,
     StateLimitExceeded,
+    _check_inverse_edges,
     _closed_form_specs,
+    _orbit_partition,
     _shapes,
     enumerate_classes,
     normalize,
@@ -18,7 +23,14 @@ from gentleq.orbit import (
     verify_minimality,
 )
 
-from oracle_helpers import naive_enumerate, oracle_enumerate, oracle_shapes
+from oracle_helpers import (
+    naive_enumerate,
+    oracle_enumerate,
+    oracle_normalize,
+    oracle_orbit_partition,
+    oracle_shapes,
+    random_relabel,
+)
 
 
 class TestEnumerate:
@@ -150,6 +162,52 @@ class TestNormalize:
     def test_opposite_same_family(self, two_cycle_classes):
         for bq in two_cycle_classes(2):
             assert normalize(bq) == normalize(opposite(bq))
+
+    def test_state_cap_boundary(self):
+        bq = build_family(spec("L0", 3, 0))
+        size = len(orbit(bq).component)
+        assert size > 2
+        assert normalize(bq, max_states=size) == spec("L0", 3, 0)
+        with pytest.raises(StateLimitExceeded):
+            normalize(bq, max_states=size - 1)
+
+
+class TestGeneratorClosure:
+    """Orbits closed under the generating moves against the all-move BFS."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_partition_matches_all_moves(self, n):
+        assert _orbit_partition(n) == oracle_orbit_partition(n)
+
+    def test_normalize_matches_all_moves(self):
+        rng = random.Random(5)
+        specs = [sp for sp in theorem_list(5) if family_size(sp) == 5]
+        assert len(specs) == 63
+        for sp in specs:
+            bq = build_family(sp)
+            for q in (bq, random_relabel(bq, rng), opposite(bq)):
+                assert normalize(q) == oracle_normalize(q), sp
+
+    def test_inverse_edges_accepted(self):
+        _check_inverse_edges({(0, 1), (1, 0), (2, 2)}, [0, 1, 2])
+        # the inverse of 0 -> 1 is the same edge read through the opposite
+        _check_inverse_edges({(0, 1)}, [1, 0])
+
+    def test_missing_inverse_edge_raises(self):
+        with pytest.raises(AssertionError, match="no inverse"):
+            _check_inverse_edges({(0, 1), (1, 2), (2, 1)}, [0, 1, 2])
+
+    def test_opposite_not_involution_raises(self):
+        with pytest.raises(AssertionError, match="not an involution"):
+            _check_inverse_edges(set(), [1, 2, 0])
+
+    def test_every_complete_closure_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(importlib.import_module("gentleq.orbit"), "_check_inverse_edges",
+                            lambda edges, op: checked.append(len(op)))
+        bq = build_family(spec("L0", 3, 0))
+        normalize(bq)
+        assert checked == [len(orbit(bq).component)]
 
 
 class TestVerifyCompleteness:
