@@ -76,9 +76,20 @@ class InvalidQuiverError(QuiverError):
         )
 
 
+# identifiers already found valid, so the quivers the package builds for
+# itself (canonical forms, move outputs, opposites) skip the regex; bounded so
+# that arbitrary input names cannot grow it without limit
+_VALID_IDS: set[str] = set()
+_VALID_IDS_MAX = 1 << 14
+
+
 def _check_id(token: str, what: str) -> None:
+    if token in _VALID_IDS:
+        return
     if not _ID_RE.match(token):
         raise ValueError("invalid %s identifier %r" % (what, token))
+    if len(_VALID_IDS) < _VALID_IDS_MAX:
+        _VALID_IDS.add(token)
 
 
 @dataclass(frozen=True)
@@ -91,16 +102,19 @@ class Quiver:
     _memo: _Index | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        valid = _VALID_IDS
         seen = set()
         for v in self.vertices:
-            _check_id(v, "vertex")
+            if v not in valid:
+                _check_id(v, "vertex")
             if v in seen:
                 raise ValueError("duplicate vertex id %r" % v)
             seen.add(v)
         vset = seen
         seen = set()
         for a, s, t in self.arrows:
-            _check_id(a, "arrow")
+            if a not in valid:
+                _check_id(a, "arrow")
             if a in seen:
                 raise ValueError("duplicate arrow id %r" % a)
             seen.add(a)
@@ -495,97 +509,129 @@ def opposite(bq: BoundQuiver) -> BoundQuiver:
 # canonical labeling
 
 
-def _refined_colors(bq: BoundQuiver):
-    """Isomorphism-invariant vertex colors (degree data refined by neighbors)."""
-    verts = bq.vertices
-    n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    out_n = [[] for _ in range(n)]
-    in_n = [[] for _ in range(n)]
-    loops = [0] * n
-    for a, s, t in bq.arrows:
-        out_n[pos[s]].append(pos[t])
-        in_n[pos[t]].append(pos[s])
-        if s == t:
-            loops[pos[s]] += 1
-    junction = [0] * n
-    src = {a: s for a, s, t in bq.arrows}
-    for first, _second in bq.relations:
-        junction[pos[src[first]]] += 1
-    colors = [
-        (len(out_n[i]), len(in_n[i]), loops[i], junction[i]) for i in range(n)
-    ]
-    while True:
-        sigs = [
-            (
-                colors[i],
-                tuple(sorted(colors[j] for j in out_n[i])),
-                tuple(sorted(colors[j] for j in in_n[i])),
-            )
-            for i in range(n)
-        ]
-        ranking = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
-        new = [(ranking[sigs[i]],) for i in range(n)]
-        if len(set(new)) == len(set(colors)):
-            return {verts[i]: colors[i] for i in range(n)}
-        colors = new
+# shared name strings of canonical forms, grown on demand
+_VNAMES = tuple("v%d" % i for i in range(64))
+_ANAMES = tuple("a%d" % i for i in range(128))
 
 
-def _orderings(bq: BoundQuiver):
-    """All vertex orderings compatible with the color refinement."""
-    colors = _refined_colors(bq)
-    classes: dict = {}
-    for v in sorted(bq.vertices):
-        classes.setdefault(colors[v], []).append(v)
-    groups = [classes[c] for c in sorted(classes)]
-    for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
-        yield tuple(itertools.chain.from_iterable(combo))
+def _grow(names: tuple[str, ...], prefix: str, size: int) -> tuple[str, ...]:
+    return names + tuple("%s%d" % (prefix, i) for i in range(len(names), size))
+
+
+def _rank(items: list) -> tuple[list[int], int]:
+    """Dense order-preserving ranks of ``items`` and the number of ranks."""
+    table = {x: r for r, x in enumerate(sorted(set(items)))}
+    return [table[x] for x in items], len(table)
+
+
+def _min_candidate(ends, rels, newpos, best):
+    """The least ``(base, rels)`` under the vertex renumbering ``newpos``, or
+    ``best`` when that is smaller.
+
+    Both parts are sorted lists of pairs coded as integers, which compare as
+    the pairs do: ``base`` holds the arrow ends ``s * n + t`` and ``rels`` the
+    arrow positions ``first * m + second``.  Parallel arrows are
+    interchangeable a priori, so with relations present every ordering of
+    each bundle of two or more parallel arrows is tried.
+    """
+    n, m = len(newpos), len(ends)
+    keyed = sorted([(newpos[s] * n + newpos[t]) * m + k for k, (s, t) in enumerate(ends)])
+    base = [c // m for c in keyed]
+    if best is not None and base > best[0]:
+        return best
+    if not rels:
+        return (base, [])
+    apos = [0] * m
+    bundles = []
+    p = 0
+    while p < m:
+        q = p + 1
+        while q < m and base[q] == base[p]:
+            q += 1
+        if q == p + 1:
+            apos[keyed[p] % m] = p
+        else:
+            bundles.append((range(p, q), [c % m for c in keyed[p:q]]))
+        p = q
+    for combo in itertools.product(*[itertools.permutations(b) for _r, b in bundles]):
+        for (positions, _b), perm in zip(bundles, combo):
+            for p, k in zip(positions, perm):
+                apos[k] = p
+        cand = (base, sorted([apos[f] * m + apos[s] for f, s in rels]))
+        if best is None or cand < best:
+            best = cand
+    return best
 
 
 def canonical_form(bq: BoundQuiver) -> BoundQuiver:
     """Relabel onto v0..v{n-1} / a0..a{k-1}, minimal over all relabelings.
 
     Two bound quivers are isomorphic exactly when their canonical forms are
-    equal.  Minimization runs over the color-respecting vertex orderings and,
-    within each parallel-arrow bundle, over the arrow orderings.
+    equal.  Vertices are colored by (out, in, loops, junction) degree and the
+    colors refined by the sorted colors of out- and in-neighbors until the
+    number of colors stops growing.  Minimization runs over the
+    color-respecting vertex orderings (one, when every color is a single
+    vertex) and, within each parallel-arrow bundle, over the arrow orderings.
     """
+    global _VNAMES, _ANAMES
+    verts = bq.vertices
     arrows = bq.arrows
-    best = None
-    best_assignment = None
-    for order in _orderings(bq):
-        pos = {v: i for i, v in enumerate(order)}
-        endpoints = sorted((pos[s], pos[t], a) for a, s, t in arrows)
-        base = tuple((s, t) for s, t, _ in endpoints)
-        if best is not None and base > best[0]:
-            continue
-        if best is not None and base < best[0]:
-            best = None
-        # bundles of parallel arrows are interchangeable a priori; relations
-        # decide their order
-        bundles: list[list[str]] = []
-        for _, group in itertools.groupby(endpoints, key=lambda e: (e[0], e[1])):
-            bundles.append([a for _, _, a in group])
-        for perm_combo in itertools.product(*[itertools.permutations(b) for b in bundles]):
-            flat = list(itertools.chain.from_iterable(perm_combo))
-            apos = {a: i for i, a in enumerate(flat)}
-            rels = tuple(sorted((apos[f], apos[s]) for f, s in bq.relations))
-            cand = (base, rels)
-            if best is None or cand < best:
-                best = cand
-                best_assignment = (order, tuple(flat))
-    if best is None:  # no vertices
-        return BoundQuiver(Quiver((), ()), frozenset(), "c")
-    order, flat = best_assignment
-    pos = {v: i for i, v in enumerate(order)}
-    apos = {a: i for i, a in enumerate(flat)}
-    src = {a: s for a, s, t in arrows}
-    tgt = {a: t for a, s, t in arrows}
-    new_arrows = tuple(
-        ("a%d" % i, "v%d" % pos[src[a]], "v%d" % pos[tgt[a]]) for i, a in enumerate(flat)
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    ends = []
+    out_n = [[] for _ in range(n)]
+    in_n = [[] for _ in range(n)]
+    loops = [0] * n
+    for _a, s, t in arrows:
+        i, j = pos[s], pos[t]
+        ends.append((i, j))
+        out_n[i].append(j)
+        in_n[j].append(i)
+        if i == j:
+            loops[i] += 1
+    rels = []
+    junction = [0] * n
+    if bq.relations:
+        aidx = {a: k for k, (a, _s, _t) in enumerate(arrows)}
+        for f, s in bq.relations:
+            rels.append((aidx[f], aidx[s]))
+            junction[ends[aidx[f]][0]] += 1
+    colors, count = _rank(
+        [(len(out_n[i]), len(in_n[i]), loops[i], junction[i]) for i in range(n)]
     )
-    new_verts = tuple("v%d" % i for i in range(len(order)))
-    new_rels = frozenset(("a%d" % apos[f], "a%d" % apos[s]) for f, s in bq.relations)
-    return BoundQuiver(Quiver(new_verts, new_arrows), new_rels, "c")
+    while count < n:
+        new, new_count = _rank([
+            (colors[i], tuple(sorted([colors[j] for j in out_n[i]])),
+             tuple(sorted([colors[j] for j in in_n[i]])))
+            for i in range(n)
+        ])
+        if new_count == count:
+            break
+        colors, count = new, new_count
+    if count == n:
+        best = _min_candidate(ends, rels, colors, None)
+    else:
+        cells: list[list[int]] = [[] for _ in range(count)]
+        for i in range(n):
+            cells[colors[i]].append(i)
+        best = None
+        newpos = [0] * n
+        for combo in itertools.product(*[itertools.permutations(c) for c in cells]):
+            for p, i in enumerate(itertools.chain.from_iterable(combo)):
+                newpos[i] = p
+            best = _min_candidate(ends, rels, newpos, best)
+    base, best_rels = best
+    m = len(base)
+    if n > len(_VNAMES):
+        _VNAMES = _grow(_VNAMES, "v", n)
+    if m > len(_ANAMES):
+        _ANAMES = _grow(_ANAMES, "a", m)
+    vn, an = _VNAMES, _ANAMES
+    return BoundQuiver(
+        Quiver(vn[:n], tuple([(an[k], vn[c // n], vn[c % n]) for k, c in enumerate(base)])),
+        frozenset([(an[c // m], an[c % m]) for c in best_rels]),
+        "c",
+    )
 
 
 def canonical_key(bq: BoundQuiver) -> str:

@@ -6,11 +6,13 @@ nondegenerate target shapes (one mixed cycle with two connectors, and two
 oriented cycles joined by a path), two auxiliary shapes used for connector
 surgery (six- and five-parameter variants), and three auxiliary double-arrow
 shapes used in the degenerate reduction.  Builders follow explicit recipes;
-``recognize`` inverts them up to isomorphism by brute force at desk scale.
+``recognize`` inverts them up to isomorphism by looking the canonical key up in
+a table of every spec of the same size, built once per size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import (
@@ -438,15 +440,21 @@ def _spec_checked(candidates):
         yield sp
 
 
+@functools.lru_cache(maxsize=64)
+def _recognize_table(n: int, a: int, r: int) -> dict[str, FamilySpec]:
+    """Canonical key -> least spec, over every spec of this size."""
+    table: dict[str, FamilySpec] = {}
+    for sp in _spec_checked(_candidate_specs(n, a, r)):
+        key = canonical_key(build_family(sp))
+        if key not in table or sp < table[key]:
+            table[key] = sp
+    return table
+
+
 def recognize(bq: BoundQuiver) -> FamilySpec | None:
     """The least family spec isomorphic to the given quiver, if any."""
     key = canonical_key(bq)
-    n, a, r = len(bq.vertices), len(bq.arrows), len(bq.relations)
-    matches = [
-        sp for sp in _spec_checked(_candidate_specs(n, a, r))
-        if canonical_key(build_family(sp)) == key
-    ]
-    return min(matches) if matches else None
+    return _recognize_table(len(bq.vertices), len(bq.arrows), len(bq.relations)).get(key)
 
 
 def phi_formula(sp: FamilySpec) -> Phi:

@@ -12,6 +12,7 @@ from gentleq.core import (
     canonical_form,
     canonical_key,
     cycle_rank,
+    Quiver,
     make_bound_quiver,
     opposite,
     parse,
@@ -20,6 +21,7 @@ from gentleq.core import (
     validate,
     _index,
 )
+from gentleq.families import FamilySpec, _candidate_specs, _spec_checked, build_family
 from gentleq.invariant import (
     PairCycle,
     PairingIncomplete,
@@ -215,6 +217,119 @@ def oracle_enumerate(n: int, a: int, two_cycle: bool) -> tuple[BoundQuiver, ...]
     if two_cycle and a != n + 1:
         return ()
     return _classes_of_shapes(oracle_shapes(n, a).values())
+
+
+def _oracle_refined_colors(bq: BoundQuiver):
+    """Isomorphism-invariant vertex colors (degree data refined by neighbors)."""
+    verts = bq.vertices
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    out_n = [[] for _ in range(n)]
+    in_n = [[] for _ in range(n)]
+    loops = [0] * n
+    for a, s, t in bq.arrows:
+        out_n[pos[s]].append(pos[t])
+        in_n[pos[t]].append(pos[s])
+        if s == t:
+            loops[pos[s]] += 1
+    junction = [0] * n
+    src = {a: s for a, s, t in bq.arrows}
+    for first, _second in bq.relations:
+        junction[pos[src[first]]] += 1
+    colors = [
+        (len(out_n[i]), len(in_n[i]), loops[i], junction[i]) for i in range(n)
+    ]
+    while True:
+        sigs = [
+            (
+                colors[i],
+                tuple(sorted(colors[j] for j in out_n[i])),
+                tuple(sorted(colors[j] for j in in_n[i])),
+            )
+            for i in range(n)
+        ]
+        ranking = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        new = [(ranking[sigs[i]],) for i in range(n)]
+        if len(set(new)) == len(set(colors)):
+            return {verts[i]: colors[i] for i in range(n)}
+        colors = new
+
+
+def _oracle_orderings(bq: BoundQuiver):
+    """All vertex orderings compatible with the color refinement."""
+    colors = _oracle_refined_colors(bq)
+    classes: dict = {}
+    for v in sorted(bq.vertices):
+        classes.setdefault(colors[v], []).append(v)
+    groups = [classes[c] for c in sorted(classes)]
+    for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
+        yield tuple(itertools.chain.from_iterable(combo))
+
+
+def oracle_canonical_form(bq: BoundQuiver) -> BoundQuiver:
+    """The string-keyed brute-force labeling the integer kernel replaced.
+
+    Relabels onto v0..v{n-1} / a0..a{k-1}, minimal over all relabelings.
+
+    Two bound quivers are isomorphic exactly when their canonical forms are
+    equal.  Minimization runs over the color-respecting vertex orderings and,
+    within each parallel-arrow bundle, over the arrow orderings.
+    """
+    arrows = bq.arrows
+    best = None
+    best_assignment = None
+    for order in _oracle_orderings(bq):
+        pos = {v: i for i, v in enumerate(order)}
+        endpoints = sorted((pos[s], pos[t], a) for a, s, t in arrows)
+        base = tuple((s, t) for s, t, _ in endpoints)
+        if best is not None and base > best[0]:
+            continue
+        if best is not None and base < best[0]:
+            best = None
+        # bundles of parallel arrows are interchangeable a priori; relations
+        # decide their order
+        bundles: list[list[str]] = []
+        for _, group in itertools.groupby(endpoints, key=lambda e: (e[0], e[1])):
+            bundles.append([a for _, _, a in group])
+        for perm_combo in itertools.product(*[itertools.permutations(b) for b in bundles]):
+            flat = list(itertools.chain.from_iterable(perm_combo))
+            apos = {a: i for i, a in enumerate(flat)}
+            rels = tuple(sorted((apos[f], apos[s]) for f, s in bq.relations))
+            cand = (base, rels)
+            if best is None or cand < best:
+                best = cand
+                best_assignment = (order, tuple(flat))
+    if best is None:  # no vertices
+        return BoundQuiver(Quiver((), ()), frozenset(), "c")
+    order, flat = best_assignment
+    pos = {v: i for i, v in enumerate(order)}
+    apos = {a: i for i, a in enumerate(flat)}
+    src = {a: s for a, s, t in arrows}
+    tgt = {a: t for a, s, t in arrows}
+    new_arrows = tuple(
+        ("a%d" % i, "v%d" % pos[src[a]], "v%d" % pos[tgt[a]]) for i, a in enumerate(flat)
+    )
+    new_verts = tuple("v%d" % i for i in range(len(order)))
+    new_rels = frozenset(("a%d" % apos[f], "a%d" % apos[s]) for f, s in bq.relations)
+    return BoundQuiver(Quiver(new_verts, new_arrows), new_rels, "c")
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_family_key(sp: FamilySpec) -> str:
+    return canonical_key(build_family(sp))
+
+
+def oracle_recognize(bq: BoundQuiver) -> FamilySpec | None:
+    """The least family spec isomorphic to ``bq``: the key of every candidate
+    spec of its size is compared on each call (memoized per spec, to keep
+    the tests fast)."""
+    key = canonical_key(bq)
+    n, a, r = len(bq.vertices), len(bq.arrows), len(bq.relations)
+    matches = [
+        sp for sp in _spec_checked(_candidate_specs(n, a, r))
+        if _oracle_family_key(sp) == key
+    ]
+    return min(matches) if matches else None
 
 
 def random_relabel(bq: BoundQuiver, rng: random.Random) -> BoundQuiver:

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from gentleq import core
 from gentleq.core import (
     ArrowClass,
     BoundQuiver,
@@ -21,10 +22,17 @@ from gentleq.core import (
     serialize,
     validate,
 )
-from gentleq.families import build_family, spec
+from gentleq.families import build_family, spec, theorem_list
+from gentleq.moves import _generator_images
 from gentleq.orbit import SizeClass, enumerate_classes
 
-from oracle_helpers import oracle_connected, oracle_fin_fails, random_relabel
+from oracle_helpers import (
+    _oracle_refined_colors,
+    oracle_canonical_form,
+    oracle_connected,
+    oracle_fin_fails,
+    random_relabel,
+)
 
 L0_TEXT = """\
 quiver L0
@@ -74,6 +82,34 @@ class TestIndexMemo:
         del q
         gc.collect()
         assert ref() is None
+
+
+class TestIdentifierCheck:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_bound_quiver(["x", "b-d"], [], []),
+         "invalid vertex identifier 'b-d'"),
+        (lambda: make_bound_quiver(["x", "y"], [("a l", "x", "y")], []),
+         "invalid arrow identifier 'a l'"),
+        (lambda: make_bound_quiver(["x"], [], [], name="q!"),
+         "invalid quiver name identifier 'q!'"),
+        (lambda: make_bound_quiver([""], [], []),
+         "invalid vertex identifier ''"),
+    ])
+    def test_bad_ids_raise(self, build, message):
+        # twice: a rejected id is never remembered as valid
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+
+    def test_verdict_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(core, "_VALID_IDS", set())
+        monkeypatch.setattr(core, "_VALID_IDS_MAX", 3)
+        make_bound_quiver(["v%d" % i for i in range(5)], [], [])
+        make_bound_quiver(["v%d" % i for i in range(5)], [], [])
+        assert core._VALID_IDS == {"v0", "v1", "v2"}
+        with pytest.raises(ValueError, match="invalid vertex identifier 'v 5'"):
+            make_bound_quiver(["v0", "v 5"], [], [])
 
 
 class TestParse:
@@ -317,3 +353,69 @@ class TestCanonicalKey:
                 same = canonical_key(bq) == canonical_key(cq)
                 same_op = canonical_key(opposite(bq)) == canonical_key(opposite(cq))
                 assert same == same_op
+
+
+class TestKernelAgainstOracle:
+    """The integer labeling kernel returns exactly the quiver the string-keyed
+    brute-force labeling returns."""
+
+    @staticmethod
+    def check(pool):
+        for bq in pool:
+            got, want = canonical_form(bq), oracle_canonical_form(bq)
+            assert got == want, serialize(bq)
+            assert serialize(got) == serialize(want)
+
+    def test_small_classes(self):
+        self.check(bq for n in range(1, 5) for a in range(2 * n + 1)
+                   for bq in enumerate_classes(SizeClass(n, a)))
+
+    def test_two_cycle_n5_relabels_and_opposites(self, two_cycle_classes):
+        rng = random.Random(5)
+        pool = []
+        for bq in two_cycle_classes(5):
+            copy = random_relabel(bq, rng)
+            pool += [bq, copy, opposite(copy)]
+        self.check(pool)
+
+    def test_generator_images(self, two_cycle_classes):
+        for n in range(1, 5):
+            for bq in two_cycle_classes(n):
+                reflections, op = _generator_images(bq)
+                self.check(reflections + [op])
+
+    def test_bundles_with_relations(self):
+        # L0p and G0-G2 have parallel arrows inside relations
+        self.check(build_family(sp) for sp in theorem_list(8))
+        self.check(build_family(spec(tag, 2, 2, 1, 1)) for tag in ("G1", "G2"))
+        self.check([build_family(spec("G0", 2, 3, 1))])
+
+    def test_non_discrete_refinement(self):
+        # two copies of a two-arrow path with its relation, and a loop
+        bq = make_bound_quiver(
+            ["z", "x0", "x1", "x2", "y0", "y1", "y2"],
+            [("a", "x0", "x1"), ("b", "x1", "x2"), ("c", "y0", "y1"),
+             ("d", "y1", "y2"), ("e", "z", "z")],
+            [("b", "a"), ("d", "c")],
+        )
+        assert len(set(_oracle_refined_colors(bq).values())) < len(bq.vertices)
+        self.check([bq, opposite(bq)])
+
+    def test_empty_quiver(self):
+        empty = make_bound_quiver([], [], [])
+        self.check([empty])
+        assert canonical_form(empty).vertices == ()
+
+    def test_name_tables_grow(self, monkeypatch):
+        monkeypatch.setattr(core, "_VNAMES", core._VNAMES[:64])
+        monkeypatch.setattr(core, "_ANAMES", core._ANAMES[:128])
+        bq = build_family(spec("L0", 130, 3))
+        assert len(bq.vertices) > 64 and len(bq.arrows) > 128
+        self.check([bq])
+        assert len(core._VNAMES) >= 131 and len(core._ANAMES) >= 132
+
+    def test_names_shared(self):
+        a = canonical_form(build_family(spec("L0", 2, 0)))
+        b = canonical_form(build_family(spec("L2", 1, 1, 1, 0, 0)))
+        assert a.vertices[1] is b.vertices[1]
+        assert a.arrows[0][0] is b.arrows[0][0]

@@ -13,7 +13,7 @@ from gentleq.families import (
 )
 from gentleq.invariant import Phi, phi
 
-from oracle_helpers import random_relabel
+from oracle_helpers import oracle_recognize, random_relabel
 import random
 
 
@@ -139,6 +139,24 @@ class TestRecognize:
             got = recognize(build_family(sp))
             assert got is not None
             assert canonical_key(build_family(got)) == canonical_key(build_family(sp))
+
+
+class TestRecognizeTable:
+    def test_theorem_list_and_relabels(self):
+        rng = random.Random(6)
+        for sp in theorem_list(6):
+            bq = build_family(sp)
+            want = oracle_recognize(bq)
+            assert want is not None
+            assert recognize(bq) == want
+            copy = random_relabel(bq, rng)
+            assert recognize(copy) == oracle_recognize(copy) == want
+
+    def test_two_cycle_classes(self, two_cycle_classes):
+        got = [(recognize(bq), oracle_recognize(bq))
+               for n in range(1, 5) for bq in two_cycle_classes(n)]
+        assert all(a == b for a, b in got)
+        assert sum(a is None for a, _b in got) > len(got) // 2
 
 
 class TestPhiFormula:
