@@ -38,6 +38,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(low: int):
+    """An argparse ``type`` that accepts integers no smaller than ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    return count
+
+
 def _read_quiver(path: str) -> core.BoundQuiver:
     if path == "-":
         return core.parse(sys.stdin.read())
@@ -82,30 +92,30 @@ def _build_parser() -> _Parser:
     fp.add_argument("params", nargs="*", type=int)
 
     sp = sub.add_parser("enumerate", help="list isomorphism classes")
-    sp.add_argument("--vertices", type=int, required=True)
-    sp.add_argument("--arrows", type=int, default=None)
+    sp.add_argument("--vertices", type=_at_least(1), required=True)
+    sp.add_argument("--arrows", type=_at_least(0), default=None)
     sp.add_argument("--two-cycle", action="store_true")
 
     sp = with_file(sub.add_parser("orbit", help="breadth-first move closure"))
-    sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    sp.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
 
     sp = with_file(sub.add_parser("normalize", help="canonical family of the orbit"))
-    sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    sp.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
 
     sp = sub.add_parser("verify", help="run a verification report")
     ver = sp.add_subparsers(dest="verify_command", required=True)
     v = ver.add_parser("completeness")
-    v.add_argument("--vertices", type=int, required=True)
-    v.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    v.add_argument("--vertices", type=_at_least(1), required=True)
+    v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     v = ver.add_parser("minimality")
-    v.add_argument("--max-vertices", type=int, required=True)
+    v.add_argument("--max-vertices", type=_at_least(2), required=True)
     v.add_argument("--orbit-vertices", type=int, default=4)
-    v.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     v = ver.add_parser("lemmas")
     v.add_argument("--bound", type=int, default=8)
-    v.add_argument("--orbit-vertices", type=int, default=5)
+    v.add_argument("--orbit-vertices", type=_at_least(2), default=5)
     v.add_argument("--sweep-vertices", type=int, default=4)
-    v.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     v.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     sp = sub.add_parser("fuzz-shift", help="seeded slide-macro cross-check")
@@ -211,7 +221,7 @@ def _cmd_orbit(args) -> int:
     bq = _read_quiver(args.file)
     res = orbit(bq, args.max_states, theorem_key_table(len(bq.vertices)))
     for key in sorted(res.component):
-        print("state %s" % core.compact_key(core.parse(key)))
+        print("state %s" % core.compact_key(res.representatives[key]))
     for _key, sp in res.canonical_hits:
         print("hit %s" % sp)
     print("states: %d" % len(res.component))

@@ -14,6 +14,7 @@ labeling.  Everything is immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -76,20 +77,9 @@ class InvalidQuiverError(QuiverError):
         )
 
 
-# identifiers already found valid, so the quivers the package builds for
-# itself (canonical forms, move outputs, opposites) skip the regex; bounded so
-# that arbitrary input names cannot grow it without limit
-_VALID_IDS: set[str] = set()
-_VALID_IDS_MAX = 1 << 14
-
-
 def _check_id(token: str, what: str) -> None:
-    if token in _VALID_IDS:
-        return
     if not _ID_RE.match(token):
         raise ValueError("invalid %s identifier %r" % (what, token))
-    if len(_VALID_IDS) < _VALID_IDS_MAX:
-        _VALID_IDS.add(token)
 
 
 @dataclass(frozen=True)
@@ -102,19 +92,16 @@ class Quiver:
     _memo: _Index | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        valid = _VALID_IDS
         seen = set()
         for v in self.vertices:
-            if v not in valid:
-                _check_id(v, "vertex")
+            _check_id(v, "vertex")
             if v in seen:
                 raise ValueError("duplicate vertex id %r" % v)
             seen.add(v)
         vset = seen
         seen = set()
         for a, s, t in self.arrows:
-            if a not in valid:
-                _check_id(a, "arrow")
+            _check_id(a, "arrow")
             if a in seen:
                 raise ValueError("duplicate arrow id %r" % a)
             seen.add(a)
@@ -317,16 +304,6 @@ def composition_successors(bq: BoundQuiver) -> dict[str, list[str]]:
     return succ
 
 
-def relation_successors(bq: BoundQuiver) -> dict[str, list[str]]:
-    """arrow -> arrows that follow it through a relation."""
-    idx = _index(bq.quiver)
-    succ: dict[str, list[str]] = {}
-    for a in idx.src_of:
-        t = idx.tgt_of[a]
-        succ[a] = [b for b in idx.out_of[t] if (b, a) in bq.relations]
-    return succ
-
-
 def _find_cycle(succ: dict[str, list[str]]) -> list[str] | None:
     """Return some directed cycle in the graph on arrows, or None."""
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -509,13 +486,10 @@ def opposite(bq: BoundQuiver) -> BoundQuiver:
 # canonical labeling
 
 
-# shared name strings of canonical forms, grown on demand
-_VNAMES = tuple("v%d" % i for i in range(64))
-_ANAMES = tuple("a%d" % i for i in range(128))
-
-
-def _grow(names: tuple[str, ...], prefix: str, size: int) -> tuple[str, ...]:
-    return names + tuple("%s%d" % (prefix, i) for i in range(len(names), size))
+@functools.lru_cache(maxsize=None)
+def _name(prefix: str, i: int) -> str:
+    """The name ``prefix<i>``, one shared string for every canonical form."""
+    return "%s%d" % (prefix, i)
 
 
 def _rank(items: list) -> tuple[list[int], int]:
@@ -563,39 +537,31 @@ def _min_candidate(ends, rels, newpos, best):
     return best
 
 
-def canonical_form(bq: BoundQuiver) -> BoundQuiver:
-    """Relabel onto v0..v{n-1} / a0..a{k-1}, minimal over all relabelings.
+def _code(n: int, ends, rels) -> tuple:
+    """The canonical code of a bound quiver on vertices 0..n-1.
 
-    Two bound quivers are isomorphic exactly when their canonical forms are
-    equal.  Vertices are colored by (out, in, loops, junction) degree and the
-    colors refined by the sorted colors of out- and in-neighbors until the
-    number of colors stops growing.  Minimization runs over the
-    color-respecting vertex orderings (one, when every color is a single
-    vertex) and, within each parallel-arrow bundle, over the arrow orderings.
+    ``ends`` lists the ``(source, target)`` of each arrow and ``rels`` the
+    ``(first, second)`` arrow positions of each relation.  The code is
+    ``(n, base, rels)`` of the least relabeling, in the integer coding of
+    ``_min_candidate``; two bound quivers are isomorphic exactly when their
+    codes are equal.  Vertices are colored by (out, in, loops, junction)
+    degree and the colors refined by the sorted colors of out- and
+    in-neighbors until the number of colors stops growing.  Minimization runs
+    over the color-respecting vertex orderings (one, when every color is a
+    single vertex) and, within each parallel-arrow bundle, over the arrow
+    orderings.
     """
-    global _VNAMES, _ANAMES
-    verts = bq.vertices
-    arrows = bq.arrows
-    n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    ends = []
     out_n = [[] for _ in range(n)]
     in_n = [[] for _ in range(n)]
     loops = [0] * n
-    for _a, s, t in arrows:
-        i, j = pos[s], pos[t]
-        ends.append((i, j))
+    for i, j in ends:
         out_n[i].append(j)
         in_n[j].append(i)
         if i == j:
             loops[i] += 1
-    rels = []
     junction = [0] * n
-    if bq.relations:
-        aidx = {a: k for k, (a, _s, _t) in enumerate(arrows)}
-        for f, s in bq.relations:
-            rels.append((aidx[f], aidx[s]))
-            junction[ends[aidx[f]][0]] += 1
+    for f, _s in rels:
+        junction[ends[f][0]] += 1
     colors, count = _rank(
         [(len(out_n[i]), len(in_n[i]), loops[i], junction[i]) for i in range(n)]
     )
@@ -620,18 +586,48 @@ def canonical_form(bq: BoundQuiver) -> BoundQuiver:
             for p, i in enumerate(itertools.chain.from_iterable(combo)):
                 newpos[i] = p
             best = _min_candidate(ends, rels, newpos, best)
-    base, best_rels = best
+    return (n, tuple(best[0]), tuple(best[1]))
+
+
+def _canonical_code(bq: BoundQuiver) -> tuple:
+    """The canonical code of ``bq``: its names mapped to indices, then ``_code``."""
+    arrows = bq.arrows
+    pos = {v: i for i, v in enumerate(bq.vertices)}
+    aidx = {a: k for k, (a, _s, _t) in enumerate(arrows)}
+    ends = [(pos[s], pos[t]) for _a, s, t in arrows]
+    rels = [(aidx[f], aidx[s]) for f, s in bq.relations]
+    return _code(len(pos), ends, rels)
+
+
+def _form(code: tuple) -> BoundQuiver:
+    """The canonical form a code stands for, on ``v<i>`` / ``a<k>`` names."""
+    n, base, rels = code
     m = len(base)
-    if n > len(_VNAMES):
-        _VNAMES = _grow(_VNAMES, "v", n)
-    if m > len(_ANAMES):
-        _ANAMES = _grow(_ANAMES, "a", m)
-    vn, an = _VNAMES, _ANAMES
+    vn = tuple([_name("v", i) for i in range(n)])
+    an = [_name("a", k) for k in range(m)]
     return BoundQuiver(
-        Quiver(vn[:n], tuple([(an[k], vn[c // n], vn[c % n]) for k, c in enumerate(base)])),
-        frozenset([(an[c // m], an[c % m]) for c in best_rels]),
+        Quiver(vn, tuple([(an[k], vn[c // n], vn[c % n]) for k, c in enumerate(base)])),
+        frozenset([(an[c // m], an[c % m]) for c in rels]),
         "c",
     )
+
+
+def _compact(code: tuple) -> str:
+    """The one-line text of a code: vertex count, arcs, relations."""
+    n, base, rels = code
+    m = len(base)
+    arcs = ",".join("%d-%d" % divmod(c, n) for c in base)
+    pairs = ",".join(sorted("%d.%d" % divmod(c, m) for c in rels))
+    return "%d;%s;%s" % (n, arcs, pairs)
+
+
+def canonical_form(bq: BoundQuiver) -> BoundQuiver:
+    """Relabel onto v0..v{n-1} / a0..a{k-1}, minimal over all relabelings.
+
+    Two bound quivers are isomorphic exactly when their canonical forms are
+    equal; ``_code`` says how the least relabeling is found.
+    """
+    return _form(_canonical_code(bq))
 
 
 def canonical_key(bq: BoundQuiver) -> str:
@@ -641,12 +637,8 @@ def canonical_key(bq: BoundQuiver) -> str:
 
 def compact_key(bq: BoundQuiver) -> str:
     """One-line isomorphism invariant, for report lines and logs."""
-    c = canonical_form(bq)
-    apos = {a: i for i, (a, _s, _t) in enumerate(c.arrows)}
-    arcs = ",".join("%s-%s" % (s[1:], t[1:]) for _a, s, t in c.arrows)
-    rels = ",".join(sorted("%d.%d" % (apos[f], apos[s]) for f, s in c.relations))
-    return "%d;%s;%s" % (len(c.vertices), arcs, rels)
+    return _compact(_canonical_code(bq))
 
 
 def is_isomorphic(a: BoundQuiver, b: BoundQuiver) -> bool:
-    return canonical_key(a) == canonical_key(b)
+    return _canonical_code(a) == _canonical_code(b)

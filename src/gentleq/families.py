@@ -6,8 +6,8 @@ nondegenerate target shapes (one mixed cycle with two connectors, and two
 oriented cycles joined by a path), two auxiliary shapes used for connector
 surgery (six- and five-parameter variants), and three auxiliary double-arrow
 shapes used in the degenerate reduction.  Builders follow explicit recipes;
-``recognize`` inverts them up to isomorphism by looking the canonical key up in
-a table of every spec of the same size, built once per size.
+``recognize`` inverts them up to isomorphism by looking the canonical code up
+in a table of every spec of the same size, built once per size.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from .core import (
     BoundQuiver,
     QuiverError,
-    canonical_key,
+    _canonical_code,
     cycle_rank,
+    is_isomorphic,
     make_bound_quiver,
     require_valid,
 )
@@ -357,7 +358,7 @@ def build_family(sp: FamilySpec) -> BoundQuiver:
     if sp.tag in ("G1", "G2") and sp.params[3] == 0:
         # the three double-arrow shapes coincide when the extra chain vanishes
         base = _build_g0(*sp.params[:3])
-        assert canonical_key(bq) == canonical_key(base)
+        assert is_isomorphic(bq, base)
     return bq
 
 
@@ -441,20 +442,20 @@ def _spec_checked(candidates):
 
 
 @functools.lru_cache(maxsize=64)
-def _recognize_table(n: int, a: int, r: int) -> dict[str, FamilySpec]:
-    """Canonical key -> least spec, over every spec of this size."""
-    table: dict[str, FamilySpec] = {}
+def _recognize_table(n: int, a: int, r: int) -> dict[tuple, FamilySpec]:
+    """Canonical code -> least spec, over every spec of this size."""
+    table: dict[tuple, FamilySpec] = {}
     for sp in _spec_checked(_candidate_specs(n, a, r)):
-        key = canonical_key(build_family(sp))
-        if key not in table or sp < table[key]:
-            table[key] = sp
+        code = _canonical_code(build_family(sp))
+        if code not in table or sp < table[code]:
+            table[code] = sp
     return table
 
 
 def recognize(bq: BoundQuiver) -> FamilySpec | None:
     """The least family spec isomorphic to the given quiver, if any."""
-    key = canonical_key(bq)
-    return _recognize_table(len(bq.vertices), len(bq.arrows), len(bq.relations)).get(key)
+    code = _canonical_code(bq)
+    return _recognize_table(len(bq.vertices), len(bq.arrows), len(bq.relations)).get(code)
 
 
 def phi_formula(sp: FamilySpec) -> Phi:

@@ -20,17 +20,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
     BoundQuiver,
-    Quiver,
     QuiverError,
+    _canonical_code,
+    _code,
+    _compact,
+    _form,
+    _index,
     canonical_form,
-    canonical_key,
-    compact_key,
     cycle_rank,
+    is_isomorphic,
     parse,
     require_valid,
     opposite,
@@ -157,73 +161,54 @@ def _arcs_connected(n: int, arcs) -> bool:
     return len(reached) == n
 
 
-def _shape_quiver(n: int, arcs) -> BoundQuiver:
-    verts = tuple("v%d" % i for i in range(n))
-    arrows = tuple(("a%d" % k, "v%d" % s, "v%d" % t) for k, (s, t) in enumerate(arcs))
-    return BoundQuiver(Quiver(verts, arrows), frozenset())
-
-
 def _junction_choices(bq: BoundQuiver):
-    """Per vertex, the admissible relation sets among its through-pairs."""
-    from .core import _index
+    """Per vertex with arrows in and out, the relation sets gentleness allows.
 
+    With one arrow in and one out the pair is related or not.  Otherwise
+    every arrow on the smaller side is related to its own arrow on the other
+    side: each arrow then has at most one free and at most one related
+    continuation through the vertex, as gentleness asks.
+    """
     idx = _index(bq.quiver)
     all_choices = []
     for v in bq.vertices:
         outs, ins = idx.out_of[v], idx.into[v]
-        pairs = [(o, i) for o in outs for i in ins]
-        if not pairs:
+        if not outs or not ins:
             continue
-        good = []
-        for mask in range(1 << len(pairs)):
-            rset = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
-            ok = True
-            for o in outs:
-                hit = sum(1 for i in ins if (o, i) in rset)
-                if hit > 1 or len(ins) - hit > 1:
-                    ok = False
-                    break
-            if ok:
-                for i in ins:
-                    hit = sum(1 for o in outs if (o, i) in rset)
-                    if hit > 1 or len(outs) - hit > 1:
-                        ok = False
-                        break
-            if ok:
-                good.append(frozenset(rset))
-        all_choices.append(good)
+        if len(outs) == len(ins) == 1:
+            all_choices.append([frozenset(), frozenset([(outs[0], ins[0])])])
+        elif len(outs) <= len(ins):
+            all_choices.append(
+                [frozenset(zip(outs, p)) for p in itertools.permutations(ins, len(outs))])
+        else:
+            all_choices.append(
+                [frozenset(zip(p, ins)) for p in itertools.permutations(outs, len(ins))])
     return all_choices
 
 
-def _shapes(n: int, a: int) -> list[BoundQuiver]:
-    """Canonical forms of the connected relation-free quivers of size (n, a).
+def _shapes(n: int, a: int) -> list[tuple]:
+    """Canonical codes of the connected relation-free quivers of size (n, a).
 
     Only the degree-sorted labelings from ``_arc_multisets`` are
     canonicalized.  Each class's canonical form is itself one of them:
-    ``canonical_form`` lists vertices in degree order, because every
-    color-refinement round ranks by a signature that starts with the
-    previous color, and a shape has no junctions.
+    ``_code`` lists vertices in degree order, because every color-refinement
+    round ranks by a signature that starts with the previous color, and a
+    shape has no junctions.
     """
-    shapes: dict[str, BoundQuiver] = {}
-    for arcs in _arc_multisets(n, a):
-        if _arcs_connected(n, arcs):
-            shape = canonical_form(_shape_quiver(n, arcs))
-            shapes.setdefault(serialize(shape), shape)
-    return list(shapes.values())
+    return list(dict.fromkeys(
+        _code(n, arcs, ()) for arcs in _arc_multisets(n, a) if _arcs_connected(n, arcs)))
 
 
-def _classes_of_shapes(shapes) -> tuple[BoundQuiver, ...]:
-    """Every valid relation set on every shape, one per class, sorted by key."""
-    out: dict[str, BoundQuiver] = {}
-    for shape in shapes:
+def _classes_of_shapes(shapes) -> tuple[tuple[tuple, BoundQuiver], ...]:
+    """Every valid relation set on every shape code, as one ``(code, form)``
+    per class, sorted by the serialized form."""
+    codes = set()
+    for shape in map(_form, shapes):
         for combo in itertools.product(*_junction_choices(shape)):
-            relations = frozenset(itertools.chain.from_iterable(combo))
-            cand = BoundQuiver(shape.quiver, relations)
-            if validate(cand):
-                continue
-            form = canonical_form(cand)
-            out.setdefault(serialize(form), form)
-    return tuple(out[k] for k in sorted(out))
+            cand = BoundQuiver(shape.quiver, frozenset(itertools.chain.from_iterable(combo)))
+            if not validate(cand):
+                codes.add(_canonical_code(cand))
+    return tuple(sorted(((c, _form(c)) for c in codes), key=lambda cf: serialize(cf[1])))
 
 
 def enumerate_classes(size: SizeClass, two_cycle: bool = False,
@@ -239,14 +224,16 @@ def enumerate_classes(size: SizeClass, two_cycle: bool = False,
     labeling (sort its vertices).  Each shape then takes every admissible
     relation set.
     """
-    if size.vertices > vertex_bound:
-        raise BoundExceeded(
-            "vertex count %d exceeds the bound %d" % (size.vertices, vertex_bound))
-    return list(_enumerate_cached(size, two_cycle))
+    return [form for _c, form in _enumerate_cached(size, two_cycle, vertex_bound)]
 
 
 @functools.lru_cache(maxsize=64)
-def _enumerate_cached(size: SizeClass, two_cycle: bool) -> tuple[BoundQuiver, ...]:
+def _enumerate_cached(size: SizeClass, two_cycle: bool,
+                      vertex_bound: int = DEFAULT_VERTEX_BOUND) -> tuple:
+    """The ``(code, form)`` of each class ``enumerate_classes`` lists, in its order."""
+    if size.vertices > vertex_bound:
+        raise BoundExceeded(
+            "vertex count %d exceeds the bound %d" % (size.vertices, vertex_bound))
     n, a = size.vertices, size.arrows
     if two_cycle and a != n + 1:
         return ()
@@ -294,8 +281,9 @@ def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES,
         frontier = nxt
     hits = []
     if hit_table:
+        codes = {k: _canonical_code(st) for k, st in states.items()}
         hits = sorted(
-            ((k, hit_table[k]) for k in states if k in hit_table),
+            ((k, hit_table[c]) for k, c in codes.items() if c in hit_table),
             key=lambda kv: (kv[1], kv[0]),
         )
     return OrbitResult(frozenset(states), states, tuple(edges), tuple(hits), complete)
@@ -303,16 +291,16 @@ def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES,
 
 @functools.lru_cache(maxsize=None)
 def theorem_key_table(n: int):
-    """canonical key -> least canonical-list spec, for quivers of size n."""
-    table: dict[str, FamilySpec] = {}
+    """canonical code -> least canonical-list spec, for quivers of size n."""
+    table: dict[tuple, FamilySpec] = {}
     if n < 2:
         return table
     for sp in theorem_list(n):
         if family_size(sp) != n:
             continue
-        key = canonical_key(build_family(sp))
-        assert key not in table, "canonical-list specs are pairwise nonisomorphic"
-        table[key] = sp
+        code = _canonical_code(build_family(sp))
+        assert code not in table, "canonical-list specs are pairwise nonisomorphic"
+        table[code] = sp
     return table
 
 
@@ -333,33 +321,34 @@ def _check_inverse_edges(edges, op) -> None:
 
 
 def _reach(start: BoundQuiver, max_states: int):
-    """Closure of the valid canonical form ``start`` under the generating moves.
+    """Closure of the valid quiver ``start`` under the generating moves.
 
-    Returns ``(states, complete)``: the serialized canonical forms reached,
-    in breadth-first order, and whether the orbit has at most ``max_states``
-    states.  Each new state is validated once; a complete closure also
-    checks that its reflection edges come in inverse pairs.
+    Returns ``(states, complete)``: the canonical codes reached, in
+    breadth-first order from the code of ``start``, and whether the orbit has
+    at most ``max_states`` states.  Each new state is built and validated
+    once; a complete closure also checks that its reflection edges come in
+    inverse pairs.
     """
     forms = [start]  # the breadth-first queue: it grows while it is walked
-    index = {serialize(start): 0}
+    index = {_canonical_code(start): 0}
     edges = set()
     op = []
     complete = True
     for i, st in enumerate(forms):
         reflections, opp = _generator_images(st)
         for pos, out in enumerate(reflections + [opp]):
-            form = canonical_form(out)
-            key = serialize(form)
-            j = index.get(key)
+            code = _canonical_code(out)
+            j = index.get(code)
             if j is None:
                 if len(forms) >= max_states:
                     complete = False
                     continue
+                form = _form(code)
                 bad = validate(form)
                 if bad:
                     raise AssertionError(
                         "a generating move produced an invalid quiver: %s" % (bad,))
-                j = index[key] = len(forms)
+                j = index[code] = len(forms)
                 forms.append(form)
             if pos < len(reflections):
                 edges.add((i, j))
@@ -375,11 +364,11 @@ def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySp
     require_valid(bq, require_connected=True)
     if cycle_rank(bq) != 2:
         raise QuiverError("normalization applies to two-cycle quivers")
-    states, complete = _reach(canonical_form(bq), max_states)
+    states, complete = _reach(bq, max_states)
     if not complete:
         raise StateLimitExceeded("orbit exceeded %d states" % max_states)
     table = theorem_key_table(len(bq.vertices))
-    hits = [table[k] for k in states if k in table]
+    hits = [table[c] for c in states if c in table]
     if not hits:
         raise NoCanonicalHit(
             "orbit of size %d contains no canonical-family representative "
@@ -392,28 +381,30 @@ def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySp
 def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
     """Partition of the two-cycle classes at size n into move orbits.
 
-    Returns (key -> orbit index, orbit index -> sorted member keys,
-    orbit index -> least canonical hit or None, complete flag).
+    Returns (code -> orbit index, orbit index -> member codes, orbit index ->
+    least canonical hit or None, complete flag).  The classes are walked in
+    the order ``enumerate_classes`` lists them, so orbit indices follow the
+    first-listed member of each orbit, and that member's code comes first in
+    its member tuple.
     """
-    classes = enumerate_classes(SizeClass(n, n + 1), two_cycle=True)
+    classes = _enumerate_cached(SizeClass(n, n + 1), True)
     table = theorem_key_table(n)
-    class_keys = {serialize(c) for c in classes}
-    assignment: dict[str, int] = {}
+    class_codes = {code for code, _rep in classes}
+    assignment: dict[tuple, int] = {}
     members: dict[int, tuple] = {}
     family: dict[int, FamilySpec | None] = {}
     complete = True
-    for rep in classes:
-        key = serialize(rep)
-        if key in assignment:
+    for code, rep in classes:
+        if code in assignment:
             continue
         states, reached_all = _reach(rep, max_states)
         complete = complete and reached_all
         oid = len(members)
-        assert class_keys.issuperset(states), "orbit escaped the enumerated classes"
-        for k in states:
-            assignment[k] = oid
-        members[oid] = tuple(sorted(states))
-        family[oid] = min((table[k] for k in states if k in table), default=None)
+        assert class_codes.issuperset(states), "orbit escaped the enumerated classes"
+        for c in states:
+            assignment[c] = oid
+        members[oid] = tuple(states)
+        family[oid] = min((table[c] for c in states if c in table), default=None)
     return assignment, members, family, complete
 
 
@@ -447,10 +438,10 @@ def verify_completeness(n: int, max_states: int = DEFAULT_MAX_STATES) -> Report:
     lines.append("classes: %d" % n_classes)
     lines.append("orbits: %d" % len(members))
     tally: Counter = Counter()
-    for oid in sorted(members, key=lambda o: members[o][0]):
+    for oid in members:
         fam = family[oid]
         size = len(members[oid])
-        anchor = compact_key(parse(members[oid][0]))
+        anchor = _compact(members[oid][0])
         lines.append("orbit %s: size=%d family=%s" % (anchor, size, fam if fam else "NONE"))
         if fam is None:
             failures.append("orbit %s reaches no canonical family" % anchor)
@@ -491,7 +482,7 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4,
         n = family_size(sp)
         assignment, _members, _family, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        oid = assignment[canonical_key(build_family(sp))]
+        oid = assignment[_canonical_code(build_family(sp))]
         if (n, oid) in seen:
             orbit_failures.append("orbit collision: %s and %s" % (seen[(n, oid)], sp))
         else:
@@ -542,6 +533,7 @@ def check_closed_form(sp: FamilySpec) -> str | None:
 
 def _pmap(fn, items, jobs: int):
     items = list(items)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(items) < 64:
         return [fn(x) for x in items]
     import multiprocessing
@@ -566,9 +558,8 @@ def _orbit_pair_check(pairs, max_states):
         assert family_size(right) == n
         assignment, _m, _f, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        kl = canonical_key(build_family(left))
-        kr = canonical_key(build_family(right))
-        if assignment[kl] != assignment[kr]:
+        if assignment[_canonical_code(build_family(left))] != \
+                assignment[_canonical_code(build_family(right))]:
             failures.append("%s and %s are not in the same orbit" % (left, right))
     return failures, limited
 
@@ -608,19 +599,18 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
     for n in range(2, sweep_vertices + 1):
         assignment, members, family, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        classes = [parse(k) for k in sorted(assignment)]
-        for rep in classes:
+        for code, rep in _enumerate_cached(SizeClass(n, n + 1), True):
             n_classes += 1
             base_phi = phi(rep)
             if phi(opposite(rep)) != base_phi:
-                op_fails.append("phi changes under opposite for %s" % compact_key(rep))
+                op_fails.append("phi changes under opposite for %s" % _compact(code))
             total = base_phi.total
-            fam = family[assignment[serialize(rep)]]
+            fam = family[assignment[code]]
             if total not in (1, 3):
-                degen_fails.append("phi total %d for %s" % (total, compact_key(rep)))
+                degen_fails.append("phi total %d for %s" % (total, _compact(code)))
             elif fam is not None and (total == 1) != (fam.tag in ("L0", "L0p")):
                 degen_fails.append(
-                    "phi total %d but family %s for %s" % (total, fam, compact_key(rep)))
+                    "phi total %d but family %s for %s" % (total, fam, _compact(code)))
             for mv in applicable_moves(rep):
                 out, _receipt = apply_move(rep, mv)
                 n_moves += 1
@@ -674,8 +664,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
                                 continue
                             if p3 == 0:
                                 want = spec("L2", p2, p1, p4, r2, r1)
-                                if canonical_key(build_family(sp6)) != \
-                                        canonical_key(build_family(want)):
+                                if not is_isomorphic(build_family(sp6), build_family(want)):
                                     six_id_fails.append(
                                         "%s is not isomorphic to %s" % (sp6, want))
                             else:
@@ -683,8 +672,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
                                     (sp6, spec("L2pSix", p1, p2, p3 - 1, p4 + 1, r1, r2)))
                             if p4 == 0:
                                 want = spec("L2", p1, p2, p3, r1, r2)
-                                if canonical_key(build_family(sp6)) != \
-                                        canonical_key(build_family(want)):
+                                if not is_isomorphic(build_family(sp6), build_family(want)):
                                     six_id_fails.append(
                                         "%s is not isomorphic to %s" % (sp6, want))
     fails = _phi_pair_failures(six_pairs)
@@ -731,9 +719,8 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
         opp_count += 1
         assignment, _m, _f, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        kl = canonical_key(build_family(sp))
-        kr = canonical_key(opposite(build_family(sp)))
-        if assignment[kl] != assignment[kr]:
+        bq = build_family(sp)
+        if assignment[_canonical_code(bq)] != assignment[_canonical_code(opposite(bq))]:
             opp_fails.append("%s and its opposite are in different orbits" % sp)
     checks.append(_Check("opposite-in-orbit", opp_count, tuple(opp_fails)))
 

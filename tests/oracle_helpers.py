@@ -9,6 +9,7 @@ import random
 from gentleq.core import (
     BoundQuiver,
     QuiverError,
+    _canonical_code,
     canonical_form,
     canonical_key,
     cycle_rank,
@@ -216,7 +217,40 @@ def oracle_enumerate(n: int, a: int, two_cycle: bool) -> tuple[BoundQuiver, ...]
     """``enumerate_classes`` with the shape stage replaced by ``oracle_shapes``."""
     if two_cycle and a != n + 1:
         return ()
-    return _classes_of_shapes(oracle_shapes(n, a).values())
+    shapes = [_canonical_code(s) for s in oracle_shapes(n, a).values()]
+    return tuple(form for _code, form in _classes_of_shapes(shapes))
+
+
+def oracle_junction_choices(bq: BoundQuiver):
+    """Per vertex with arrows in and out, every relation set among its
+    through-pairs that leaves each arrow at most one free and at most one
+    related continuation there, found by trying all subsets."""
+    idx = _index(bq.quiver)
+    all_choices = []
+    for v in bq.vertices:
+        outs, ins = idx.out_of[v], idx.into[v]
+        pairs = [(o, i) for o in outs for i in ins]
+        if not pairs:
+            continue
+        good = []
+        for mask in range(1 << len(pairs)):
+            rset = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
+            ok = True
+            for o in outs:
+                hit = sum(1 for i in ins if (o, i) in rset)
+                if hit > 1 or len(ins) - hit > 1:
+                    ok = False
+                    break
+            if ok:
+                for i in ins:
+                    hit = sum(1 for o in outs if (o, i) in rset)
+                    if hit > 1 or len(outs) - hit > 1:
+                        ok = False
+                        break
+            if ok:
+                good.append(frozenset(rset))
+        all_choices.append(good)
+    return all_choices
 
 
 def _oracle_refined_colors(bq: BoundQuiver):
@@ -442,27 +476,28 @@ def oracle_pairings(bq: BoundQuiver) -> list[PairCycle]:
 def oracle_orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
     """``_orbit_partition`` by the audit BFS ``orbit``, under all seven moves.
 
-    Returns (key -> orbit index, orbit index -> sorted member keys,
-    orbit index -> least canonical hit or None, complete flag).
+    Returns (code -> orbit index, orbit index -> (code of the first-listed
+    member, set of member codes), orbit index -> least canonical hit or None,
+    complete flag).
     """
     classes = enumerate_classes(SizeClass(n, n + 1), two_cycle=True)
     table = theorem_key_table(n)
     class_keys = {serialize(c) for c in classes}
-    assignment: dict[str, int] = {}
+    assignment: dict[tuple, int] = {}
     members: dict[int, tuple] = {}
     family: dict = {}
     complete = True
     for rep in classes:
-        key = serialize(rep)
-        if key in assignment:
+        if _canonical_code(rep) in assignment:
             continue
         res = orbit(rep, max_states, table)
         complete = complete and res.complete
         oid = len(members)
         assert res.component <= class_keys, "orbit escaped the enumerated classes"
-        for k in res.component:
-            assignment[k] = oid
-        members[oid] = tuple(sorted(res.component))
+        codes = frozenset(_canonical_code(st) for st in res.representatives.values())
+        for c in codes:
+            assignment[c] = oid
+        members[oid] = (_canonical_code(rep), codes)
         family[oid] = min((sp for _k, sp in res.canonical_hits), default=None)
     return assignment, members, family, complete
 

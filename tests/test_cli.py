@@ -172,6 +172,8 @@ class TestGoldenFiles:
         (["enumerate", "--vertices", "2", "--two-cycle"], "enumerate_n2.txt"),
         (["family", "build", "L1", "1", "2", "0", "1", "0"],
          "family_l1_12010.quiver"),
+        (["verify", "completeness", "--vertices", "4"], "completeness_n4.txt"),
+        (["enumerate", "--vertices", "4", "--two-cycle"], "enumerate_n4.txt"),
     ])
     def test_frozen_output(self, args, name):
         _code, out, _err = run_cli(args)
@@ -189,11 +191,37 @@ class TestGoldenFiles:
         assert out == (GOLDEN / "phi_l1_12010.txt").read_text()
 
 
+class TestOptionBounds:
+    @pytest.mark.parametrize("args", [
+        ["verify", "completeness", "--vertices", "0"],
+        ["enumerate", "--vertices", "0"],
+        ["enumerate", "--vertices", "2", "--arrows", "-1"],
+        ["verify", "minimality", "--max-vertices", "1"],
+        ["verify", "lemmas", "--orbit-vertices", "1"],
+        ["verify", "completeness", "--vertices", "2", "--max-states", "0"],
+        ["verify", "minimality", "--max-vertices", "2", "--max-states", "0"],
+        ["verify", "lemmas", "--max-states", "0"],
+        ["orbit", "--max-states", "0", "-"],
+        ["normalize", "--max-states", "0", "-"],
+    ])
+    def test_out_of_range_is_usage_error(self, args):
+        code, out, err = run_cli(args, stdin=L0_FILE)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: argument --")
+        assert "Traceback" not in err
+
+
 class TestVerifyCommands:
     def test_completeness(self):
         code, out, _ = run_cli(["verify", "completeness", "--vertices", "2"])
         assert code == 0
         assert out.strip().endswith("RESULT: PASS")
+
+    def test_completeness_vertex_bound(self):
+        code, out, err = run_cli(["verify", "completeness", "--vertices", "7"])
+        assert (code, out) == (2, "")
+        assert err == "error: vertex count 7 exceeds the bound 6\n"
 
     def test_lemmas_small(self):
         code, out, _ = run_cli([

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gentleq.core import canonical_key, opposite, parse, serialize
+from gentleq.core import _canonical_code, _form, canonical_key, opposite, parse, serialize
 from gentleq.families import build_family, family_size, spec, theorem_list
 from gentleq.moves import MoveKind
 from gentleq.orbit import (
@@ -12,7 +12,9 @@ from gentleq.orbit import (
     StateLimitExceeded,
     _check_inverse_edges,
     _closed_form_specs,
+    _junction_choices,
     _orbit_partition,
+    _pmap,
     _shapes,
     enumerate_classes,
     normalize,
@@ -26,6 +28,7 @@ from gentleq.orbit import (
 from oracle_helpers import (
     naive_enumerate,
     oracle_enumerate,
+    oracle_junction_choices,
     oracle_normalize,
     oracle_orbit_partition,
     oracle_shapes,
@@ -80,12 +83,53 @@ class TestEnumeratorOracle:
 
     @pytest.mark.parametrize("n,a", ORACLE_SIZES)
     def test_matches_all_labelings(self, n, a):
-        assert sorted(serialize(s) for s in _shapes(n, a)) == \
-            sorted(oracle_shapes(n, a))
+        assert sorted(_shapes(n, a)) == \
+            sorted(_canonical_code(s) for s in oracle_shapes(n, a).values())
         for two_cycle in (False, True):
             got = [serialize(c) for c in enumerate_classes(SizeClass(n, a), two_cycle)]
             want = [serialize(c) for c in oracle_enumerate(n, a, two_cycle)]
             assert got == want
+
+
+class TestJunctionChoices:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_subset_search(self, n):
+        # every shape with n vertices at every arrow count, loops included
+        count = 0
+        for a in range(2 * n + 1):
+            for code in _shapes(n, a):
+                shape = _form(code)
+                got = [set(c) for c in _junction_choices(shape)]
+                want = [set(c) for c in oracle_junction_choices(shape)]
+                assert got == want, code
+                count += 1
+        assert count == {1: 3, 2: 10, 3: 52, 4: 352, 5: 3014}[n]
+
+
+class TestPmap:
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        assert _pmap(abs, range(-100, 0), 1000) == list(range(100, 0, -1))
+        assert _pmap(abs, range(100), 2) == list(range(100))
+        assert sizes == [3, 2]
 
 
 class TestOrbit:
@@ -177,7 +221,12 @@ class TestGeneratorClosure:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_partition_matches_all_moves(self, n):
-        assert _orbit_partition(n) == oracle_orbit_partition(n)
+        assignment, members, family, complete = _orbit_partition(n)
+        # the member tuple lists the first-listed class first, then the
+        # rest in breadth-first order; the oracle keeps the first and a set
+        assert all(len(set(m)) == len(m) for m in members.values())
+        members = {oid: (m[0], frozenset(m)) for oid, m in members.items()}
+        assert (assignment, members, family, complete) == oracle_orbit_partition(n)
 
     def test_normalize_matches_all_moves(self):
         rng = random.Random(5)
