@@ -224,16 +224,20 @@ def enumerate_classes(size: SizeClass, two_cycle: bool = False,
     labeling (sort its vertices).  Each shape then takes every admissible
     relation set.
     """
-    return [form for _c, form in _enumerate_cached(size, two_cycle, vertex_bound)]
+    return [form for _c, form in _enumerate_cached(_bounded(size, vertex_bound), two_cycle)]
 
 
-@functools.lru_cache(maxsize=64)
-def _enumerate_cached(size: SizeClass, two_cycle: bool,
-                      vertex_bound: int = DEFAULT_VERTEX_BOUND) -> tuple:
-    """The ``(code, form)`` of each class ``enumerate_classes`` lists, in its order."""
+def _bounded(size: SizeClass, vertex_bound: int = DEFAULT_VERTEX_BOUND) -> SizeClass:
+    """``size``, once its vertex count is checked against ``vertex_bound``."""
     if size.vertices > vertex_bound:
         raise BoundExceeded(
             "vertex count %d exceeds the bound %d" % (size.vertices, vertex_bound))
+    return size
+
+
+@functools.lru_cache(maxsize=64)
+def _enumerate_cached(size: SizeClass, two_cycle: bool) -> tuple:
+    """The ``(code, form)`` of each class ``enumerate_classes`` lists, in its order."""
     n, a = size.vertices, size.arrows
     if two_cycle and a != n + 1:
         return ()
@@ -387,7 +391,7 @@ def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
     first-listed member of each orbit, and that member's code comes first in
     its member tuple.
     """
-    classes = _enumerate_cached(SizeClass(n, n + 1), True)
+    classes = _enumerate_cached(_bounded(SizeClass(n, n + 1)), True)
     table = theorem_key_table(n)
     class_codes = {code for code, _rep in classes}
     assignment: dict[tuple, int] = {}
@@ -617,7 +621,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
                 if len(out.vertices) != n or len(out.arrows) != n + 1:
                     move_fails.append("%s changed the size class" % mv)
                 elif phi(out) != base_phi:
-                    move_fails.append("%s on %s changed phi" % (mv, compact_key(rep)))
+                    move_fails.append("%s on %s changed phi" % (mv, _compact(code)))
     checks.append(_Check("move-invariance", n_moves, tuple(move_fails)))
     checks.append(_Check("phi-under-opposite", n_classes, tuple(op_fails)))
     checks.append(_Check("degeneracy-split", n_classes, tuple(degen_fails)))

@@ -1,3 +1,4 @@
+import importlib
 import io
 import os
 import subprocess
@@ -229,6 +230,29 @@ class TestVerifyCommands:
             "--sweep-vertices", "2", "--jobs", "1"])
         assert code == 0
         assert "RESULT: PASS" in out
+
+    def test_lemmas_reports_phi_change(self, monkeypatch):
+        # every move lands on the first class at (2, 3); the other two classes
+        # have a different phi, so their moves must be reported, not raised
+        from gentleq.core import compact_key
+
+        orbit = importlib.import_module("gentleq.orbit")
+        target = orbit.enumerate_classes(orbit.SizeClass(2, 3), two_cycle=True)[0]
+        real = orbit.apply_move
+
+        def to_target(bq, mv, **kw):
+            return target, real(bq, mv, **kw)[1]
+
+        monkeypatch.setattr(orbit, "apply_move", to_target)
+        code, out, err = run_cli([
+            "verify", "lemmas", "--bound", "4", "--orbit-vertices", "2",
+            "--sweep-vertices", "2", "--jobs", "1"])
+        assert (code, err) == (1, "")
+        assert "check move-invariance: FAIL" in out
+        changed = [l for l in out.splitlines() if l.endswith(" changed phi")]
+        assert changed and all(l.startswith("failure[move-invariance]: ") for l in changed)
+        assert " on %s changed phi" % compact_key(target) not in out
+        assert out.endswith("RESULT: FAIL\n")
 
     def test_fuzz_shift(self):
         code, out, _ = run_cli(["fuzz-shift", "--seed", "3", "--count", "25"])

@@ -12,6 +12,7 @@ from gentleq.orbit import (
     StateLimitExceeded,
     _check_inverse_edges,
     _closed_form_specs,
+    _enumerate_cached,
     _junction_choices,
     _orbit_partition,
     _pmap,
@@ -68,6 +69,16 @@ class TestEnumerate:
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             enumerate_classes(SizeClass(9, 10), two_cycle=True)
+        with pytest.raises(BoundExceeded):
+            _orbit_partition.__wrapped__(9)
+
+    def test_one_cache_entry_per_size(self):
+        # enumerate_classes and the orbit partition share the class cache
+        _enumerate_cached.cache_clear()
+        enumerate_classes(SizeClass(3, 4), two_cycle=True)
+        _orbit_partition.__wrapped__(3)
+        info = _enumerate_cached.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
 
     def test_deterministic_order(self, two_cycle_classes):
         classes = two_cycle_classes(3)
