@@ -109,18 +109,18 @@ def _build_parser() -> _Parser:
     v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     v = ver.add_parser("minimality")
     v.add_argument("--max-vertices", type=_at_least(2), required=True)
-    v.add_argument("--orbit-vertices", type=int, default=4)
+    v.add_argument("--orbit-vertices", type=_at_least(2), default=4)
     v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     v = ver.add_parser("lemmas")
-    v.add_argument("--bound", type=int, default=8)
+    v.add_argument("--bound", type=_at_least(1), default=8)
     v.add_argument("--orbit-vertices", type=_at_least(2), default=5)
-    v.add_argument("--sweep-vertices", type=int, default=4)
+    v.add_argument("--sweep-vertices", type=_at_least(2), default=4)
     v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
-    v.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    v.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1)
 
     sp = sub.add_parser("fuzz-shift", help="seeded slide-macro cross-check")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=500)
+    sp.add_argument("--count", type=_at_least(1), default=500)
     return p
 
 

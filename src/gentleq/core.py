@@ -403,6 +403,63 @@ def require_valid(bq: BoundQuiver, require_connected: bool = False) -> None:
         raise InvalidQuiverError(violations)
 
 
+def _adjacency(n: int, ends) -> tuple[list[list[int]], list[list[int]]]:
+    """The arrow positions out of and into each of the vertices 0..n-1."""
+    outs: list[list[int]] = [[] for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    for k, (s, t) in enumerate(ends):
+        outs[s].append(k)
+        ins[t].append(k)
+    return outs, ins
+
+
+def _valid(n: int, ends, rels) -> bool:
+    """Whether a bound quiver on indices meets G1, G3, G4 and FIN.
+
+    ``ends`` lists the ``(source, target)`` of each arrow and ``rels`` is the
+    set of ``(first, second)`` arrow positions of the relations.  This is
+    ``not validate(...)`` without its witnesses, for the quivers the package
+    builds for itself.
+    """
+    succ = [-1] * len(ends)  # the relation-free successor of each arrow
+    for o, i in zip(*_adjacency(n, ends)):
+        if len(o) > 2 or len(i) > 2:
+            return False
+        # G3 and G4: of two arrows on one side of the vertex, each arrow on
+        # the other side is related to exactly one
+        if len(o) == 1:
+            b = o[0]
+            for a in i:
+                if (b, a) not in rels:
+                    succ[a] = b
+        elif len(o) == 2:
+            b, c = o
+            for a in i:
+                related = (b, a) in rels
+                if related == ((c, a) in rels):
+                    return False
+                succ[a] = c if related else b
+        if len(i) == 2:
+            a, c = i
+            for b in o:
+                if ((b, a) in rels) == ((b, c) in rels):
+                    return False
+    # FIN: with one successor per arrow, a relation-avoiding cycle is a walk
+    # along successors that comes back to an arrow of the walk itself
+    state = [0] * len(ends)  # 0 unseen, 1 on the current walk, 2 done
+    for a in range(len(ends)):
+        walk = []
+        while a >= 0 and not state[a]:
+            state[a] = 1
+            walk.append(a)
+            a = succ[a]
+        if a >= 0 and state[a] == 1:
+            return False
+        for b in walk:
+            state[b] = 2
+    return True
+
+
 # ---------------------------------------------------------------------------
 # structure
 
@@ -589,14 +646,26 @@ def _code(n: int, ends, rels) -> tuple:
     return (n, tuple(best[0]), tuple(best[1]))
 
 
+def _integer(bq: BoundQuiver) -> tuple:
+    """``bq`` on indices: ``(n, ends, rels)`` over its vertex and arrow order,
+    with ``ends`` the ``(source, target)`` of each arrow and ``rels`` the set
+    of ``(first, second)`` arrow positions."""
+    pos = {v: i for i, v in enumerate(bq.vertices)}
+    aidx = {a: k for k, (a, _s, _t) in enumerate(bq.arrows)}
+    ends = [(pos[s], pos[t]) for _a, s, t in bq.arrows]
+    return len(pos), ends, {(aidx[f], aidx[s]) for f, s in bq.relations}
+
+
+def _decode(code: tuple) -> tuple:
+    """The ``(n, ends, rels)`` of the canonical form a code stands for."""
+    n, base, rels = code
+    m = len(base)
+    return n, [divmod(c, n) for c in base], {divmod(c, m) for c in rels}
+
+
 def _canonical_code(bq: BoundQuiver) -> tuple:
     """The canonical code of ``bq``: its names mapped to indices, then ``_code``."""
-    arrows = bq.arrows
-    pos = {v: i for i, v in enumerate(bq.vertices)}
-    aidx = {a: k for k, (a, _s, _t) in enumerate(arrows)}
-    ends = [(pos[s], pos[t]) for _a, s, t in arrows]
-    rels = [(aidx[f], aidx[s]) for f, s in bq.relations]
-    return _code(len(pos), ends, rels)
+    return _code(*_integer(bq))
 
 
 def _form(code: tuple) -> BoundQuiver:
@@ -619,6 +688,23 @@ def _compact(code: tuple) -> str:
     arcs = ",".join("%d-%d" % divmod(c, n) for c in base)
     pairs = ",".join(sorted("%d.%d" % divmod(c, m) for c in rels))
     return "%d;%s;%s" % (n, arcs, pairs)
+
+
+def _serial_key(code: tuple) -> tuple:
+    """A sort key that orders the codes of one size as ``serialize`` orders
+    their forms.
+
+    Those texts share the header and the vertex lines, and their arrows have
+    the same names.  Arrow lines sort by the name ``a<k>``, so by k in
+    decimal-string order, and then by the decimal names of the ends; relation
+    lines sort by the decimal names of their arrows, and a relation list that
+    begins another sorts first in both orders (``end`` before ``rel``).
+    """
+    n, base, rels = code
+    m = len(base)
+    arcs = sorted([("%d" % k, "%d" % s, "%d" % t)
+                   for k, (s, t) in enumerate(divmod(c, n) for c in base)])
+    return arcs, sorted([("%d" % f, "%d" % s) for f, s in (divmod(c, m) for c in rels)])
 
 
 def canonical_form(bq: BoundQuiver) -> BoundQuiver:

@@ -269,6 +269,11 @@ def characteristic_sequences(bq: BoundQuiver) -> tuple:
     least permitted thread, and the cycles come in that order.
     """
     require_valid(bq)
+    return _characteristic_sequences(bq)
+
+
+def _characteristic_sequences(bq: BoundQuiver) -> tuple:
+    """``characteristic_sequences`` of a quiver already known to be valid."""
     permitted, forbidden, cycles = _threads(bq)
     idx = _index(bq.quiver)
     starts = {(s, sg): (t, e, ep) for t, s, e, sg, ep in permitted}
@@ -302,7 +307,13 @@ def characteristic_sequences(bq: BoundQuiver) -> tuple:
 
 def phi(bq: BoundQuiver) -> Phi:
     """Multiset of the types of all characteristic sequences."""
-    return Phi.from_types(cs.type() for cs in characteristic_sequences(bq))
+    require_valid(bq)
+    return _phi(bq)
+
+
+def _phi(bq: BoundQuiver) -> Phi:
+    """``phi`` of a quiver its maker has already validated."""
+    return Phi.from_types(cs.type() for cs in _characteristic_sequences(bq))
 
 
 def degeneracy_class(bq: BoundQuiver) -> str:
@@ -310,7 +321,7 @@ def degeneracy_class(bq: BoundQuiver) -> str:
     require_valid(bq, require_connected=True)
     if cycle_rank(bq) != 2:
         raise QuiverError("degeneracy split applies to two-cycle quivers only")
-    total = phi(bq).total
+    total = _phi(bq).total
     if total == 3:
         return NONDEGENERATE
     if total == 1:

@@ -4,7 +4,10 @@ Seven moves, each preserving the vertex and arrow counts and the validity of
 the quiver: sink reflections (plain, generalized with a loop variant, and the
 maximal-path flavor), their three duals at sources, and passing to the
 opposite quiver.  The duals are realized by conjugating the primal rewrite
-with ``opposite`` so there is a single source of truth per formula.
+with ``opposite`` so there is a single source of truth per formula.  Each
+rewrite is an integer kernel over vertex and arrow indices: the orbit
+closure runs it on canonical codes, and the named moves index the quiver,
+run the same kernel and rebuild with the original ids.
 
 On top of the primitives sit two macros that slide a relation (or a block of
 chained relations) along free arrows; each macro replays a fixed composite of
@@ -25,7 +28,12 @@ from .core import (
     opposite,
     require_valid,
     validate,
+    _adjacency,
+    _code,
+    _decode,
     _index,
+    _integer,
+    _valid,
 )
 
 __all__ = [
@@ -111,172 +119,206 @@ class MoveReceipt:
     arrow_map: tuple[tuple[str, str, str], ...]  # (arrow, new source, new target)
 
 
-def _rebuild(bq: BoundQuiver, new_src, new_tgt, new_relations) -> BoundQuiver:
-    arrows = tuple((a, new_src[a], new_tgt[a]) for a, _s, _t in bq.arrows)
-    return BoundQuiver(Quiver(bq.vertices, arrows), frozenset(new_relations), bq.name)
+# ---------------------------------------------------------------------------
+# the integer kernel: one source of truth for every move formula
 
 
-def _loop_at(idx, x):
-    return [a for a in idx.out_of[x] if a in idx.into[x]]
+class _Ints:
+    """A bound quiver on indices: the ``(source, target)`` of each arrow, the
+    relations as a set of ``(first, second)`` arrow positions, and the arrows
+    out of and into each vertex."""
+
+    __slots__ = ("n", "ends", "rels", "outs", "ins", "_op")
+
+    def __init__(self, n: int, ends, rels):
+        self.n, self.ends, self.rels = n, ends, rels
+        self.outs, self.ins = _adjacency(n, ends)
+        self._op = None
+
+    def opposite(self) -> "_Ints":
+        if self._op is None:
+            self._op = _Ints(self.n, *_reverse(self.ends, self.rels))
+        return self._op
 
 
-def _gen_apr_precondition(bq: BoundQuiver, x: str) -> str | None:
-    """None when applicable, otherwise the violated condition."""
-    idx = _index(bq.quiver)
-    if x not in idx.out_of:
-        return "unknown vertex %r" % x
-    loops = _loop_at(idx, x)
-    if loops:
-        if not any(idx.src_of[b] != x for b in idx.into[x]):
-            return "loop variant needs an incoming arrow from another vertex"
-        return None
-    for a in idx.out_of[x]:
-        if not any((a, b) not in bq.relations for b in idx.into[x]):
-            return "outgoing arrow %s has no relation-free incoming continuation" % a
+def _reverse(ends, rels):
+    """The ``(ends, rels)`` of the opposite quiver."""
+    return [(t, s) for s, t in ends], {(s, f) for f, s in rels}
+
+
+def _gen_apr_blocker(q: _Ints, x: int) -> int | None:
+    """None when gen-apr-reflect applies at ``x``; otherwise -1 when there is
+    a loop at ``x`` but no arrow into ``x`` from another vertex, or else the
+    first arrow out of ``x`` that no arrow into ``x`` precedes outside the
+    relations."""
+    ends, into = q.ends, q.ins[x]
+    if any(ends[a][1] == x for a in q.outs[x]):
+        return None if any(ends[b][0] != x for b in into) else -1
+    for a in q.outs[x]:
+        if all((a, b) in q.rels for b in into):
+            return a
     return None
 
 
-def _redirect_target(bq: BoundQuiver, idx, x):
-    """The targets-side case split shared by the sink reflections."""
-    def new_tgt(a):
-        s, t = idx.src_of[a], idx.tgt_of[a]
-        if t == x:
-            return s
-        for b in idx.into[x]:
-            if idx.src_of[b] == t and (b, a) in bq.relations:
-                return x
-        return t
-    return new_tgt
+def _gen_apr(q: _Ints, x: int):
+    """gen-apr-reflect at ``x``, where it applies: the new ``(ends, rels)``.
+
+    Each arrow into ``x`` turns around.  An arrow leaving ``x`` now leaves the
+    source of its relation-free continuation into ``x`` (of the one arrow into
+    ``x`` from another vertex, when ``x`` carries a loop), and an arrow whose
+    composite with an arrow into ``x`` is a relation now ends at ``x``.
+    Without a loop the relations at ``x`` are replaced: each arrow leaving
+    ``x`` is related to its old continuation, and each relation ``(g, s)``
+    with ``g`` into ``x`` passes to the other arrow into ``x``.
+    """
+    ends, rels, into, outs = q.ends, q.rels, q.ins[x], q.outs[x]
+    redirected = {a for b, a in rels if ends[b][1] == x}
+    if any(ends[a][1] == x for a in outs):
+        others = [b for b in into if ends[b][0] != x]
+        assert len(others) == 1, "the non-loop incoming arrow is unique"
+        new_src = dict.fromkeys(outs, ends[others[0]][0])
+        new_rels = rels
+    else:
+        new_src = {}
+        new_rels = {(f, s) for f, s in rels if x not in ends[f]}
+        for a in outs:
+            frees = [b for b in into if (a, b) not in rels]
+            assert len(frees) == 1, "gentleness forces a unique relation-free continuation"
+            new_src[a] = ends[frees[0]][0]
+            new_rels.add((a, frees[0]))
+        for g, s in rels:
+            if ends[g][1] == x:
+                new_rels.update((a, s) for a in into if a != g)
+    new_ends = [(x, s) if t == x else (new_src.get(k, s), x if k in redirected else t)
+                for k, (s, t) in enumerate(ends)]
+    return new_ends, new_rels
+
+
+def _hw(q: _Ints, x: int):
+    """hw-reflect at the sink ``x``: the new ``(ends, rels)``.
+
+    Each arrow into ``x`` walks back along relation-free predecessors to the
+    first arrow of its maximal path and is redrawn from ``x`` to that arrow's
+    source; there it is related to the other arrows leaving that source
+    (those not into ``x``), and the relations ending at ``x`` are dropped.
+    """
+    ends, rels, into = q.ends, q.rels, q.ins[x]
+    if q.n == 1:
+        return ends, rels
+    start = {}
+    for a in into:
+        cur = a
+        for _ in range(len(ends) + 1):
+            frees = [b for b in q.ins[ends[cur][0]] if (cur, b) not in rels]
+            assert len(frees) <= 1
+            if not frees:
+                break
+            cur = frees[0]
+        else:
+            raise AssertionError("maximal path walk did not terminate")
+        start[a] = cur
+    new_ends = [(x, ends[start[k]][0]) if t == x else (s, t) for k, (s, t) in enumerate(ends)]
+    new_rels = {(f, s) for f, s in rels if ends[f][1] != x}
+    for a in into:
+        first = start[a]
+        new_rels.update((b, a) for b in q.outs[ends[first][0]]
+                        if b != first and ends[b][1] != x)
+    return new_ends, new_rels
+
+
+def _image(q: _Ints, kind: MoveKind, x: int | None):
+    """The ``(ends, rels)`` after the applicable move ``kind`` at ``x``."""
+    if kind is MoveKind.OPPOSITE:
+        return _reverse(q.ends, q.rels)
+    if kind is MoveKind.HW_REFLECT:
+        return _hw(q, x)
+    if kind is MoveKind.APR_REFLECT or kind is MoveKind.GEN_APR_REFLECT:
+        # a sink meets the generalized preconditions vacuously
+        return _gen_apr(q, x)
+    # a coreflection is the dual reflection conjugated by opposite
+    return _reverse(*_image(q.opposite(), _DUAL[kind], x))
+
+
+def _generator_codes(code: tuple) -> tuple[list[tuple], tuple]:
+    """The codes of the generating moves' outputs on ``code``: (reflections,
+    opposite).
+
+    The reflections are ``gen-apr-reflect`` at every vertex meeting its
+    preconditions and ``hw-reflect`` at every sink, in vertex order, without
+    receipts or validation; ``gentleq.orbit`` says why these moves reach every
+    move's output.
+    """
+    n = code[0]
+    q = _Ints(*_decode(code))
+    reflections = []
+    for x in range(n):
+        if _gen_apr_blocker(q, x) is None:
+            reflections.append(_code(n, *_gen_apr(q, x)))
+        if not q.outs[x]:
+            reflections.append(_code(n, *_hw(q, x)))
+    return reflections, _code(n, *_reverse(q.ends, q.rels))
+
+
+# ---------------------------------------------------------------------------
+# moves on named quivers
+
+
+def _named(bq: BoundQuiver, ends, rels) -> BoundQuiver:
+    """``bq`` redrawn with the arrow ends and relations given on indices."""
+    vs = bq.vertices
+    ids = [a for a, _s, _t in bq.arrows]
+    return BoundQuiver(
+        Quiver(vs, tuple([(ids[k], vs[s], vs[t]) for k, (s, t) in enumerate(ends)])),
+        frozenset([(ids[f], ids[s]) for f, s in rels]),
+        bq.name,
+    )
 
 
 def _gen_apr_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
-    idx = _index(bq.quiver)
-    loops = _loop_at(idx, x)
-    new_tgt_of = _redirect_target(bq, idx, x)
-    new_src = {}
-    new_tgt = {}
-    if loops:
-        beta0 = [b for b in idx.into[x] if idx.src_of[b] != x]
-        assert len(beta0) == 1, "the non-loop incoming arrow is unique"
-        y = idx.src_of[beta0[0]]
-        for a, s, t in bq.arrows:
-            if t == x:
-                new_src[a] = x
-            elif s == x:
-                new_src[a] = y
-            else:
-                new_src[a] = s
-            new_tgt[a] = new_tgt_of(a)
-        return _rebuild(bq, new_src, new_tgt, bq.relations)
-    beta = {}
-    for a in idx.out_of[x]:
-        frees = [b for b in idx.into[x] if (a, b) not in bq.relations]
-        assert len(frees) == 1, "gentleness forces a unique relation-free continuation"
-        beta[a] = frees[0]
-    for a, s, t in bq.arrows:
-        if t == x:
-            new_src[a] = x
-        elif s == x:
-            new_src[a] = idx.src_of[beta[a]]
-        else:
-            new_src[a] = s
-        new_tgt[a] = new_tgt_of(a)
-    relations = {(f, s2) for f, s2 in bq.relations
-                 if idx.tgt_of[f] != x and idx.src_of[f] != x}
-    relations.update((a, beta[a]) for a in idx.out_of[x])
-    for gamma in idx.into[x]:
-        for f, s2 in bq.relations:
-            if f == gamma:
-                for a in idx.into[x]:
-                    if a != gamma:
-                        relations.add((a, s2))
-    return _rebuild(bq, new_src, new_tgt, relations)
+    return _named(bq, *_gen_apr(_Ints(*_integer(bq)), bq.vertices.index(x)))
 
 
 def _hw_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
-    if len(bq.vertices) == 1:
-        return bq
-    idx = _index(bq.quiver)
-    pred = {}
-    for a in idx.src_of:
-        frees = [b for b in idx.into[idx.src_of[a]] if (a, b) not in bq.relations]
-        assert len(frees) <= 1
-        pred[a] = frees[0] if frees else None
-    start_of = {}
-    for a in idx.into[x]:
-        cur = a
-        for _ in range(len(bq.arrows) + 1):
-            if pred[cur] is None:
-                break
-            cur = pred[cur]
-        else:
-            raise AssertionError("maximal path walk did not terminate")
-        start_of[a] = cur
-    new_src = {}
-    new_tgt = {}
-    for a, s, t in bq.arrows:
-        if t == x:
-            new_src[a] = x
-            new_tgt[a] = idx.src_of[start_of[a]]
-        else:
-            new_src[a] = s
-            new_tgt[a] = t
-    relations = {(f, s2) for f, s2 in bq.relations if idx.tgt_of[f] != x}
-    for a in idx.into[x]:
-        root = idx.src_of[start_of[a]]
-        for b in idx.out_of[root]:
-            if b != start_of[a] and idx.tgt_of[b] != x:
-                relations.add((b, a))
-    return _rebuild(bq, new_src, new_tgt, relations)
+    return _named(bq, *_hw(_Ints(*_integer(bq)), bq.vertices.index(x)))
 
 
-def _not_applicable_reason(bq: BoundQuiver, move: Move) -> str | None:
-    idx = _index(bq.quiver)
-    kind, x = move.kind, move.vertex
+def _not_applicable_reason(bq: BoundQuiver, q: _Ints, pos: dict, move: Move) -> str | None:
+    """None when ``move`` applies to ``bq``, whose indices are ``q`` and
+    ``pos`` (vertex name -> index), otherwise why not."""
+    kind, v = move.kind, move.vertex
     if kind is MoveKind.OPPOSITE:
         return None
-    if x not in idx.out_of:
-        return "unknown vertex %r" % x
+    x = pos.get(v)
+    if x is None:
+        return "unknown vertex %r" % v
     if kind is MoveKind.APR_REFLECT or kind is MoveKind.HW_REFLECT:
-        return None if not idx.out_of[x] else "vertex %s is not a sink" % x
+        return None if not q.outs[x] else "vertex %s is not a sink" % v
     if kind is MoveKind.APR_COREFLECT or kind is MoveKind.HW_COREFLECT:
-        return None if not idx.into[x] else "vertex %s is not a source" % x
-    if kind is MoveKind.GEN_APR_REFLECT:
-        return _gen_apr_precondition(bq, x)
-    if kind is MoveKind.GEN_APR_COREFLECT:
-        return _gen_apr_precondition(opposite(bq), x)
-    raise AssertionError(kind)
+        return None if not q.ins[x] else "vertex %s is not a source" % v
+    blocker = _gen_apr_blocker(q if kind is MoveKind.GEN_APR_REFLECT else q.opposite(), x)
+    if blocker is None:
+        return None
+    if blocker < 0:
+        return "loop variant needs an incoming arrow from another vertex"
+    return "outgoing arrow %s has no relation-free incoming continuation" % bq.arrows[blocker][0]
 
 
-def _generator_images(bq: BoundQuiver) -> tuple[list[BoundQuiver], BoundQuiver]:
-    """The outputs of the generating moves on ``bq``: (reflections, opposite).
-
-    The reflections are ``gen-apr-reflect`` at every vertex meeting its
-    preconditions and ``hw-reflect`` at every sink, without receipts or
-    validation; ``gentleq.orbit`` says why these moves reach every move's
-    output.
-    """
-    idx = _index(bq.quiver)
-    reflections = []
-    for v in sorted(bq.vertices):
-        if _gen_apr_precondition(bq, v) is None:
-            reflections.append(_gen_apr_reflect(bq, v))
-        if not idx.out_of[v]:
-            reflections.append(_hw_reflect(bq, v))
-    return reflections, opposite(bq)
+def _indexed(bq: BoundQuiver) -> tuple[_Ints, dict]:
+    return _Ints(*_integer(bq)), {v: i for i, v in enumerate(bq.vertices)}
 
 
 def applicable(bq: BoundQuiver, move: Move) -> bool:
-    return _not_applicable_reason(bq, move) is None
+    return _not_applicable_reason(bq, *_indexed(bq), move) is None
 
 
 def applicable_moves(bq: BoundQuiver) -> list[Move]:
     """Every applicable (kind, vertex) pair, plus 'opposite', in fixed order."""
+    q, pos = _indexed(bq)
     out = []
     for v in sorted(bq.vertices):
         for kind in _KIND_ORDER:
             mv = Move(kind, v)
-            if applicable(bq, mv):
+            if _not_applicable_reason(bq, q, pos, mv) is None:
                 out.append(mv)
     out.append(Move(MoveKind.OPPOSITE))
     return out
@@ -284,26 +326,14 @@ def applicable_moves(bq: BoundQuiver) -> list[Move]:
 
 def apply_move(bq: BoundQuiver, move: Move, _input_key: str | None = None):
     """Apply one move; returns the new quiver and the audit receipt."""
-    reason = _not_applicable_reason(bq, move)
+    q, pos = _indexed(bq)
+    reason = _not_applicable_reason(bq, q, pos, move)
     if reason is not None:
         raise MoveNotApplicable("%s: %s" % (move, reason))
-    kind, x = move.kind, move.vertex
-    if kind is MoveKind.OPPOSITE:
-        out = opposite(bq)
-    elif kind is MoveKind.APR_REFLECT or kind is MoveKind.GEN_APR_REFLECT:
-        # a sink meets the generalized preconditions vacuously
-        out = _gen_apr_reflect(bq, x)
-    elif kind is MoveKind.HW_REFLECT:
-        out = _hw_reflect(bq, x)
-    elif kind is MoveKind.APR_COREFLECT or kind is MoveKind.GEN_APR_COREFLECT:
-        out = opposite(_gen_apr_reflect(opposite(bq), x))
-    elif kind is MoveKind.HW_COREFLECT:
-        out = opposite(_hw_reflect(opposite(bq), x))
-    else:
-        raise AssertionError(kind)
-    bad = validate(out)
-    if bad:
-        raise AssertionError("%s produced an invalid quiver: %s" % (move, bad))
+    ends, rels = _image(q, move.kind, pos.get(move.vertex))
+    out = _named(bq, ends, rels)
+    if not _valid(q.n, ends, rels):
+        raise AssertionError("%s produced an invalid quiver: %s" % (move, validate(out)))
     receipt = MoveReceipt(
         move,
         _input_key if _input_key is not None else canonical_key(bq),
@@ -326,6 +356,11 @@ class ShiftDirection(enum.Enum):
 class _ShiftPlan:
     moves: tuple[Move, ...]
     direct: BoundQuiver
+
+
+def _rebuild(bq: BoundQuiver, new_src, new_tgt, new_relations) -> BoundQuiver:
+    arrows = tuple((a, new_src[a], new_tgt[a]) for a, _s, _t in bq.arrows)
+    return BoundQuiver(Quiver(bq.vertices, arrows), frozenset(new_relations), bq.name)
 
 
 def _match_shift_right(bq: BoundQuiver, rel) -> _ShiftPlan:

@@ -9,7 +9,11 @@ sinks, and ``opposite``.  They suffice because ``apr-reflect`` is
 the matching reflection after ``opposite``.  Sink reflections are undone by
 source coreflections (Auslander-Platzeck-Reiten), so reachability is
 symmetric and the orbits partition each enumerated class list; every closure
-checks that symmetry on its own edges rather than assuming it.  The
+checks that symmetry on its own edges rather than assuming it.  Enumeration
+and closure work on the canonical kernel's integer codes ``(n, base, rels)``:
+the moves, the validity check and the class keys all run on the code, and a
+named quiver or text is made only for what is printed or handed to a caller
+(enumerated classes, the lemma sweep's quivers, report anchors).  The
 verification drivers rest on that partition: completeness (every class
 reaches a canonical family), minimality (no two canonical representatives
 collide), and the table of small equivalence facts used throughout.  The
@@ -27,11 +31,14 @@ from dataclasses import dataclass
 from .core import (
     BoundQuiver,
     QuiverError,
+    _adjacency,
     _canonical_code,
     _code,
     _compact,
+    _decode,
     _form,
-    _index,
+    _serial_key,
+    _valid,
     canonical_form,
     cycle_rank,
     is_isomorphic,
@@ -49,8 +56,8 @@ from .families import (
     spec,
     theorem_list,
 )
-from .invariant import phi
-from .moves import _generator_images, apply_move, applicable_moves
+from .invariant import _phi, phi
+from .moves import _generator_codes, apply_move, applicable_moves
 
 __all__ = [
     "SizeClass",
@@ -161,28 +168,27 @@ def _arcs_connected(n: int, arcs) -> bool:
     return len(reached) == n
 
 
-def _junction_choices(bq: BoundQuiver):
-    """Per vertex with arrows in and out, the relation sets gentleness allows.
+def _junction_choices(n: int, ends):
+    """Per vertex with arrows in and out, the relation sets gentleness allows,
+    as ``(first, second)`` arrow positions on the arcs ``ends``.
 
     With one arrow in and one out the pair is related or not.  Otherwise
     every arrow on the smaller side is related to its own arrow on the other
     side: each arrow then has at most one free and at most one related
     continuation through the vertex, as gentleness asks.
     """
-    idx = _index(bq.quiver)
     all_choices = []
-    for v in bq.vertices:
-        outs, ins = idx.out_of[v], idx.into[v]
+    for outs, ins in zip(*_adjacency(n, ends)):
         if not outs or not ins:
             continue
         if len(outs) == len(ins) == 1:
-            all_choices.append([frozenset(), frozenset([(outs[0], ins[0])])])
+            all_choices.append([(), ((outs[0], ins[0]),)])
         elif len(outs) <= len(ins):
             all_choices.append(
-                [frozenset(zip(outs, p)) for p in itertools.permutations(ins, len(outs))])
+                [tuple(zip(outs, p)) for p in itertools.permutations(ins, len(outs))])
         else:
             all_choices.append(
-                [frozenset(zip(p, ins)) for p in itertools.permutations(outs, len(ins))])
+                [tuple(zip(p, ins)) for p in itertools.permutations(outs, len(ins))])
     return all_choices
 
 
@@ -199,16 +205,17 @@ def _shapes(n: int, a: int) -> list[tuple]:
         _code(n, arcs, ()) for arcs in _arc_multisets(n, a) if _arcs_connected(n, arcs)))
 
 
-def _classes_of_shapes(shapes) -> tuple[tuple[tuple, BoundQuiver], ...]:
-    """Every valid relation set on every shape code, as one ``(code, form)``
-    per class, sorted by the serialized form."""
+def _classes_of_shapes(shapes) -> tuple[tuple, ...]:
+    """The code of every class of valid relation sets on the shape codes,
+    sorted as ``serialize`` sorts their forms."""
     codes = set()
-    for shape in map(_form, shapes):
-        for combo in itertools.product(*_junction_choices(shape)):
-            cand = BoundQuiver(shape.quiver, frozenset(itertools.chain.from_iterable(combo)))
-            if not validate(cand):
-                codes.add(_canonical_code(cand))
-    return tuple(sorted(((c, _form(c)) for c in codes), key=lambda cf: serialize(cf[1])))
+    for shape in shapes:
+        n, ends, _none = _decode(shape)
+        for combo in itertools.product(*_junction_choices(n, ends)):
+            rels = set(itertools.chain.from_iterable(combo))
+            if _valid(n, ends, rels):
+                codes.add(_code(n, ends, rels))
+    return tuple(sorted(codes, key=_serial_key))
 
 
 def enumerate_classes(size: SizeClass, two_cycle: bool = False,
@@ -224,7 +231,7 @@ def enumerate_classes(size: SizeClass, two_cycle: bool = False,
     labeling (sort its vertices).  Each shape then takes every admissible
     relation set.
     """
-    return [form for _c, form in _enumerate_cached(_bounded(size, vertex_bound), two_cycle)]
+    return [_form(c) for c in _enumerate_cached(_bounded(size, vertex_bound), two_cycle)]
 
 
 def _bounded(size: SizeClass, vertex_bound: int = DEFAULT_VERTEX_BOUND) -> SizeClass:
@@ -237,7 +244,8 @@ def _bounded(size: SizeClass, vertex_bound: int = DEFAULT_VERTEX_BOUND) -> SizeC
 
 @functools.lru_cache(maxsize=64)
 def _enumerate_cached(size: SizeClass, two_cycle: bool) -> tuple:
-    """The ``(code, form)`` of each class ``enumerate_classes`` lists, in its order."""
+    """The code of each class ``enumerate_classes`` lists, in its order; the
+    forms are built only where a caller needs them."""
     n, a = size.vertices, size.arrows
     if two_cycle and a != n + 1:
         return ()
@@ -324,43 +332,41 @@ def _check_inverse_edges(edges, op) -> None:
             raise AssertionError("reflection edge %d -> %d has no inverse" % (i, j))
 
 
-def _reach(start: BoundQuiver, max_states: int):
-    """Closure of the valid quiver ``start`` under the generating moves.
+def _reach(start: tuple, max_states: int):
+    """Closure of the code ``start`` of a valid quiver under the generating
+    moves.
 
-    Returns ``(states, complete)``: the canonical codes reached, in
-    breadth-first order from the code of ``start``, and whether the orbit has
-    at most ``max_states`` states.  Each new state is built and validated
-    once; a complete closure also checks that its reflection edges come in
-    inverse pairs.
+    The states are canonical codes throughout; no quiver is named.  Returns
+    ``(states, complete)``: the codes reached, in breadth-first order from
+    ``start``, and whether the orbit has at most ``max_states`` states.  Each
+    new state passes the integer validity check once; a complete closure also
+    checks that its reflection edges come in inverse pairs.
     """
-    forms = [start]  # the breadth-first queue: it grows while it is walked
-    index = {_canonical_code(start): 0}
+    states = [start]  # the breadth-first queue: it grows while it is walked
+    index = {start: 0}
     edges = set()
     op = []
     complete = True
-    for i, st in enumerate(forms):
-        reflections, opp = _generator_images(st)
+    for i, code in enumerate(states):
+        reflections, opp = _generator_codes(code)
         for pos, out in enumerate(reflections + [opp]):
-            code = _canonical_code(out)
-            j = index.get(code)
+            j = index.get(out)
             if j is None:
-                if len(forms) >= max_states:
+                if len(states) >= max_states:
                     complete = False
                     continue
-                form = _form(code)
-                bad = validate(form)
-                if bad:
-                    raise AssertionError(
-                        "a generating move produced an invalid quiver: %s" % (bad,))
-                j = index[code] = len(forms)
-                forms.append(form)
+                if not _valid(*_decode(out)):
+                    raise AssertionError("a generating move produced an invalid quiver: %s"
+                                         % (validate(_form(out)),))
+                j = index[out] = len(states)
+                states.append(out)
             if pos < len(reflections):
                 edges.add((i, j))
             else:
                 op.append(j)
     if complete:
         _check_inverse_edges(edges, op)
-    return list(index), complete
+    return states, complete
 
 
 def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySpec:
@@ -368,7 +374,7 @@ def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySp
     require_valid(bq, require_connected=True)
     if cycle_rank(bq) != 2:
         raise QuiverError("normalization applies to two-cycle quivers")
-    states, complete = _reach(bq, max_states)
+    states, complete = _reach(_canonical_code(bq), max_states)
     if not complete:
         raise StateLimitExceeded("orbit exceeded %d states" % max_states)
     table = theorem_key_table(len(bq.vertices))
@@ -393,15 +399,15 @@ def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
     """
     classes = _enumerate_cached(_bounded(SizeClass(n, n + 1)), True)
     table = theorem_key_table(n)
-    class_codes = {code for code, _rep in classes}
+    class_codes = set(classes)
     assignment: dict[tuple, int] = {}
     members: dict[int, tuple] = {}
     family: dict[int, FamilySpec | None] = {}
     complete = True
-    for code, rep in classes:
+    for code in classes:
         if code in assignment:
             continue
-        states, reached_all = _reach(rep, max_states)
+        states, reached_all = _reach(code, max_states)
         complete = complete and reached_all
         oid = len(members)
         assert class_codes.issuperset(states), "orbit escaped the enumerated classes"
@@ -529,7 +535,7 @@ def _closed_form_specs(bound: int):
 def check_closed_form(sp: FamilySpec) -> str | None:
     """Worker: closed form versus computed invariant for one spec."""
     want = phi_formula(sp)
-    got = phi(build_family(sp))
+    got = _phi(build_family(sp))
     if want != got:
         return "%s: computed %s, formula %s" % (sp, got, want)
     return None
@@ -571,8 +577,8 @@ def _orbit_pair_check(pairs, max_states):
 def _phi_pair_failures(pairs):
     out = []
     for left, right in pairs:
-        pl = phi(build_family(left))
-        pr = phi(build_family(right))
+        pl = _phi(build_family(left))
+        pr = _phi(build_family(right))
         if pl != pr:
             out.append("phi(%s)=%s differs from phi(%s)=%s" % (left, pl, right, pr))
     return out
@@ -603,9 +609,10 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
     for n in range(2, sweep_vertices + 1):
         assignment, members, family, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        for code, rep in _enumerate_cached(SizeClass(n, n + 1), True):
+        for code in _enumerate_cached(SizeClass(n, n + 1), True):
+            rep = _form(code)
             n_classes += 1
-            base_phi = phi(rep)
+            base_phi = _phi(rep)
             if phi(opposite(rep)) != base_phi:
                 op_fails.append("phi changes under opposite for %s" % _compact(code))
             total = base_phi.total
@@ -620,7 +627,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
                 n_moves += 1
                 if len(out.vertices) != n or len(out.arrows) != n + 1:
                     move_fails.append("%s changed the size class" % mv)
-                elif phi(out) != base_phi:
+                elif _phi(out) != base_phi:
                     move_fails.append("%s on %s changed phi" % (mv, _compact(code)))
     checks.append(_Check("move-invariance", n_moves, tuple(move_fails)))
     checks.append(_Check("phi-under-opposite", n_classes, tuple(op_fails)))

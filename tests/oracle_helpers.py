@@ -10,6 +10,7 @@ from gentleq.core import (
     BoundQuiver,
     QuiverError,
     _canonical_code,
+    _form,
     canonical_form,
     canonical_key,
     cycle_rank,
@@ -30,6 +31,7 @@ from gentleq.invariant import (
     forbidden_threads,
     permitted_threads,
 )
+from gentleq.moves import Move, MoveKind
 from gentleq.orbit import (
     DEFAULT_MAX_STATES,
     NoCanonicalHit,
@@ -218,7 +220,7 @@ def oracle_enumerate(n: int, a: int, two_cycle: bool) -> tuple[BoundQuiver, ...]
     if two_cycle and a != n + 1:
         return ()
     shapes = [_canonical_code(s) for s in oracle_shapes(n, a).values()]
-    return tuple(form for _code, form in _classes_of_shapes(shapes))
+    return tuple(_form(code) for code in _classes_of_shapes(shapes))
 
 
 def oracle_junction_choices(bq: BoundQuiver):
@@ -522,3 +524,169 @@ def _oracle_normalize_key(key: str, max_states: int):
     if not res.canonical_hits:
         raise NoCanonicalHit("orbit of size %d has no canonical hit" % len(res.component))
     return min(sp for _key, sp in res.canonical_hits)
+
+
+# ---------------------------------------------------------------------------
+# the move rewrites on names, as they stood before the integer kernel
+
+
+def _oracle_rebuild(bq: BoundQuiver, new_src, new_tgt, new_relations) -> BoundQuiver:
+    arrows = tuple((a, new_src[a], new_tgt[a]) for a, _s, _t in bq.arrows)
+    return BoundQuiver(Quiver(bq.vertices, arrows), frozenset(new_relations), bq.name)
+
+
+def _oracle_loop_at(idx, x):
+    return [a for a in idx.out_of[x] if a in idx.into[x]]
+
+
+def oracle_gen_apr_precondition(bq: BoundQuiver, x: str) -> str | None:
+    """None when gen-apr-reflect applies at ``x``, otherwise the violated condition."""
+    idx = _index(bq.quiver)
+    if x not in idx.out_of:
+        return "unknown vertex %r" % x
+    loops = _oracle_loop_at(idx, x)
+    if loops:
+        if not any(idx.src_of[b] != x for b in idx.into[x]):
+            return "loop variant needs an incoming arrow from another vertex"
+        return None
+    for a in idx.out_of[x]:
+        if not any((a, b) not in bq.relations for b in idx.into[x]):
+            return "outgoing arrow %s has no relation-free incoming continuation" % a
+    return None
+
+
+def _oracle_redirect_target(bq: BoundQuiver, idx, x):
+    """The targets-side case split shared by the sink reflections."""
+    def new_tgt(a):
+        s, t = idx.src_of[a], idx.tgt_of[a]
+        if t == x:
+            return s
+        for b in idx.into[x]:
+            if idx.src_of[b] == t and (b, a) in bq.relations:
+                return x
+        return t
+    return new_tgt
+
+
+def oracle_gen_apr_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
+    idx = _index(bq.quiver)
+    loops = _oracle_loop_at(idx, x)
+    new_tgt_of = _oracle_redirect_target(bq, idx, x)
+    new_src = {}
+    new_tgt = {}
+    if loops:
+        beta0 = [b for b in idx.into[x] if idx.src_of[b] != x]
+        assert len(beta0) == 1, "the non-loop incoming arrow is unique"
+        y = idx.src_of[beta0[0]]
+        for a, s, t in bq.arrows:
+            if t == x:
+                new_src[a] = x
+            elif s == x:
+                new_src[a] = y
+            else:
+                new_src[a] = s
+            new_tgt[a] = new_tgt_of(a)
+        return _oracle_rebuild(bq, new_src, new_tgt, bq.relations)
+    beta = {}
+    for a in idx.out_of[x]:
+        frees = [b for b in idx.into[x] if (a, b) not in bq.relations]
+        assert len(frees) == 1, "gentleness forces a unique relation-free continuation"
+        beta[a] = frees[0]
+    for a, s, t in bq.arrows:
+        if t == x:
+            new_src[a] = x
+        elif s == x:
+            new_src[a] = idx.src_of[beta[a]]
+        else:
+            new_src[a] = s
+        new_tgt[a] = new_tgt_of(a)
+    relations = {(f, s2) for f, s2 in bq.relations
+                 if idx.tgt_of[f] != x and idx.src_of[f] != x}
+    relations.update((a, beta[a]) for a in idx.out_of[x])
+    for gamma in idx.into[x]:
+        for f, s2 in bq.relations:
+            if f == gamma:
+                for a in idx.into[x]:
+                    if a != gamma:
+                        relations.add((a, s2))
+    return _oracle_rebuild(bq, new_src, new_tgt, relations)
+
+
+def oracle_hw_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
+    if len(bq.vertices) == 1:
+        return bq
+    idx = _index(bq.quiver)
+    pred = {}
+    for a in idx.src_of:
+        frees = [b for b in idx.into[idx.src_of[a]] if (a, b) not in bq.relations]
+        assert len(frees) <= 1
+        pred[a] = frees[0] if frees else None
+    start_of = {}
+    for a in idx.into[x]:
+        cur = a
+        for _ in range(len(bq.arrows) + 1):
+            if pred[cur] is None:
+                break
+            cur = pred[cur]
+        else:
+            raise AssertionError("maximal path walk did not terminate")
+        start_of[a] = cur
+    new_src = {}
+    new_tgt = {}
+    for a, s, t in bq.arrows:
+        if t == x:
+            new_src[a] = x
+            new_tgt[a] = idx.src_of[start_of[a]]
+        else:
+            new_src[a] = s
+            new_tgt[a] = t
+    relations = {(f, s2) for f, s2 in bq.relations if idx.tgt_of[f] != x}
+    for a in idx.into[x]:
+        root = idx.src_of[start_of[a]]
+        for b in idx.out_of[root]:
+            if b != start_of[a] and idx.tgt_of[b] != x:
+                relations.add((b, a))
+    return _oracle_rebuild(bq, new_src, new_tgt, relations)
+
+
+def oracle_not_applicable_reason(bq: BoundQuiver, move: Move) -> str | None:
+    """None when ``move`` applies to ``bq``, otherwise why not."""
+    idx = _index(bq.quiver)
+    kind, x = move.kind, move.vertex
+    if kind is MoveKind.OPPOSITE:
+        return None
+    if x not in idx.out_of:
+        return "unknown vertex %r" % x
+    if kind is MoveKind.APR_REFLECT or kind is MoveKind.HW_REFLECT:
+        return None if not idx.out_of[x] else "vertex %s is not a sink" % x
+    if kind is MoveKind.APR_COREFLECT or kind is MoveKind.HW_COREFLECT:
+        return None if not idx.into[x] else "vertex %s is not a source" % x
+    if kind is MoveKind.GEN_APR_REFLECT:
+        return oracle_gen_apr_precondition(bq, x)
+    return oracle_gen_apr_precondition(opposite(bq), x)
+
+
+def oracle_generator_images(bq: BoundQuiver) -> tuple[list[BoundQuiver], BoundQuiver]:
+    """The outputs of the generating moves on ``bq``: (reflections, opposite)."""
+    idx = _index(bq.quiver)
+    reflections = []
+    for v in sorted(bq.vertices):
+        if oracle_gen_apr_precondition(bq, v) is None:
+            reflections.append(oracle_gen_apr_reflect(bq, v))
+        if not idx.out_of[v]:
+            reflections.append(oracle_hw_reflect(bq, v))
+    return reflections, opposite(bq)
+
+
+def oracle_apply_move(bq: BoundQuiver, move: Move) -> BoundQuiver:
+    """The output of an applicable move, by the rewrites on names."""
+    kind, x = move.kind, move.vertex
+    if kind is MoveKind.OPPOSITE:
+        return opposite(bq)
+    if kind is MoveKind.APR_REFLECT or kind is MoveKind.GEN_APR_REFLECT:
+        return oracle_gen_apr_reflect(bq, x)
+    if kind is MoveKind.HW_REFLECT:
+        return oracle_hw_reflect(bq, x)
+    if kind is MoveKind.APR_COREFLECT or kind is MoveKind.GEN_APR_COREFLECT:
+        return opposite(oracle_gen_apr_reflect(opposite(bq), x))
+    return opposite(oracle_hw_reflect(opposite(bq), x))

@@ -175,6 +175,7 @@ class TestGoldenFiles:
          "family_l1_12010.quiver"),
         (["verify", "completeness", "--vertices", "4"], "completeness_n4.txt"),
         (["enumerate", "--vertices", "4", "--two-cycle"], "enumerate_n4.txt"),
+        (["verify", "completeness", "--vertices", "5"], "completeness_n5.txt"),
     ])
     def test_frozen_output(self, args, name):
         _code, out, _err = run_cli(args)
@@ -204,6 +205,11 @@ class TestOptionBounds:
         ["verify", "lemmas", "--max-states", "0"],
         ["orbit", "--max-states", "0", "-"],
         ["normalize", "--max-states", "0", "-"],
+        ["verify", "minimality", "--max-vertices", "3", "--orbit-vertices", "-1"],
+        ["verify", "lemmas", "--bound", "0"],
+        ["verify", "lemmas", "--sweep-vertices", "1"],
+        ["verify", "lemmas", "--jobs", "0"],
+        ["fuzz-shift", "--count", "0"],
     ])
     def test_out_of_range_is_usage_error(self, args):
         code, out, err = run_cli(args, stdin=L0_FILE)

@@ -1,10 +1,17 @@
 import gc
+import itertools
 import random
 import weakref
 
 import pytest
 
 from gentleq.core import (
+    _canonical_code,
+    _decode,
+    _form,
+    _integer,
+    _serial_key,
+    _valid,
     ArrowClass,
     BoundQuiver,
     NotConnectedError,
@@ -21,15 +28,15 @@ from gentleq.core import (
     serialize,
     validate,
 )
-from gentleq.families import build_family, spec, theorem_list
-from gentleq.moves import _generator_images
-from gentleq.orbit import SizeClass, enumerate_classes
+from gentleq.families import build_family, family_size, spec, theorem_list
+from gentleq.orbit import SizeClass, _junction_choices, _shapes, enumerate_classes
 
 from oracle_helpers import (
     _oracle_refined_colors,
     oracle_canonical_form,
     oracle_connected,
     oracle_fin_fails,
+    oracle_generator_images,
     random_relabel,
 )
 
@@ -219,6 +226,60 @@ class TestValidate:
         assert any(v.condition == "FIN" for v in validate(bad))
 
 
+class TestIntegerValidity:
+    """``_valid`` against ``not validate(...)``."""
+
+    def test_relation_stage_candidates(self):
+        # every candidate the enumerator's relation stage tries, kept or not
+        sizes = [(n, a) for n in range(1, 5) for a in range(2 * n + 1)] + [(5, 6)]
+        kept = rejected = 0
+        for n, a in sizes:
+            for shape in _shapes(n, a):
+                form = _form(shape)
+                names = [k for k, _s, _t in form.arrows]
+                _n, ends, _none = _decode(shape)
+                for combo in itertools.product(*_junction_choices(n, ends)):
+                    rels = {pair for choice in combo for pair in choice}
+                    cand = BoundQuiver(form.quiver, frozenset(
+                        (names[f], names[s]) for f, s in rels))
+                    want = not validate(cand)
+                    assert _valid(n, ends, rels) == want, serialize(cand)
+                    kept += want
+                    rejected += not want
+        assert kept and rejected
+
+    def test_random_bound_quivers(self):
+        # arbitrary degrees and relation sets, so G1, G3 and G4 fail as well
+        rng = random.Random(3)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            vs = ["v%d" % i for i in range(n)]
+            arrows = [("a%d" % k, rng.choice(vs), rng.choice(vs))
+                      for k in range(rng.randint(0, 7))]
+            pairs = [(f, s) for f, fs, _ft in arrows for s, _ss, st in arrows if fs == st]
+            rels = [p for p in pairs if rng.random() < 0.4]
+            bq = make_bound_quiver(vs, arrows, rels)
+            bad = validate(bq)
+            assert _valid(*_integer(bq)) == (not bad), serialize(bq)
+            seen.update(v.condition for v in bad)
+            seen.add("ok" if not bad else "bad")
+        assert seen == {"G1", "G3", "G4", "FIN", "ok", "bad"}
+
+
+class TestSerialKey:
+    def test_orders_as_serialize(self):
+        # 13 arrows put a10..a12 between a1 and a2 in the text
+        big = [_canonical_code(build_family(sp)) for sp in theorem_list(12)
+               if family_size(sp) == 12]
+        assert len(big) > 1
+        for codes in [big] + [[_canonical_code(c) for c in enumerate_classes(SizeClass(3, a))]
+                              for a in range(7)]:
+            codes = sorted(codes)
+            assert sorted(codes, key=_serial_key) == \
+                sorted(codes, key=lambda c: serialize(_form(c)))
+
+
 class TestCycleRank:
     def test_l0(self):
         assert cycle_rank(parse(L0_TEXT)) == 2
@@ -371,7 +432,7 @@ class TestKernelAgainstOracle:
     def test_generator_images(self, two_cycle_classes):
         for n in range(1, 5):
             for bq in two_cycle_classes(n):
-                reflections, op = _generator_images(bq)
+                reflections, op = oracle_generator_images(bq)
                 self.check(reflections + [op])
 
     def test_bundles_with_relations(self):

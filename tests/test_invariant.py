@@ -1,6 +1,7 @@
 import pytest
 
-from gentleq.core import make_bound_quiver, opposite
+import gentleq.core
+from gentleq.core import InvalidQuiverError, make_bound_quiver, opposite
 from gentleq.families import build_family, phi_formula, spec
 from gentleq.invariant import (
     DEGENERATE,
@@ -15,6 +16,7 @@ from gentleq.invariant import (
     euler_data,
     forbidden_threads,
     permitted_threads,
+    _phi,
     phi,
 )
 from gentleq.orbit import SizeClass, _closed_form_specs, enumerate_classes
@@ -229,6 +231,27 @@ class TestPhi:
         bound = make_bound_quiver(
             ["x", "y", "z"], [("a", "y", "x"), ("b", "z", "y")], [("a", "b")])
         assert phi(line) == phi(alt) == phi(bound) == Phi.from_types([(4, 2)])
+
+
+class TestValidateOnce:
+    def test_private_phi_skips_only_the_check(self, two_cycle_classes):
+        for n in (2, 3, 4):
+            for bq in two_cycle_classes(n):
+                assert _phi(bq) == phi(bq)
+        bad = make_bound_quiver(["x"], [("al", "x", "x")], [])  # a free loop
+        with pytest.raises(InvalidQuiverError):
+            phi(bad)
+
+    def test_closed_form_check_validates_once(self, monkeypatch):
+        from gentleq.orbit import check_closed_form
+
+        calls = []
+        real = gentleq.core.validate
+        monkeypatch.setattr(gentleq.core, "validate",
+                            lambda *args: calls.append(1) or real(*args))
+        specs = list(_closed_form_specs(5))
+        assert not any(check_closed_form(sp) for sp in specs)
+        assert len(calls) == len(specs)  # in build_family, not again in phi
 
 
 class TestDegeneracy:

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from gentleq.core import (
+    _canonical_code,
     canonical_key,
     is_isomorphic,
     make_bound_quiver,
     opposite,
+    serialize,
     validate,
 )
 from gentleq.families import build_family, spec
@@ -15,6 +19,10 @@ from gentleq.moves import (
     MoveNotApplicable,
     PatternMismatch,
     ShiftDirection,
+    _KIND_ORDER,
+    _generator_codes,
+    _gen_apr_reflect,
+    _hw_reflect,
     applicable,
     applicable_moves,
     apply_move,
@@ -22,6 +30,16 @@ from gentleq.moves import (
     shift_relation_block,
     shift_relation_block_direct,
     shift_relation_direct,
+)
+
+from oracle_helpers import (
+    oracle_apply_move,
+    oracle_gen_apr_precondition,
+    oracle_gen_apr_reflect,
+    oracle_generator_images,
+    oracle_hw_reflect,
+    oracle_not_applicable_reason,
+    random_relabel,
 )
 
 
@@ -157,6 +175,63 @@ class TestApplyMove:
         rebuilt = {(a, s, t) for a, s, t in out.arrows}
         assert rebuilt == set(receipt.arrow_map)
         assert receipt.input_key == canonical_key(bq)
+
+
+class TestIntegerKernel:
+    """The integer move kernel against the rewrites on names."""
+
+    def test_generator_codes(self, two_cycle_classes):
+        rng = random.Random(7)
+        for n in range(1, 6):
+            for bq in two_cycle_classes(n):
+                code = _canonical_code(bq)
+                reflections, opp = _generator_codes(code)
+                want, want_opp = oracle_generator_images(bq)
+                # a class lists its vertices v0, v1, ... in index order
+                assert reflections == [_canonical_code(out) for out in want]
+                assert opp == _canonical_code(want_opp)
+                copy = random_relabel(bq, rng)
+                for q in (copy, opposite(copy)):
+                    want, want_opp = oracle_generator_images(q)
+                    got, got_opp = _generator_codes(_canonical_code(q))
+                    assert sorted(got) == sorted(_canonical_code(out) for out in want)
+                    assert got_opp == _canonical_code(want_opp)
+
+    def test_named_reflections_on_relabels(self, two_cycle_classes):
+        # the kernel on an arbitrary labeling, rebuilt with the original ids
+        rng = random.Random(11)
+        for n in range(1, 5):
+            for bq in two_cycle_classes(n):
+                copy = random_relabel(bq, rng)
+                for q in (copy, opposite(copy)):
+                    for v in q.vertices:
+                        if oracle_gen_apr_precondition(q, v) is None:
+                            assert serialize(_gen_apr_reflect(q, v)) == \
+                                serialize(oracle_gen_apr_reflect(q, v))
+                        if not any(s == v for _a, s, _t in q.arrows):
+                            assert serialize(_hw_reflect(q, v)) == \
+                                serialize(oracle_hw_reflect(q, v))
+
+    def test_apply_move_matches_oracle(self, two_cycle_classes):
+        applied = 0
+        for n in (2, 3, 4):
+            for bq in two_cycle_classes(n):
+                moves = [Move(kind, v) for v in sorted(bq.vertices) for kind in _KIND_ORDER]
+                for mv in moves + [Move(MoveKind.OPPOSITE)]:
+                    reason = oracle_not_applicable_reason(bq, mv)
+                    if reason is not None:
+                        with pytest.raises(MoveNotApplicable) as info:
+                            apply_move(bq, mv)
+                        assert str(info.value) == "%s: %s" % (mv, reason)
+                        continue
+                    out, _receipt = apply_move(bq, mv)
+                    assert serialize(out) == serialize(oracle_apply_move(bq, mv))
+                    applied += 1
+        assert applied == 2379
+
+    def test_unknown_vertex_reason(self):
+        with pytest.raises(MoveNotApplicable, match="unknown vertex 'nope'"):
+            apply_move(a3_equioriented(), Move(MoveKind.GEN_APR_COREFLECT, "nope"))
 
 
 def linear_shift_host():

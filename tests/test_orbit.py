@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from gentleq.core import _canonical_code, _form, canonical_key, opposite, parse, serialize
+from gentleq.core import (
+    _canonical_code,
+    _decode,
+    _form,
+    canonical_key,
+    opposite,
+    parse,
+    serialize,
+)
 from gentleq.families import build_family, family_size, spec, theorem_list
 from gentleq.moves import MoveKind
 from gentleq.orbit import (
@@ -110,7 +118,10 @@ class TestJunctionChoices:
         for a in range(2 * n + 1):
             for code in _shapes(n, a):
                 shape = _form(code)
-                got = [set(c) for c in _junction_choices(shape)]
+                names = [k for k, _s, _t in shape.arrows]
+                _n, ends, _none = _decode(code)
+                got = [{frozenset((names[f], names[s]) for f, s in choice) for choice in c}
+                       for c in _junction_choices(n, ends)]
                 want = [set(c) for c in oracle_junction_choices(shape)]
                 assert got == want, code
                 count += 1
@@ -225,6 +236,31 @@ class TestNormalize:
         assert normalize(bq, max_states=size) == spec("L0", 3, 0)
         with pytest.raises(StateLimitExceeded):
             normalize(bq, max_states=size - 1)
+
+
+class TestIntegerStates:
+    def test_no_named_quiver_on_the_partition_path(self, monkeypatch):
+        # enumeration and closure run on codes: no BoundQuiver is built and
+        # no validate runs; the integer check stands in for both
+        import gentleq.core as core
+
+        theorem_key_table(4)
+        built, checked = [], []
+        monkeypatch.setattr(core.BoundQuiver, "__post_init__", lambda self: built.append(1))
+        for module in (core, importlib.import_module("gentleq.orbit")):
+            monkeypatch.setattr(module, "validate", lambda *args: checked.append(1))
+        codes = _enumerate_cached.__wrapped__(SizeClass(4, 5), True)
+        assignment, members, _family, complete = _orbit_partition.__wrapped__(4)
+        assert (len(codes), len(assignment), len(members), complete) == (312, 312, 30, True)
+        assert (built, checked) == ([], [])
+
+    def test_invalid_state_is_reported(self, monkeypatch):
+        # a generating move that broke validity would stop the closure
+        orbit_module = importlib.import_module("gentleq.orbit")
+        monkeypatch.setattr(orbit_module, "_valid", lambda n, ends, rels: False)
+        start = _canonical_code(build_family(spec("L0", 3, 0)))
+        with pytest.raises(AssertionError, match="produced an invalid quiver"):
+            orbit_module._reach(start, 100)
 
 
 class TestGeneratorClosure:
