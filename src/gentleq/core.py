@@ -460,6 +460,19 @@ def _valid(n: int, ends, rels) -> bool:
     return True
 
 
+def _arcs_connected(n: int, arcs) -> bool:
+    """Weak connectivity of the arc multiset on vertices 0..n-1."""
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for s, t in arcs:
+            if (s in reached) != (t in reached):
+                reached.update((s, t))
+                grew = True
+    return len(reached) == n
+
+
 # ---------------------------------------------------------------------------
 # structure
 

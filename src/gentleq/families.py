@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from .core import (
     BoundQuiver,
     QuiverError,
+    _arcs_connected,
     _canonical_code,
-    cycle_rank,
-    is_isomorphic,
+    _code,
+    _valid,
     make_bound_quiver,
-    require_valid,
+    validate,
 )
 from .invariant import Phi
 
@@ -132,49 +133,50 @@ def check_spec(sp: FamilySpec) -> None:
 
 
 class _Builder:
-    """Accumulates vertices, arrows and relations for one family instance."""
+    """Accumulates vertices, arrows and relations for one family instance.
+
+    Each vertex and arrow is recorded by name and by its index in the order
+    it was added; ``ends`` and ``rels`` hold the quiver on those indices.
+    """
 
     def __init__(self):
-        self.vertices: list[str] = []
-        self.arrows: list[tuple[str, str, str]] = []
-        self.relations: list[tuple[str, str]] = []
+        self.vertices: dict[str, int] = {}
+        self.arrows: dict[str, int] = {}
+        self.ends: list[tuple[int, int]] = []
+        self.rels: set[tuple[int, int]] = set()
 
     def vertex(self, v: str) -> str:
-        if v not in self.vertices:
-            self.vertices.append(v)
+        self.vertices.setdefault(v, len(self.vertices))
         return v
 
     def arrow(self, a: str, s: str, t: str) -> str:
-        self.vertex(s)
-        self.vertex(t)
-        self.arrows.append((a, s, t))
+        assert a not in self.arrows, "duplicate arrow id %r" % a
+        vs = self.vertices
+        self.arrows[a] = len(self.ends)
+        self.ends.append((vs.setdefault(s, len(vs)), vs.setdefault(t, len(vs))))
         return a
 
     def rel(self, first: str, second: str) -> None:
-        self.relations.append((first, second))
+        self.rels.add((self.arrows[first], self.arrows[second]))
 
-    def path(self, prefix: str, length: int, start: str, end: str, base: int = 1):
+    def path(self, prefix: str, length: int, start: str, end: str, base: int = 1) -> None:
         """Arrows ``prefix{base}..prefix{base+length-1}``, numbered from the
         ``end`` vertex backwards; interior vertices get upper-case names."""
         if length == 0:
             assert start == end, "a length-0 path needs identified endpoints"
-            return {}
-        names = {}
-        for k in range(length + 1):
-            if k == 0:
-                names[k] = end
-            elif k == length:
-                names[k] = start
-            else:
-                names[k] = "%s%d" % (prefix.upper(), base + k - 1)
-        ids = {}
+            return
+        inner = ["%s%d" % (prefix.upper(), base + k - 1) for k in range(1, length)]
+        names = [end] + inner + [start]
         for k in range(1, length + 1):
-            ids[base + k - 1] = self.arrow("%s%d" % (prefix, base + k - 1),
-                                           names[k], names[k - 1])
-        return ids
+            self.arrow("%s%d" % (prefix, base + k - 1), names[k], names[k - 1])
 
-    def done(self, name: str) -> BoundQuiver:
-        return make_bound_quiver(self.vertices, self.arrows, self.relations, name)
+    def named(self, name: str) -> BoundQuiver:
+        """The quiver with the recorded names, in the order they were added."""
+        vs = list(self.vertices)
+        ids = list(self.arrows)
+        return make_bound_quiver(
+            vs, [(a, vs[s], vs[t]) for a, (s, t) in zip(ids, self.ends)],
+            [(ids[f], ids[s]) for f, s in self.rels], name)
 
 
 def _build_l0(pp, r):
@@ -189,7 +191,7 @@ def _build_l0(pp, r):
     b.rel("c", "a1")
     for i in range(1, r + 1):
         b.rel("a%d" % i, "a%d" % (i + 1))
-    return b.done("L0")
+    return b
 
 
 def _build_l0p(pp, r):
@@ -205,7 +207,7 @@ def _build_l0p(pp, r):
     b.rel("b", "d")
     for i in range(1, r + 1):
         b.rel("a%d" % i, "a%d" % (i + 1))
-    return b.done("L0p")
+    return b
 
 
 def _build_l1(p1, p2, p3, p4, r1):
@@ -231,7 +233,7 @@ def _build_l1(p1, p2, p3, p4, r1):
     b.rel("b%d" % p2, "a1")
     for i in range(1, p2):
         b.rel("b%d" % i, "b%d" % (i + 1))
-    return b.done("L1")
+    return b
 
 
 def _build_l2(p1, p2, p3, r1, r2):
@@ -247,7 +249,7 @@ def _build_l2(p1, p2, p3, r1, r2):
     b.rel("b%d" % p2, "b1")
     for i in range(p2 - r2, p2):
         b.rel("b%d" % i, "b%d" % (i + 1))
-    return b.done("L2")
+    return b
 
 
 def _build_l2p_six(p1, p2, p3, p4, r1, r2):
@@ -274,7 +276,7 @@ def _build_l2p_six(p1, p2, p3, p4, r1, r2):
     b.rel("b%d" % p2, "b1")
     for i in range(p2 - r2, p2):
         b.rel("b%d" % i, "b%d" % (i + 1))
-    return b.done("L2pSix")
+    return b
 
 
 def _build_l2p_five(p1, p2, p3, r1, r2):
@@ -292,7 +294,7 @@ def _build_l2p_five(p1, p2, p3, r1, r2):
     b.rel("b", "a1")
     for i in range(1, r2 + 1):
         b.rel("g%d" % i, "g%d" % (i + 1))
-    return b.done("L2pFive")
+    return b
 
 
 def _build_g0(pp, q, r):
@@ -305,7 +307,7 @@ def _build_g0(pp, q, r):
     for i in range(pp - r, pp + 1):
         b.rel("a%d" % i, "a%d" % (i + 1))
     b.rel("b%d" % q, "b%d" % (q + 1))
-    return b.done("G0")
+    return b
 
 
 def _build_g1(pp, q, r, rp):
@@ -318,7 +320,7 @@ def _build_g1(pp, q, r, rp):
     for i in range(pp - r, pp + rp + 1):
         b.rel("a%d" % i, "a%d" % (i + 1))
     b.rel("b%d" % q, "b%d" % (q + 1))
-    return b.done("G1")
+    return b
 
 
 def _build_g2(pp, q, r, rp):
@@ -332,7 +334,7 @@ def _build_g2(pp, q, r, rp):
         b.rel("a%d" % i, "a%d" % (i + 1))
     for i in range(q, q + rp + 1):
         b.rel("b%d" % i, "b%d" % (i + 1))
-    return b.done("G2")
+    return b
 
 
 _BUILDERS = {
@@ -348,18 +350,32 @@ _BUILDERS = {
 }
 
 
-def build_family(sp: FamilySpec) -> BoundQuiver:
-    """Build the bound quiver for a family instance (validated)."""
+def _family(sp: FamilySpec) -> _Builder:
+    """The builder of a family instance, once its quiver is checked: valid,
+    connected, with two independent cycles."""
     check_spec(sp)
-    bq = _BUILDERS[sp.tag](*sp.params)
-    require_valid(bq, require_connected=True)
-    assert len(bq.arrows) == len(bq.vertices) + 1, "families are two-cycle"
-    assert cycle_rank(bq) == 2
+    b = _BUILDERS[sp.tag](*sp.params)
+    n, ends, rels = len(b.vertices), b.ends, b.rels
+    if not (_valid(n, ends, rels) and _arcs_connected(n, ends)):
+        raise AssertionError("%s built an invalid quiver: %s"
+                             % (sp, validate(b.named(sp.tag), require_connected=True)))
+    assert len(ends) == n + 1, "families are two-cycle"
     if sp.tag in ("G1", "G2") and sp.params[3] == 0:
         # the three double-arrow shapes coincide when the extra chain vanishes
-        base = _build_g0(*sp.params[:3])
-        assert is_isomorphic(bq, base)
-    return bq
+        assert _code(n, ends, rels) == _code(*_family_ints(spec("G0", *sp.params[:3])))
+    return b
+
+
+def _family_ints(sp: FamilySpec) -> tuple:
+    """The checked quiver of a family instance on indices: ``(n, ends,
+    rels)`` over the vertices and arrows in the order the recipe adds them."""
+    b = _family(sp)
+    return len(b.vertices), b.ends, b.rels
+
+
+def build_family(sp: FamilySpec) -> BoundQuiver:
+    """Build the bound quiver for a family instance (validated)."""
+    return _family(sp).named(sp.tag)
 
 
 def family_size(sp: FamilySpec) -> int:
@@ -446,7 +462,7 @@ def _recognize_table(n: int, a: int, r: int) -> dict[tuple, FamilySpec]:
     """Canonical code -> least spec, over every spec of this size."""
     table: dict[tuple, FamilySpec] = {}
     for sp in _spec_checked(_candidate_specs(n, a, r)):
-        code = _canonical_code(build_family(sp))
+        code = _code(*_family_ints(sp))
         if code not in table or sp < table[code]:
             table[code] = sp
     return table

@@ -32,7 +32,9 @@ from .core import (
     composition_successors,
     cycle_rank,
     require_valid,
+    _adjacency,
     _index,
+    _integer,
 )
 
 __all__ = [
@@ -165,13 +167,15 @@ def _single_successor(succ: dict[str, list[str]]) -> dict[str, str | None]:
     return out
 
 
-def _threads(bq: BoundQuiver):
+def _threads(n: int, ends, rels):
     """Permitted threads, forbidden threads and relation cycles, in one pass.
 
-    The quiver must already be valid.  Each thread comes as ``(thread, start
-    vertex, end vertex, sigma, epsilon)`` with the signs of the forbidden
-    walk; the relation cycles are arrow tuples starting at their least arrow,
-    in increasing order.
+    The bound quiver is given on indices, as ``core._integer`` gives it, and
+    must already be valid.  Each thread comes as ``(arrows, start vertex,
+    end vertex, sigma, epsilon)`` with the signs of the forbidden walk, where
+    ``arrows`` lists its arrow positions in traversal order and is empty for
+    a trivial thread; the relation cycles are tuples of arrow positions
+    starting at their least position, in increasing order.
 
     Arrow signs: the in-arrows of a vertex get epsilon +1 and -1; an
     out-arrow gets sigma = -epsilon of the in-arrow it composes with outside
@@ -183,80 +187,138 @@ def _threads(bq: BoundQuiver):
     -epsilon(b) or -sigma(g))``, where ``or`` falls back when the arrow is
     missing; at an isolated vertex ``(1, -1)`` and ``(-1, 1)``.
     """
-    idx = _index(bq.quiver)
-    rels = bq.relations
-    free_succ, rel_succ = {}, {}
-    free_pred, rel_pred = set(), set()
-    eps, sig = {}, {}
-    for v in bq.vertices:
-        ins, outs = idx.into[v], idx.out_of[v]
-        for sign, a in zip((1, -1), ins):
+    outs, ins = _adjacency(n, ends)
+    m = len(ends)
+    free_succ, rel_succ = [-1] * m, [-1] * m
+    free_pred, rel_pred = [False] * m, [False] * m
+    eps, sig = [0] * m, [0] * m  # 0 until the sign is set
+    for into, out in zip(ins, outs):
+        for sign, a in zip((1, -1), into):
             eps[a] = sign
-        for b in outs:
-            for a in ins:
+        for b in out:
+            for a in into:
                 if (b, a) in rels:
                     rel_succ[a] = b
-                    rel_pred.add(b)
+                    rel_pred[b] = True
                 else:
                     free_succ[a] = b
-                    free_pred.add(b)
+                    free_pred[b] = True
                     sig[b] = -eps[a]
-        for b, sibling in zip(outs, outs[::-1]):
-            if b not in sig:
-                sig[b] = -sig[sibling] if sibling in sig else 1
+        for b, sibling in zip(out, out[::-1]):
+            if not sig[b]:
+                sig[b] = -sig[sibling] or 1
 
     def chains(succ, has_pred):
-        out = []
-        for a in idx.src_of:
-            if a not in has_pred:
+        found = []
+        for a in range(m):
+            if not has_pred[a]:
                 chain = [a]
-                while chain[-1] in succ:
+                while succ[chain[-1]] >= 0:
                     chain.append(succ[chain[-1]])
-                out.append((arrow_thread(chain), idx.src_of[a], idx.tgt_of[chain[-1]],
-                            sig[a], eps[chain[-1]]))
-        return out
+                last = chain[-1]
+                found.append((tuple(chain), ends[a][0], ends[last][1], sig[a], eps[last]))
+        return found
 
     permitted = chains(free_succ, free_pred)
     forbidden = chains(rel_succ, rel_pred)
-    seen = {a for t, *_ in forbidden for a in t.arrows}
+    seen = [False] * m
+    for t in forbidden:
+        for a in t[0]:
+            seen[a] = True
     cycles = []
-    for a in sorted(idx.src_of.keys() - seen):
-        if a not in seen:
+    for a in range(m):
+        if not seen[a]:
             cyc = [a]
             while rel_succ[cyc[-1]] != a:
                 cyc.append(rel_succ[cyc[-1]])
-            seen.update(cyc)
+            for b in cyc:
+                seen[b] = True
             cycles.append(tuple(cyc))
-    for v in bq.vertices:
-        ins, outs = idx.into[v], idx.out_of[v]
-        if len(ins) > 1 or len(outs) > 1:
+    for v, (into, out) in enumerate(zip(ins, outs)):
+        if len(into) > 1 or len(out) > 1:
             continue
-        t = trivial_thread(v)
-        g = sig[outs[0]] if outs else 0
-        b = eps[ins[0]] if ins else 0
-        related = bool(ins and outs) and (outs[0], ins[0]) in rels
+        g = sig[out[0]] if out else 0
+        b = eps[into[0]] if into else 0
+        related = bool(into and out) and (out[0], into[0]) in rels
         if not related:
-            permitted.append((t, v, v, -g or b or 1, -b or g or -1))
-        if related or not (ins and outs):
-            forbidden.append((t, v, v, -g or -b or -1, -b or -g or 1))
+            permitted.append(((), v, v, -g or b or 1, -b or g or -1))
+        if related or not (into and out):
+            forbidden.append(((), v, v, -g or -b or -1, -b or -g or 1))
     return permitted, forbidden, cycles
+
+
+def _walk(n: int, ends, rels):
+    """The characteristic sequences of a valid bound quiver on indices:
+    ``(alternations, cycles)``, the cycles of the walk that
+    ``characteristic_sequences`` describes, each a list of ``(permitted,
+    forbidden)`` thread pairs, and the relation cycles, as ``_threads``
+    gives them."""
+    permitted, forbidden, cycles = _threads(n, ends, rels)
+    starts = {(t[1], t[3]): t for t in permitted}
+    stops = {(t[2], t[4]): t for t in forbidden}
+    incomplete = PairingIncomplete(
+        "no complete pairing of %d permitted and %d forbidden threads"
+        % (len(permitted), len(forbidden))
+    )
+    if ends and len({v for e in ends for v in e}) < n:
+        raise incomplete  # an isolated vertex would pair only with itself
+    alternations = []
+    try:
+        for t in permitted:
+            first = (t[1], t[3])
+            if starts.pop(first, None) is None:
+                continue  # already on an earlier cycle
+            pairs = []
+            while True:
+                f = stops.pop((t[2], -t[4]))
+                pairs.append((t, f))
+                if (f[1], -f[3]) == first:
+                    break
+                t = starts.pop((f[1], -f[3]))
+            alternations.append(pairs)
+    except KeyError:
+        raise incomplete from None
+    if stops:
+        raise incomplete
+    return alternations, cycles
+
+
+def _namer(bq: BoundQuiver):
+    """The ``Thread`` of ``bq`` that an integer thread of ``_threads`` stands for."""
+    vs, ids = bq.vertices, [a for a, _s, _t in bq.arrows]
+
+    def thread(t) -> Thread:
+        return arrow_thread([ids[a] for a in t[0]]) if t[0] else trivial_thread(vs[t[1]])
+
+    return thread
+
+
+def _arrow_cycles(bq: BoundQuiver, cycles) -> list[ArrowCycle]:
+    """The relation cycles named, each from its least arrow id, in that order."""
+    ids = [a for a, _s, _t in bq.arrows]
+    named = []
+    for c in cycles:
+        arrows = [ids[a] for a in c]
+        k = arrows.index(min(arrows))
+        named.append(ArrowCycle(tuple(arrows[k:] + arrows[:k])))
+    return sorted(named, key=lambda c: c.arrows)
 
 
 def permitted_threads(bq: BoundQuiver) -> frozenset[Thread]:
     """Maximal relation-avoiding paths plus the qualifying trivial vertices."""
     require_valid(bq)
-    return frozenset(t for t, *_ in _threads(bq)[0])
+    return frozenset(map(_namer(bq), _threads(*_integer(bq))[0]))
 
 
 def forbidden_threads(bq: BoundQuiver) -> frozenset[Thread]:
     """Maximal finite relation chains plus the qualifying trivial vertices."""
     require_valid(bq)
-    return frozenset(t for t, *_ in _threads(bq)[1])
+    return frozenset(map(_namer(bq), _threads(*_integer(bq))[1]))
 
 
 def arrow_cycle_sequences(bq: BoundQuiver) -> frozenset[ArrowCycle]:
     require_valid(bq)
-    return frozenset(ArrowCycle(c) for c in _threads(bq)[2])
+    return frozenset(_arrow_cycles(bq, _threads(*_integer(bq))[2]))
 
 
 def characteristic_sequences(bq: BoundQuiver) -> tuple:
@@ -269,51 +331,29 @@ def characteristic_sequences(bq: BoundQuiver) -> tuple:
     least permitted thread, and the cycles come in that order.
     """
     require_valid(bq)
-    return _characteristic_sequences(bq)
-
-
-def _characteristic_sequences(bq: BoundQuiver) -> tuple:
-    """``characteristic_sequences`` of a quiver already known to be valid."""
-    permitted, forbidden, cycles = _threads(bq)
-    idx = _index(bq.quiver)
-    starts = {(s, sg): (t, e, ep) for t, s, e, sg, ep in permitted}
-    ends = {(e, ep): (t, s, sg) for t, s, e, sg, ep in forbidden}
-    incomplete = PairingIncomplete(
-        "no complete pairing of %d permitted and %d forbidden threads"
-        % (len(permitted), len(forbidden))
-    )
-    if bq.arrows and any(not idx.into[v] and not idx.out_of[v] for v in bq.vertices):
-        raise incomplete  # an isolated vertex would pair only with itself
+    alternations, cycles = _walk(*_integer(bq))
+    thread = _namer(bq)
     pair_cycles = []
-    try:
-        for t, s, e, sg, ep in sorted(permitted, key=lambda entry: _thread_key(entry[0])):
-            first = (s, sg)
-            if starts.pop(first, None) is None:
-                continue  # already on an earlier cycle
-            pairs = []
-            while True:
-                f, s, sg = ends.pop((e, -ep))
-                pairs.append((t, f))
-                if (s, -sg) == first:
-                    break
-                t, e, ep = starts.pop((s, -sg))
-            pair_cycles.append(PairCycle(tuple(pairs)))
-    except KeyError:
-        raise incomplete from None
-    if ends:
-        raise incomplete
-    return tuple(pair_cycles) + tuple(ArrowCycle(c) for c in cycles)
+    for alternation in alternations:
+        pairs = [(thread(p), thread(f)) for p, f in alternation]
+        k = min(range(len(pairs)), key=lambda i: _thread_key(pairs[i][0]))
+        pair_cycles.append(PairCycle(tuple(pairs[k:] + pairs[:k])))
+    pair_cycles.sort(key=lambda pc: _thread_key(pc.pairs[0][0]))
+    return tuple(pair_cycles) + tuple(_arrow_cycles(bq, cycles))
 
 
 def phi(bq: BoundQuiver) -> Phi:
     """Multiset of the types of all characteristic sequences."""
     require_valid(bq)
-    return _phi(bq)
+    return _phi(*_integer(bq))
 
 
-def _phi(bq: BoundQuiver) -> Phi:
-    """``phi`` of a quiver its maker has already validated."""
-    return Phi.from_types(cs.type() for cs in _characteristic_sequences(bq))
+def _phi(n: int, ends, rels) -> Phi:
+    """``phi`` of a bound quiver on indices that its maker has already
+    validated."""
+    alternations, cycles = _walk(n, ends, rels)
+    return Phi.from_types([(len(a), sum([len(f[0]) for _p, f in a])) for a in alternations]
+                          + [(0, len(c)) for c in cycles])
 
 
 def degeneracy_class(bq: BoundQuiver) -> str:
@@ -321,7 +361,7 @@ def degeneracy_class(bq: BoundQuiver) -> str:
     require_valid(bq, require_connected=True)
     if cycle_rank(bq) != 2:
         raise QuiverError("degeneracy split applies to two-cycle quivers only")
-    total = _phi(bq).total
+    total = _phi(*_integer(bq)).total
     if total == 3:
         return NONDEGENERATE
     if total == 1:

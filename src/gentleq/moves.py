@@ -282,6 +282,21 @@ def _hw_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
     return _named(bq, *_hw(_Ints(*_integer(bq)), bq.vertices.index(x)))
 
 
+def _applies(q: _Ints, kind: MoveKind, x: int) -> bool:
+    """Whether the move ``kind`` (not 'opposite') applies at the vertex ``x``."""
+    if kind is MoveKind.APR_REFLECT or kind is MoveKind.HW_REFLECT:
+        return not q.outs[x]
+    if kind is MoveKind.APR_COREFLECT or kind is MoveKind.HW_COREFLECT:
+        return not q.ins[x]
+    return _gen_apr_blocker(q if kind is MoveKind.GEN_APR_REFLECT else q.opposite(), x) is None
+
+
+def _applicable_pairs(q: _Ints, order) -> list[tuple[MoveKind, int]]:
+    """The applicable ``(kind, vertex)`` pairs other than 'opposite': the
+    vertices in ``order``, the kinds at each vertex in ``_KIND_ORDER``."""
+    return [(kind, x) for x in order for kind in _KIND_ORDER if _applies(q, kind, x)]
+
+
 def _not_applicable_reason(bq: BoundQuiver, q: _Ints, pos: dict, move: Move) -> str | None:
     """None when ``move`` applies to ``bq``, whose indices are ``q`` and
     ``pos`` (vertex name -> index), otherwise why not."""
@@ -291,13 +306,13 @@ def _not_applicable_reason(bq: BoundQuiver, q: _Ints, pos: dict, move: Move) -> 
     x = pos.get(v)
     if x is None:
         return "unknown vertex %r" % v
-    if kind is MoveKind.APR_REFLECT or kind is MoveKind.HW_REFLECT:
-        return None if not q.outs[x] else "vertex %s is not a sink" % v
-    if kind is MoveKind.APR_COREFLECT or kind is MoveKind.HW_COREFLECT:
-        return None if not q.ins[x] else "vertex %s is not a source" % v
-    blocker = _gen_apr_blocker(q if kind is MoveKind.GEN_APR_REFLECT else q.opposite(), x)
-    if blocker is None:
+    if _applies(q, kind, x):
         return None
+    if kind is MoveKind.APR_REFLECT or kind is MoveKind.HW_REFLECT:
+        return "vertex %s is not a sink" % v
+    if kind is MoveKind.APR_COREFLECT or kind is MoveKind.HW_COREFLECT:
+        return "vertex %s is not a source" % v
+    blocker = _gen_apr_blocker(q if kind is MoveKind.GEN_APR_REFLECT else q.opposite(), x)
     if blocker < 0:
         return "loop variant needs an incoming arrow from another vertex"
     return "outgoing arrow %s has no relation-free incoming continuation" % bq.arrows[blocker][0]
@@ -313,13 +328,9 @@ def applicable(bq: BoundQuiver, move: Move) -> bool:
 
 def applicable_moves(bq: BoundQuiver) -> list[Move]:
     """Every applicable (kind, vertex) pair, plus 'opposite', in fixed order."""
-    q, pos = _indexed(bq)
-    out = []
-    for v in sorted(bq.vertices):
-        for kind in _KIND_ORDER:
-            mv = Move(kind, v)
-            if _not_applicable_reason(bq, q, pos, mv) is None:
-                out.append(mv)
+    vs = bq.vertices
+    order = sorted(range(len(vs)), key=vs.__getitem__)
+    out = [Move(kind, vs[x]) for kind, x in _applicable_pairs(_Ints(*_integer(bq)), order)]
     out.append(Move(MoveKind.OPPOSITE))
     return out
 

@@ -13,11 +13,12 @@ checks that symmetry on its own edges rather than assuming it.  Enumeration
 and closure work on the canonical kernel's integer codes ``(n, base, rels)``:
 the moves, the validity check and the class keys all run on the code, and a
 named quiver or text is made only for what is printed or handed to a caller
-(enumerated classes, the lemma sweep's quivers, report anchors).  The
-verification drivers rest on that partition: completeness (every class
-reaches a canonical family), minimality (no two canonical representatives
-collide), and the table of small equivalence facts used throughout.  The
-audit closure ``orbit`` still applies all seven moves and records each edge.
+(enumerated classes, report anchors).  The verification drivers rest on that
+partition: completeness (every class reaches a canonical family), minimality
+(no two canonical representatives collide), and the table of small
+equivalence facts used throughout, which takes family instances and moves on
+indices too.  The audit closure ``orbit`` still applies all seven moves and
+records each edge.
 """
 
 from __future__ import annotations
@@ -32,32 +33,42 @@ from .core import (
     BoundQuiver,
     QuiverError,
     _adjacency,
+    _arcs_connected,
     _canonical_code,
     _code,
     _compact,
     _decode,
     _form,
+    _name,
     _serial_key,
     _valid,
     canonical_form,
     cycle_rank,
-    is_isomorphic,
     parse,
     require_valid,
-    opposite,
     serialize,
     validate,
 )
 from .families import (
     FamilySpec,
-    build_family,
+    _family_ints,
     family_size,
     phi_formula,
     spec,
     theorem_list,
 )
-from .invariant import _phi, phi
-from .moves import _generator_codes, apply_move, applicable_moves
+from .invariant import _phi
+from .moves import (
+    Move,
+    MoveKind,
+    _applicable_pairs,
+    _generator_codes,
+    _image,
+    _Ints,
+    _reverse,
+    apply_move,
+    applicable_moves,
+)
 
 __all__ = [
     "SizeClass",
@@ -153,19 +164,6 @@ def _arc_multisets(n: int, a: int):
             in_deg[t] -= count
 
     yield from rec(0, a)
-
-
-def _arcs_connected(n: int, arcs) -> bool:
-    """Weak connectivity of the arc multiset on vertices 0..n-1."""
-    reached = {0}
-    grew = True
-    while grew:
-        grew = False
-        for s, t in arcs:
-            if (s in reached) != (t in reached):
-                reached.update((s, t))
-                grew = True
-    return len(reached) == n
 
 
 def _junction_choices(n: int, ends):
@@ -310,7 +308,7 @@ def theorem_key_table(n: int):
     for sp in theorem_list(n):
         if family_size(sp) != n:
             continue
-        code = _canonical_code(build_family(sp))
+        code = _code(*_family_ints(sp))
         assert code not in table, "canonical-list specs are pairwise nonisomorphic"
         table[code] = sp
     return table
@@ -492,7 +490,7 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4,
         n = family_size(sp)
         assignment, _members, _family, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        oid = assignment[_canonical_code(build_family(sp))]
+        oid = assignment[_code(*_family_ints(sp))]
         if (n, oid) in seen:
             orbit_failures.append("orbit collision: %s and %s" % (seen[(n, oid)], sp))
         else:
@@ -535,7 +533,7 @@ def _closed_form_specs(bound: int):
 def check_closed_form(sp: FamilySpec) -> str | None:
     """Worker: closed form versus computed invariant for one spec."""
     want = phi_formula(sp)
-    got = _phi(build_family(sp))
+    got = _phi(*_family_ints(sp))
     if want != got:
         return "%s: computed %s, formula %s" % (sp, got, want)
     return None
@@ -568,8 +566,7 @@ def _orbit_pair_check(pairs, max_states):
         assert family_size(right) == n
         assignment, _m, _f, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        if assignment[_canonical_code(build_family(left))] != \
-                assignment[_canonical_code(build_family(right))]:
+        if assignment[_code(*_family_ints(left))] != assignment[_code(*_family_ints(right))]:
             failures.append("%s and %s are not in the same orbit" % (left, right))
     return failures, limited
 
@@ -577,11 +574,63 @@ def _orbit_pair_check(pairs, max_states):
 def _phi_pair_failures(pairs):
     out = []
     for left, right in pairs:
-        pl = _phi(build_family(left))
-        pr = _phi(build_family(right))
+        pl = _phi(*_family_ints(left))
+        pr = _phi(*_family_ints(right))
         if pl != pr:
             out.append("phi(%s)=%s differs from phi(%s)=%s" % (left, pl, right, pr))
     return out
+
+
+def _move_sweep(sweep_vertices: int, max_states: int):
+    """Every applicable move on every two-cycle class with 2 to
+    ``sweep_vertices`` vertices keeps the size and ``phi``; ``phi`` is the
+    same on the opposite and splits the classes by degeneracy.
+
+    Runs on the classes' codes: no receipt, key or named quiver is made.
+    Returns the three checks and whether a partition hit the state cap.
+    """
+    move_fails = []
+    op_fails = []
+    degen_fails = []
+    n_moves = 0
+    n_classes = 0
+    limited = False
+    for n in range(2, sweep_vertices + 1):
+        assignment, _members, family, complete = _orbit_partition(n, max_states)
+        limited = limited or not complete
+        # the order applicable_moves lists the canonical form's vertices in
+        order = sorted(range(n), key=lambda x: _name("v", x))
+        for code in _enumerate_cached(SizeClass(n, n + 1), True):
+            q = _Ints(*_decode(code))
+            n_classes += 1
+            base_phi = _phi(n, q.ends, q.rels)
+            op = _reverse(q.ends, q.rels)
+            if not _valid(n, *op):
+                raise AssertionError("the opposite of %s is invalid" % _compact(code))
+            if _phi(n, *op) != base_phi:
+                op_fails.append("phi changes under opposite for %s" % _compact(code))
+            total = base_phi.total
+            fam = family[assignment[code]]
+            if total not in (1, 3):
+                degen_fails.append("phi total %d for %s" % (total, _compact(code)))
+            elif fam is not None and (total == 1) != (fam.tag in ("L0", "L0p")):
+                degen_fails.append(
+                    "phi total %d but family %s for %s" % (total, fam, _compact(code)))
+            for kind, x in _applicable_pairs(q, order) + [(MoveKind.OPPOSITE, None)]:
+                ends, rels = _image(q, kind, x)
+                mv = Move(kind, None if x is None else _name("v", x))
+                if not _valid(n, ends, rels):
+                    raise AssertionError("%s produced an invalid quiver: %s"
+                                         % (mv, validate(_form(_code(n, ends, rels)))))
+                n_moves += 1
+                if len(ends) != n + 1:
+                    move_fails.append("%s changed the size class" % mv)
+                elif _phi(n, ends, rels) != base_phi:
+                    move_fails.append("%s on %s changed phi" % (mv, _compact(code)))
+    checks = [_Check("move-invariance", n_moves, tuple(move_fails)),
+              _Check("phi-under-opposite", n_classes, tuple(op_fails)),
+              _Check("degeneracy-split", n_classes, tuple(degen_fails))]
+    return checks, limited
 
 
 def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
@@ -593,45 +642,19 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
     checks run on instances with at most ``orbit_vertices`` vertices and the
     enumerated move sweeps at ``sweep_vertices``.
     """
+    for vertices in (sweep_vertices, orbit_vertices):
+        # fail before any work: the sweep and the orbit checks would reach
+        # the bound only after the smaller sizes
+        _bounded(SizeClass(vertices, vertices + 1))
     checks: list[_Check] = []
-    limited = False
 
     # the generator yields sorted, distinct specs; only _pmap holds their list
     results = _pmap(check_closed_form, _closed_form_specs(bound), jobs)
     fails = tuple(f for f in results if f)
     checks.append(_Check("closed-form-sweep", len(results), fails))
 
-    move_fails = []
-    op_fails = []
-    degen_fails = []
-    n_moves = 0
-    n_classes = 0
-    for n in range(2, sweep_vertices + 1):
-        assignment, members, family, complete = _orbit_partition(n, max_states)
-        limited = limited or not complete
-        for code in _enumerate_cached(SizeClass(n, n + 1), True):
-            rep = _form(code)
-            n_classes += 1
-            base_phi = _phi(rep)
-            if phi(opposite(rep)) != base_phi:
-                op_fails.append("phi changes under opposite for %s" % _compact(code))
-            total = base_phi.total
-            fam = family[assignment[code]]
-            if total not in (1, 3):
-                degen_fails.append("phi total %d for %s" % (total, _compact(code)))
-            elif fam is not None and (total == 1) != (fam.tag in ("L0", "L0p")):
-                degen_fails.append(
-                    "phi total %d but family %s for %s" % (total, fam, _compact(code)))
-            for mv in applicable_moves(rep):
-                out, _receipt = apply_move(rep, mv)
-                n_moves += 1
-                if len(out.vertices) != n or len(out.arrows) != n + 1:
-                    move_fails.append("%s changed the size class" % mv)
-                elif _phi(out) != base_phi:
-                    move_fails.append("%s on %s changed phi" % (mv, _compact(code)))
-    checks.append(_Check("move-invariance", n_moves, tuple(move_fails)))
-    checks.append(_Check("phi-under-opposite", n_classes, tuple(op_fails)))
-    checks.append(_Check("degeneracy-split", n_classes, tuple(degen_fails)))
+    sweep_checks, limited = _move_sweep(sweep_vertices, max_states)
+    checks.extend(sweep_checks)
 
     def sized(specs):
         return [sp for sp in specs if family_size(sp) <= orbit_vertices]
@@ -675,7 +698,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
                                 continue
                             if p3 == 0:
                                 want = spec("L2", p2, p1, p4, r2, r1)
-                                if not is_isomorphic(build_family(sp6), build_family(want)):
+                                if _code(*_family_ints(sp6)) != _code(*_family_ints(want)):
                                     six_id_fails.append(
                                         "%s is not isomorphic to %s" % (sp6, want))
                             else:
@@ -683,7 +706,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
                                     (sp6, spec("L2pSix", p1, p2, p3 - 1, p4 + 1, r1, r2)))
                             if p4 == 0:
                                 want = spec("L2", p1, p2, p3, r1, r2)
-                                if not is_isomorphic(build_family(sp6), build_family(want)):
+                                if _code(*_family_ints(sp6)) != _code(*_family_ints(want)):
                                     six_id_fails.append(
                                         "%s is not isomorphic to %s" % (sp6, want))
     fails = _phi_pair_failures(six_pairs)
@@ -730,8 +753,8 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
         opp_count += 1
         assignment, _m, _f, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        bq = build_family(sp)
-        if assignment[_canonical_code(bq)] != assignment[_canonical_code(opposite(bq))]:
+        n, ends, rels = _family_ints(sp)
+        if assignment[_code(n, ends, rels)] != assignment[_code(n, *_reverse(ends, rels))]:
             opp_fails.append("%s and its opposite are in different orbits" % sp)
     checks.append(_Check("opposite-in-orbit", opp_count, tuple(opp_fails)))
 

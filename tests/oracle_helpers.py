@@ -25,11 +25,14 @@ from gentleq.core import (
 )
 from gentleq.families import FamilySpec, _candidate_specs, _spec_checked, build_family
 from gentleq.invariant import (
+    ArrowCycle,
     PairCycle,
     PairingIncomplete,
     _thread_key,
+    arrow_thread,
     forbidden_threads,
     permitted_threads,
+    trivial_thread,
 )
 from gentleq.moves import Move, MoveKind
 from gentleq.orbit import (
@@ -472,6 +475,118 @@ def oracle_pairings(bq: BoundQuiver) -> list[PairCycle]:
     normalized = {tuple(sorted(sol, key=lambda c: _thread_key(c[0][0]))) for sol in solutions}
     assert len(normalized) == 1, "%d distinct complete pairings" % len(normalized)
     return [PairCycle(c) for c in normalized.pop()]
+
+
+def oracle_threads(bq: BoundQuiver):
+    """Permitted threads, forbidden threads and relation cycles, in one pass,
+    on names: the walk's thread step as it stood before the integer one.
+
+    The quiver must already be valid.  Each thread comes as ``(thread, start
+    vertex, end vertex, sigma, epsilon)`` with the signs of the forbidden
+    walk; the relation cycles are arrow tuples starting at their least arrow,
+    in increasing order.
+
+    Arrow signs: the in-arrows of a vertex get epsilon +1 and -1; an
+    out-arrow gets sigma = -epsilon of the in-arrow it composes with outside
+    the relations, else the opposite of its sibling's sigma, else +1.  A
+    thread carries sigma of its first and epsilon of its last arrow.  A
+    trivial thread at ``v`` takes its signs from the arrow ``g`` leaving and
+    the arrow ``b`` entering ``v``: permitted ``(-sigma(g) or epsilon(b),
+    -epsilon(b) or sigma(g))``, forbidden ``(-sigma(g) or -epsilon(b),
+    -epsilon(b) or -sigma(g))``, where ``or`` falls back when the arrow is
+    missing; at an isolated vertex ``(1, -1)`` and ``(-1, 1)``.
+    """
+    idx = _index(bq.quiver)
+    rels = bq.relations
+    free_succ, rel_succ = {}, {}
+    free_pred, rel_pred = set(), set()
+    eps, sig = {}, {}
+    for v in bq.vertices:
+        ins, outs = idx.into[v], idx.out_of[v]
+        for sign, a in zip((1, -1), ins):
+            eps[a] = sign
+        for b in outs:
+            for a in ins:
+                if (b, a) in rels:
+                    rel_succ[a] = b
+                    rel_pred.add(b)
+                else:
+                    free_succ[a] = b
+                    free_pred.add(b)
+                    sig[b] = -eps[a]
+        for b, sibling in zip(outs, outs[::-1]):
+            if b not in sig:
+                sig[b] = -sig[sibling] if sibling in sig else 1
+
+    def chains(succ, has_pred):
+        out = []
+        for a in idx.src_of:
+            if a not in has_pred:
+                chain = [a]
+                while chain[-1] in succ:
+                    chain.append(succ[chain[-1]])
+                out.append((arrow_thread(chain), idx.src_of[a], idx.tgt_of[chain[-1]],
+                            sig[a], eps[chain[-1]]))
+        return out
+
+    permitted = chains(free_succ, free_pred)
+    forbidden = chains(rel_succ, rel_pred)
+    seen = {a for t, *_ in forbidden for a in t.arrows}
+    cycles = []
+    for a in sorted(idx.src_of.keys() - seen):
+        if a not in seen:
+            cyc = [a]
+            while rel_succ[cyc[-1]] != a:
+                cyc.append(rel_succ[cyc[-1]])
+            seen.update(cyc)
+            cycles.append(tuple(cyc))
+    for v in bq.vertices:
+        ins, outs = idx.into[v], idx.out_of[v]
+        if len(ins) > 1 or len(outs) > 1:
+            continue
+        t = trivial_thread(v)
+        g = sig[outs[0]] if outs else 0
+        b = eps[ins[0]] if ins else 0
+        related = bool(ins and outs) and (outs[0], ins[0]) in rels
+        if not related:
+            permitted.append((t, v, v, -g or b or 1, -b or g or -1))
+        if related or not (ins and outs):
+            forbidden.append((t, v, v, -g or -b or -1, -b or -g or 1))
+    return permitted, forbidden, cycles
+
+
+def oracle_characteristic_sequences(bq: BoundQuiver) -> tuple:
+    """``characteristic_sequences`` of a valid quiver by the forced walk on
+    names, as it stood before the integer walk."""
+    permitted, forbidden, cycles = oracle_threads(bq)
+    idx = _index(bq.quiver)
+    starts = {(s, sg): (t, e, ep) for t, s, e, sg, ep in permitted}
+    ends = {(e, ep): (t, s, sg) for t, s, e, sg, ep in forbidden}
+    incomplete = PairingIncomplete(
+        "no complete pairing of %d permitted and %d forbidden threads"
+        % (len(permitted), len(forbidden))
+    )
+    if bq.arrows and any(not idx.into[v] and not idx.out_of[v] for v in bq.vertices):
+        raise incomplete  # an isolated vertex would pair only with itself
+    pair_cycles = []
+    try:
+        for t, s, e, sg, ep in sorted(permitted, key=lambda entry: _thread_key(entry[0])):
+            first = (s, sg)
+            if starts.pop(first, None) is None:
+                continue  # already on an earlier cycle
+            pairs = []
+            while True:
+                f, s, sg = ends.pop((e, -ep))
+                pairs.append((t, f))
+                if (s, -sg) == first:
+                    break
+                t, e, ep = starts.pop((s, -sg))
+            pair_cycles.append(PairCycle(tuple(pairs)))
+    except KeyError:
+        raise incomplete from None
+    if ends:
+        raise incomplete
+    return tuple(pair_cycles) + tuple(ArrowCycle(c) for c in cycles)
 
 
 @functools.lru_cache(maxsize=None)

@@ -176,6 +176,8 @@ class TestGoldenFiles:
         (["verify", "completeness", "--vertices", "4"], "completeness_n4.txt"),
         (["enumerate", "--vertices", "4", "--two-cycle"], "enumerate_n4.txt"),
         (["verify", "completeness", "--vertices", "5"], "completeness_n5.txt"),
+        (["verify", "lemmas", "--jobs", "1", "--bound", "8", "--orbit-vertices", "4"],
+         "lemmas_b8.txt"),
     ])
     def test_frozen_output(self, args, name):
         _code, out, _err = run_cli(args)
@@ -240,16 +242,12 @@ class TestVerifyCommands:
     def test_lemmas_reports_phi_change(self, monkeypatch):
         # every move lands on the first class at (2, 3); the other two classes
         # have a different phi, so their moves must be reported, not raised
-        from gentleq.core import compact_key
+        from gentleq.core import _integer, compact_key
 
         orbit = importlib.import_module("gentleq.orbit")
         target = orbit.enumerate_classes(orbit.SizeClass(2, 3), two_cycle=True)[0]
-        real = orbit.apply_move
-
-        def to_target(bq, mv, **kw):
-            return target, real(bq, mv, **kw)[1]
-
-        monkeypatch.setattr(orbit, "apply_move", to_target)
+        _n, ends, rels = _integer(target)
+        monkeypatch.setattr(orbit, "_image", lambda q, kind, x: (list(ends), set(rels)))
         code, out, err = run_cli([
             "verify", "lemmas", "--bound", "4", "--orbit-vertices", "2",
             "--sweep-vertices", "2", "--jobs", "1"])
@@ -259,6 +257,37 @@ class TestVerifyCommands:
         assert changed and all(l.startswith("failure[move-invariance]: ") for l in changed)
         assert " on %s changed phi" % compact_key(target) not in out
         assert out.endswith("RESULT: FAIL\n")
+
+    def test_lemmas_reports_closed_form_failure(self, monkeypatch):
+        orbit = importlib.import_module("gentleq.orbit")
+        real = orbit.phi_formula
+        wrong = spec("L2", 1, 1, 1, 0, 0)
+
+        def formula(sp):
+            return phi_formula(spec("L0", 1, 0)) if sp == wrong else real(sp)
+
+        monkeypatch.setattr(orbit, "phi_formula", formula)
+        code, out, err = run_cli([
+            "verify", "lemmas", "--bound", "4", "--orbit-vertices", "2",
+            "--sweep-vertices", "2", "--jobs", "1"])
+        assert (code, err) == (1, "")
+        assert "check closed-form-sweep: FAIL" in out
+        assert ("failure[closed-form-sweep]: L2(1,1,1,0,0): computed "
+                "{(0,1):2, (1,1):1}, formula {(1,3):1}\n") in out
+        assert out.endswith("RESULT: FAIL\n")
+
+    @pytest.mark.parametrize("option", ["--sweep-vertices", "--orbit-vertices"])
+    def test_lemmas_vertex_bound_fails_fast(self, monkeypatch, option):
+        orbit = importlib.import_module("gentleq.orbit")
+
+        def no_partition(*args):
+            raise AssertionError("the report started its work")
+
+        monkeypatch.setattr(orbit, "_orbit_partition", no_partition)
+        monkeypatch.setattr(orbit, "check_closed_form", no_partition)
+        code, out, err = run_cli(["verify", "lemmas", option, "7", "--jobs", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: vertex count 7 exceeds the bound 6\n"
 
     def test_fuzz_shift(self):
         code, out, _ = run_cli(["fuzz-shift", "--seed", "3", "--count", "25"])
@@ -274,12 +303,27 @@ class TestDeterminism:
         out2 = run_cli(args)[1]
         assert out1 == out2
 
-    def test_jobs_do_not_change_output(self):
-        base = ["verify", "lemmas", "--bound", "4", "--orbit-vertices", "2",
+    def test_jobs_do_not_change_output(self, monkeypatch):
+        import multiprocessing
+
+        # bound 6 gives 95 closed-form specs, enough for _pmap to use a pool
+        pools = []
+        real = multiprocessing.Pool
+
+        def recording_pool(processes):
+            pools.append(processes)
+            return real(processes)
+
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        base = ["verify", "lemmas", "--bound", "6", "--orbit-vertices", "2",
                 "--sweep-vertices", "2"]
         out1 = run_cli(base + ["--jobs", "1"])[1]
+        assert pools == []
         out2 = run_cli(base + ["--jobs", "2"])[1]
+        assert pools == [2]
         assert out1 == out2
+        assert "check closed-form-sweep: PASS (95 instances)" in out1
 
     def test_round_trip_bit_exact(self):
         code, out, _ = run_cli(["apply", "--move", "opposite", "-"], stdin=L0_FILE)

@@ -1,10 +1,16 @@
+import itertools
+
 import pytest
 
-from gentleq.core import canonical_key, cycle_rank, is_isomorphic, validate
+from gentleq.core import _integer, canonical_key, cycle_rank, is_isomorphic, validate
 from gentleq.families import (
+    FAMILY_TAGS,
+    _PARAM_COUNT,
     ConstraintViolation,
     OutOfLemmaScope,
+    _family_ints,
     build_family,
+    check_spec,
     family_size,
     phi_formula,
     recognize,
@@ -12,6 +18,7 @@ from gentleq.families import (
     theorem_list,
 )
 from gentleq.invariant import Phi, phi
+from gentleq.orbit import _closed_form_specs
 
 from oracle_helpers import oracle_recognize, random_relabel
 import random
@@ -89,6 +96,29 @@ class TestBuild:
         tag, params = bad
         with pytest.raises(ConstraintViolation):
             build_family(spec(tag, *params))
+        with pytest.raises(ConstraintViolation):
+            _family_ints(spec(tag, *params))
+
+
+def specs_up_to(total):
+    """Every spec of every tag whose parameters sum to at most ``total``."""
+    for tag in FAMILY_TAGS:
+        for params in itertools.product(range(total + 1), repeat=_PARAM_COUNT[tag]):
+            if sum(params) <= total:
+                sp = spec(tag, *params)
+                try:
+                    check_spec(sp)
+                except ConstraintViolation:
+                    continue
+                yield sp
+
+
+class TestFamilyInts:
+    def test_matches_named_build(self):
+        specs = set(theorem_list(8)) | set(_closed_form_specs(10)) | set(specs_up_to(8))
+        assert {sp.tag for sp in specs} == set(FAMILY_TAGS)
+        for sp in sorted(specs):
+            assert _family_ints(sp) == _integer(build_family(sp)), sp
 
 
 class TestRecognize:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import gentleq.core
-from gentleq.core import InvalidQuiverError, make_bound_quiver, opposite
+import gentleq.families
+from gentleq.core import InvalidQuiverError, _integer, make_bound_quiver, opposite
 from gentleq.families import build_family, phi_formula, spec
 from gentleq.invariant import (
     DEGENERATE,
@@ -16,16 +19,21 @@ from gentleq.invariant import (
     euler_data,
     forbidden_threads,
     permitted_threads,
+    _namer,
     _phi,
+    _threads,
     phi,
 )
 from gentleq.orbit import SizeClass, _closed_form_specs, enumerate_classes
 
 from oracle_helpers import (
     oracle_cartan,
+    oracle_characteristic_sequences,
     oracle_maximal_antipaths,
     oracle_maximal_paths,
     oracle_pairings,
+    oracle_threads,
+    random_relabel,
 )
 
 
@@ -185,6 +193,56 @@ class TestWalkAgainstSearch:
         assert_walk_matches_search(disjoint_union(point(), point()))
 
 
+def assert_integer_walk_matches_names(bq):
+    """The integer threads and walk against the walk on names."""
+    ints = _integer(bq)
+    permitted, forbidden, cycles = _threads(*ints)
+    want_permitted, want_forbidden, want_cycles = oracle_threads(bq)
+    thread, vs = _namer(bq), bq.vertices
+
+    def named(entries):
+        return [(thread(t), vs[t[1]], vs[t[2]], t[3], t[4]) for t in entries]
+
+    assert named(permitted) == want_permitted
+    assert named(forbidden) == want_forbidden
+    assert arrow_cycle_sequences(bq) == frozenset(ArrowCycle(c) for c in want_cycles)
+    want = oracle_characteristic_sequences(bq)
+    assert _phi(*ints) == Phi.from_types(cs.type() for cs in want)
+    assert repr(characteristic_sequences(bq)) == repr(want)
+
+
+class TestIntegerWalk:
+    """The walk on indices against the walk on names it replaced."""
+
+    @staticmethod
+    def variants(bq, rng):
+        relabeled = random_relabel(bq, rng)
+        return bq, opposite(bq), relabeled, opposite(relabeled)
+
+    def test_small_classes(self):
+        rng = random.Random(3)
+        for n in range(1, 5):
+            for a in range(0, 2 * n + 1):
+                for bq in enumerate_classes(SizeClass(n, a)):
+                    for q in self.variants(bq, rng):
+                        assert_integer_walk_matches_names(q)
+
+    def test_two_cycle_classes_n5(self, two_cycle_classes):
+        rng = random.Random(4)
+        for bq in two_cycle_classes(5):
+            for q in self.variants(bq, rng):
+                assert_integer_walk_matches_names(q)
+
+    def test_isolated_vertex_next_to_arrows(self, two_cycle_classes):
+        parts = [a2_quiver(), build_family(spec("L0", 1, 0))] + list(two_cycle_classes(3)[:6])
+        for part in parts:
+            with_point = disjoint_union(part, point())
+            with pytest.raises(PairingIncomplete):
+                oracle_characteristic_sequences(with_point)
+            with pytest.raises(PairingIncomplete):
+                _phi(*_integer(with_point))
+
+
 class TestPhi:
     def test_hand_anchors(self):
         assert phi(build_family(spec("L0", 1, 0))) == phi_of([((1, 3), 1)])
@@ -237,7 +295,7 @@ class TestValidateOnce:
     def test_private_phi_skips_only_the_check(self, two_cycle_classes):
         for n in (2, 3, 4):
             for bq in two_cycle_classes(n):
-                assert _phi(bq) == phi(bq)
+                assert _phi(*_integer(bq)) == phi(bq)
         bad = make_bound_quiver(["x"], [("al", "x", "x")], [])  # a free loop
         with pytest.raises(InvalidQuiverError):
             phi(bad)
@@ -245,13 +303,16 @@ class TestValidateOnce:
     def test_closed_form_check_validates_once(self, monkeypatch):
         from gentleq.orbit import check_closed_form
 
-        calls = []
-        real = gentleq.core.validate
+        calls, integer_calls = [], []
+        real, real_valid = gentleq.core.validate, gentleq.families._valid
         monkeypatch.setattr(gentleq.core, "validate",
                             lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(gentleq.families, "_valid",
+                            lambda *args: integer_calls.append(1) or real_valid(*args))
         specs = list(_closed_form_specs(5))
         assert not any(check_closed_form(sp) for sp in specs)
-        assert len(calls) == len(specs)  # in build_family, not again in phi
+        # the integer check in the family builder, not again in phi
+        assert (len(calls), len(integer_calls)) == (0, len(specs))
 
 
 class TestDegeneracy:

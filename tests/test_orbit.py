@@ -15,6 +15,7 @@ from gentleq.core import (
 from gentleq.families import build_family, family_size, spec, theorem_list
 from gentleq.moves import MoveKind
 from gentleq.orbit import (
+    DEFAULT_MAX_STATES,
     BoundExceeded,
     SizeClass,
     StateLimitExceeded,
@@ -25,6 +26,7 @@ from gentleq.orbit import (
     _orbit_partition,
     _pmap,
     _shapes,
+    check_closed_form,
     enumerate_classes,
     normalize,
     orbit,
@@ -253,6 +255,29 @@ class TestIntegerStates:
         assignment, members, _family, complete = _orbit_partition.__wrapped__(4)
         assert (len(codes), len(assignment), len(members), complete) == (312, 312, 30, True)
         assert (built, checked) == ([], [])
+
+    def test_no_named_quiver_on_the_lemma_sweeps(self, monkeypatch):
+        # the closed-form and move sweeps run on indices: no BoundQuiver, no
+        # validate and no move receipt
+        import gentleq.core as core
+
+        orbit_module = importlib.import_module("gentleq.orbit")
+        built, checked = [], []
+        monkeypatch.setattr(core.BoundQuiver, "__post_init__", lambda self: built.append(1))
+        for name in ("core", "families", "moves", "orbit"):
+            monkeypatch.setattr(importlib.import_module("gentleq." + name), "validate",
+                                lambda *args: checked.append(1))
+
+        def no_receipt(*args, **kwargs):
+            raise AssertionError("the sweep applied a named move")
+
+        monkeypatch.setattr(orbit_module, "apply_move", no_receipt)
+        assert not any(check_closed_form(sp) for sp in _closed_form_specs(8))
+        checks, limited = orbit_module._move_sweep(4, DEFAULT_MAX_STATES)
+        assert [(c.name, c.instances, c.failures) for c in checks] == [
+            ("move-invariance", 2379, ()), ("phi-under-opposite", 353, ()),
+            ("degeneracy-split", 353, ())]
+        assert (limited, built, checked) == (False, [], [])
 
     def test_invalid_state_is_reported(self, monkeypatch):
         # a generating move that broke validity would stop the closure
