@@ -10,6 +10,9 @@ This module holds the data model, the line-oriented text format, the
 gentleness/finiteness validator, the cycle rank, the cycle/branch/connecting
 arrow trichotomy, the opposite quiver, and isomorphism testing via canonical
 labeling.  Everything is immutable and every operation is a pure function.
+Names live at the edges: the validator, connectivity and the canonical
+kernel read a bound quiver on indices, ``_integer(bq)`` = ``(n, ends,
+rels)``, and names are attached only to what they return.
 """
 
 from __future__ import annotations
@@ -88,8 +91,6 @@ class Quiver:
 
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]
-    # lookup tables built on first use; not part of ==, hash or repr
-    _memo: _Index | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -109,10 +110,10 @@ class Quiver:
                 raise ValueError("arrow %r references unknown vertex" % a)
 
     def source(self, arrow: str) -> str:
-        return _index(self).src_of[arrow]
+        return {a: s for a, s, _t in self.arrows}[arrow]
 
     def target(self, arrow: str) -> str:
-        return _index(self).tgt_of[arrow]
+        return {a: t for a, _s, t in self.arrows}[arrow]
 
 
 @dataclass(frozen=True)
@@ -151,28 +152,6 @@ def make_bound_quiver(vertices, arrows, relations, name="q") -> BoundQuiver:
         frozenset((f, s) for f, s in relations),
         name,
     )
-
-
-class _Index:
-    """Dense lookup tables shared by the algorithms in this package."""
-
-    def __init__(self, q: Quiver):
-        self.src_of = {a: s for a, s, t in q.arrows}
-        self.tgt_of = {a: t for a, s, t in q.arrows}
-        self.out_of = {v: [] for v in q.vertices}
-        self.into = {v: [] for v in q.vertices}
-        for a, s, t in q.arrows:
-            self.out_of[s].append(a)
-            self.into[t].append(a)
-
-
-def _index(q: Quiver) -> _Index:
-    # memoized on the quiver itself, so it lives exactly as long as the quiver
-    idx = q._memo
-    if idx is None:
-        idx = _Index(q)
-        object.__setattr__(q, "_memo", idx)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -294,66 +273,35 @@ class Violation:
     witness: str
 
 
-def composition_successors(bq: BoundQuiver) -> dict[str, list[str]]:
-    """arrow -> arrows that may follow it (composable, pair not a relation)."""
-    idx = _index(bq.quiver)
-    succ: dict[str, list[str]] = {}
-    for a in idx.src_of:
-        t = idx.tgt_of[a]
-        succ[a] = [b for b in idx.out_of[t] if (b, a) not in bq.relations]
-    return succ
-
-
-def _find_cycle(succ: dict[str, list[str]]) -> list[str] | None:
-    """Return some directed cycle in the graph on arrows, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {a: WHITE for a in succ}
-    for start in sorted(succ):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(succ[start]))]
-        path = [start]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    return path[path.index(nxt):]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
-
-
 def is_connected(bq: BoundQuiver) -> bool:
     """Weak connectivity of the underlying graph (true for the empty quiver)."""
-    verts = bq.vertices
-    if len(verts) <= 1:
-        return True
-    idx = _index(bq.quiver)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for a in idx.out_of[v]:
-            w = idx.tgt_of[a]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-        for a in idx.into[v]:
-            w = idx.src_of[a]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+    n, ends, _rels = _integer(bq)
+    return _arcs_connected(n, ends)
+
+
+def _first_cycle(succ, order) -> list[int] | None:
+    """The first cycle a depth-first search meets in the graph ``succ``
+    (node -> successor list) that starts from the nodes in ``order``, or
+    None."""
+    state = [0] * len(succ)  # 0 unseen, 1 on the search path, 2 done
+    for start in order:
+        if state[start]:
+            continue
+        state[start] = 1
+        path, todo = [start], [iter(succ[start])]
+        while todo:
+            for b in todo[-1]:
+                if state[b] == 1:
+                    return path[path.index(b):]
+                if not state[b]:
+                    state[b] = 1
+                    path.append(b)
+                    todo.append(iter(succ[b]))
+                    break
+            else:
+                state[path.pop()] = 2
+                todo.pop()
+    return None
 
 
 def validate(bq: BoundQuiver, require_connected: bool = False) -> tuple[Violation, ...]:
@@ -367,32 +315,39 @@ def validate(bq: BoundQuiver, require_connected: bool = False) -> tuple[Violatio
         cyclically consecutive pair (otherwise arbitrarily long nonzero paths
         would exist).
     CONN (optional): underlying graph connected.
+
+    Vertices are checked in their listed order and arrows in the order of
+    their ids.  The FIN witness is the first cycle of a depth-first search
+    that starts from the arrows in id order and takes the continuations of
+    each arrow in listed order.
     """
-    idx = _index(bq.quiver)
+    n, ends, rels = _integer(bq)
+    outs, ins = _adjacency(n, ends)
+    ids = [a for a, _s, _t in bq.arrows]
     out: list[Violation] = []
-    for v in bq.vertices:
-        if len(idx.out_of[v]) > 2:
-            out.append(Violation("G1", "vertex %s has %d outgoing arrows" % (v, len(idx.out_of[v]))))
-        if len(idx.into[v]) > 2:
-            out.append(Violation("G1", "vertex %s has %d incoming arrows" % (v, len(idx.into[v]))))
-    for a in sorted(idx.src_of):
-        s, t = idx.src_of[a], idx.tgt_of[a]
-        before_free = [b for b in idx.into[s] if (a, b) not in bq.relations]
-        after_free = [b for b in idx.out_of[t] if (b, a) not in bq.relations]
-        before_rel = [b for b in idx.into[s] if (a, b) in bq.relations]
-        after_rel = [b for b in idx.out_of[t] if (b, a) in bq.relations]
-        if len(before_free) > 1:
-            out.append(Violation("G3", "arrow %s has free predecessors %s" % (a, ",".join(sorted(before_free)))))
-        if len(after_free) > 1:
-            out.append(Violation("G3", "arrow %s has free successors %s" % (a, ",".join(sorted(after_free)))))
-        if len(before_rel) > 1:
-            out.append(Violation("G4", "arrow %s has relation predecessors %s" % (a, ",".join(sorted(before_rel)))))
-        if len(after_rel) > 1:
-            out.append(Violation("G4", "arrow %s has relation successors %s" % (a, ",".join(sorted(after_rel)))))
-    cycle = _find_cycle(composition_successors(bq))
+    for v, o, i in zip(bq.vertices, outs, ins):
+        if len(o) > 2:
+            out.append(Violation("G1", "vertex %s has %d outgoing arrows" % (v, len(o))))
+        if len(i) > 2:
+            out.append(Violation("G1", "vertex %s has %d incoming arrows" % (v, len(i))))
+    succ = [[b for b in outs[t] if (b, a) not in rels] for a, (_s, t) in enumerate(ends)]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    for a in order:
+        s, t = ends[a]
+        if len(ins[s]) < 2 and len(outs[t]) < 2:
+            continue  # every side list below is shorter still
+        for condition, side, arrows in (
+                ("G3", "free predecessors", [b for b in ins[s] if (a, b) not in rels]),
+                ("G3", "free successors", succ[a]),
+                ("G4", "relation predecessors", [b for b in ins[s] if (a, b) in rels]),
+                ("G4", "relation successors", [b for b in outs[t] if (b, a) in rels])):
+            if len(arrows) > 1:
+                names = ",".join(sorted([ids[b] for b in arrows]))
+                out.append(Violation(condition, "arrow %s has %s %s" % (ids[a], side, names)))
+    cycle = _first_cycle(succ, order)
     if cycle is not None:
-        out.append(Violation("FIN", "relation-avoiding cycle %s" % ",".join(cycle)))
-    if require_connected and not is_connected(bq):
+        out.append(Violation("FIN", "relation-avoiding cycle %s" % ",".join([ids[a] for a in cycle])))
+    if require_connected and not _arcs_connected(n, ends):
         out.append(Violation("CONN", "underlying graph is disconnected"))
     return tuple(out)
 
@@ -461,16 +416,19 @@ def _valid(n: int, ends, rels) -> bool:
 
 
 def _arcs_connected(n: int, arcs) -> bool:
-    """Weak connectivity of the arc multiset on vertices 0..n-1."""
-    reached = {0}
-    grew = True
-    while grew:
-        grew = False
-        for s, t in arcs:
-            if (s in reached) != (t in reached):
-                reached.update((s, t))
-                grew = True
-    return len(reached) == n
+    """Weak connectivity of the arc multiset on vertices 0..n-1 (true for
+    n = 0), by union-find with path halving."""
+    root = list(range(n))
+    parts = n
+    for s, t in arcs:
+        while root[s] != s:
+            root[s] = s = root[root[s]]
+        while root[t] != t:
+            root[t] = t = root[root[t]]
+        if s != t:
+            root[s] = t
+            parts -= 1
+    return parts <= 1
 
 
 # ---------------------------------------------------------------------------

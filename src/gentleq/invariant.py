@@ -29,11 +29,9 @@ from fractions import Fraction
 from .core import (
     BoundQuiver,
     QuiverError,
-    composition_successors,
     cycle_rank,
     require_valid,
     _adjacency,
-    _index,
     _integer,
 )
 
@@ -157,14 +155,6 @@ class Phi:
 
     def __str__(self) -> str:
         return "{" + ", ".join("(%d,%d):%d" % (n, m, c) for (n, m), c in self.entries) + "}"
-
-
-def _single_successor(succ: dict[str, list[str]]) -> dict[str, str | None]:
-    out = {}
-    for a, lst in succ.items():
-        assert len(lst) <= 1, "gentleness gives at most one successor"
-        out[a] = lst[0] if lst else None
-    return out
 
 
 def _threads(n: int, ends, rels):
@@ -383,20 +373,25 @@ def cartan_matrix(bq: BoundQuiver):
     path included on the diagonal).
     """
     require_valid(bq)
+    n, ends, rels = _integer(bq)
     order = tuple(sorted(bq.vertices))
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
+    row_of = {v: i for i, v in enumerate(order)}
+    row = [row_of[v] for v in bq.vertices]
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 1
-    idx = _index(bq.quiver)
-    succ1 = _single_successor(composition_successors(bq))
-    for a in idx.src_of:
-        i = pos[idx.src_of[a]]
+    outs, _ins = _adjacency(n, ends)
+    # a valid quiver gives each arrow at most one relation-free successor
+    succ = [-1] * len(ends)
+    for a, (_s, t) in enumerate(ends):
+        for b in outs[t]:
+            if (b, a) not in rels:
+                succ[a] = b
+    for a, (s, _t) in enumerate(ends):
         cur = a
-        while cur is not None:
-            rows[i][pos[idx.tgt_of[cur]]] += 1
-            cur = succ1[cur]
+        while cur >= 0:
+            rows[row[s]][row[ends[cur][1]]] += 1
+            cur = succ[cur]
     return order, tuple(tuple(r) for r in rows)
 
 

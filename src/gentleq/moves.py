@@ -12,7 +12,8 @@ run the same kernel and rebuild with the original ids.
 On top of the primitives sit two macros that slide a relation (or a block of
 chained relations) along free arrows; each macro replays a fixed composite of
 primitive moves and returns the receipts, so every macro output is reachable
-step by step.
+step by step.  Their pattern matchers work on indices too, and their
+one-shot rewrites are redrawn with the original ids.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .core import (
     _adjacency,
     _code,
     _decode,
-    _index,
     _integer,
     _valid,
 )
@@ -335,7 +335,7 @@ def applicable_moves(bq: BoundQuiver) -> list[Move]:
     return out
 
 
-def apply_move(bq: BoundQuiver, move: Move, _input_key: str | None = None):
+def apply_move(bq: BoundQuiver, move: Move):
     """Apply one move; returns the new quiver and the audit receipt."""
     q, pos = _indexed(bq)
     reason = _not_applicable_reason(bq, q, pos, move)
@@ -347,7 +347,7 @@ def apply_move(bq: BoundQuiver, move: Move, _input_key: str | None = None):
         raise AssertionError("%s produced an invalid quiver: %s" % (move, validate(out)))
     receipt = MoveReceipt(
         move,
-        _input_key if _input_key is not None else canonical_key(bq),
+        canonical_key(bq),
         canonical_key(out),
         tuple(sorted((a, s, t) for a, s, t in out.arrows)),
     )
@@ -369,11 +369,6 @@ class _ShiftPlan:
     direct: BoundQuiver
 
 
-def _rebuild(bq: BoundQuiver, new_src, new_tgt, new_relations) -> BoundQuiver:
-    arrows = tuple((a, new_src[a], new_tgt[a]) for a, _s, _t in bq.arrows)
-    return BoundQuiver(Quiver(bq.vertices, arrows), frozenset(new_relations), bq.name)
-
-
 def _match_shift_right(bq: BoundQuiver, rel) -> _ShiftPlan:
     """Match the slide-one-step-right pattern at a relation.
 
@@ -382,70 +377,61 @@ def _match_shift_right(bq: BoundQuiver, rel) -> _ShiftPlan:
     second arrow sits at the head of a bare chain of free arrows whose far
     end receives the continuation arrow).
     """
-    a1, a2 = rel
-    if (a1, a2) not in bq.relations:
-        raise PatternMismatch("(%s, %s) is not a relation" % (a1, a2))
-    idx = _index(bq.quiver)
-    x = idx.src_of[a1]
-    y = idx.src_of[a2]
-    src, tgt = dict(idx.src_of), dict(idx.tgt_of)
+    first, second = rel
+    if (first, second) not in bq.relations:
+        raise PatternMismatch("(%s, %s) is not a relation" % (first, second))
+    q = _Ints(*_integer(bq))
+    vs, ids = bq.vertices, [a for a, _s, _t in bq.arrows]
+    a1, a2 = ids.index(first), ids.index(second)
+    ends, rels = q.ends, q.rels
+    x, y = ends[a1][0], ends[a2][0]
+    new = list(ends)
 
-    out_y = sorted(idx.out_of[y])
-    in_y = sorted(idx.into[y])
+    out_y, in_y = q.outs[y], q.ins[y]
     if out_y == [a2] and len(in_y) == 1:
         a3 = in_y[0]
         if a3 == a2:
             raise PatternMismatch("second arrow loops at its own source")
-        if (a2, a3) in bq.relations:
-            raise PatternMismatch("continuation (%s, %s) is itself a relation" % (a2, a3))
+        if (a2, a3) in rels:
+            raise PatternMismatch("continuation (%s, %s) is itself a relation"
+                                  % (ids[a2], ids[a3]))
         if a3 == a1:
             # closed two-cycle between x and y: both arrows flip, and so
             # does the relation
-            src[a1], tgt[a1] = tgt[a1], src[a1]
-            src[a2], tgt[a2] = tgt[a2], src[a2]
-            rels = set(bq.relations) - {(a1, a2)} | {(a2, a3)}
-            return _ShiftPlan(
-                (Move(MoveKind.GEN_APR_COREFLECT, y),),
-                _rebuild(bq, src, tgt, rels),
-            )
-        src[a1] = y
-        src[a2], tgt[a2] = x, y
-        tgt[a3] = x
-        rels = set(bq.relations) - {(a1, a2)} | {(a2, a3)}
+            new[a1], new[a2] = ends[a1][::-1], ends[a2][::-1]
+        else:
+            new[a1], new[a2], new[a3] = (y, ends[a1][1]), (x, y), (ends[a3][0], x)
         return _ShiftPlan(
-            (Move(MoveKind.GEN_APR_COREFLECT, y),),
-            _rebuild(bq, src, tgt, rels),
+            (Move(MoveKind.GEN_APR_COREFLECT, vs[y]),),
+            _named(bq, new, rels - {(a1, a2)} | {(a2, a3)}),
         )
 
     # long form: y emits a2 plus one free arrow and receives nothing
     if in_y or len(out_y) != 2:
-        raise PatternMismatch("middle vertex %s does not fit either slide pattern" % y)
-    if sorted(idx.out_of[x]) != [a1] or sorted(idx.into[x]) != [a2]:
-        raise PatternMismatch("relation junction %s carries extra arrows" % x)
+        raise PatternMismatch("middle vertex %s does not fit either slide pattern" % vs[y])
+    if q.outs[x] != [a1] or q.ins[x] != [a2]:
+        raise PatternMismatch("relation junction %s carries extra arrows" % vs[x])
 
-    def is_free(arrow):
-        return not any(arrow in pair for pair in bq.relations)
-
+    related = {a for pair in rels for a in pair}
     chain = []  # free arrows b_n .. b_1 walking away from y
     nodes = [y]
-    cur_arrow = next(b for b in out_y if b != a2)
+    cur = out_y[0] if out_y[1] == a2 else out_y[1]
     while True:
-        if not is_free(cur_arrow):
-            raise PatternMismatch("chain arrow %s is not free" % cur_arrow)
-        chain.append(cur_arrow)
-        v = tgt[cur_arrow]
+        if cur in related:
+            raise PatternMismatch("chain arrow %s is not free" % ids[cur])
+        chain.append(cur)
+        v = ends[cur][1]
         nodes.append(v)
-        outs = sorted(idx.out_of[v])
-        ins = sorted(idx.into[v])
+        outs, ins = q.outs[v], q.ins[v]
         if not outs:
             if len(ins) != 2:
-                raise PatternMismatch("chain end %s lacks the continuation arrow" % v)
-            a3 = next(b for b in ins if b != cur_arrow)
+                raise PatternMismatch("chain end %s lacks the continuation arrow" % vs[v])
+            a3 = ins[0] if ins[1] == cur else ins[1]
             break
-        if len(outs) == 1 and ins == [cur_arrow]:
-            cur_arrow = outs[0]
+        if len(outs) == 1 and ins == [cur]:
+            cur = outs[0]
             continue
-        raise PatternMismatch("vertex %s interrupts the free chain" % v)
+        raise PatternMismatch("vertex %s interrupts the free chain" % vs[v])
     if a3 == a1:
         raise PatternMismatch("continuation coincides with the relation's first arrow")
 
@@ -456,18 +442,15 @@ def _match_shift_right(bq: BoundQuiver, rel) -> _ShiftPlan:
     moves = []
     for i in range(n, 0, -1):
         for j in range(i, n + 1):
-            moves.append(Move(MoveKind.APR_COREFLECT, y_of[j]))
-        moves.append(Move(MoveKind.APR_COREFLECT, x))
+            moves.append(Move(MoveKind.APR_COREFLECT, vs[y_of[j]]))
+        moves.append(Move(MoveKind.APR_COREFLECT, vs[x]))
     for j in range(0, n + 1):
-        moves.append(Move(MoveKind.GEN_APR_COREFLECT, y_of[j]))
+        moves.append(Move(MoveKind.GEN_APR_COREFLECT, vs[y_of[j]]))
 
-    src[a1] = y_of[0]
-    src[a2], tgt[a2] = x, y_of[n]
-    tgt[a3] = x
+    new[a1], new[a2], new[a3] = (y_of[0], ends[a1][1]), (x, y_of[n]), (ends[a3][0], x)
     for b in chain:  # every free arrow of the chain is reversed
-        src[b], tgt[b] = tgt[b], src[b]
-    rels = set(bq.relations) - {(a1, a2)} | {(a2, a3)}
-    return _ShiftPlan(tuple(moves), _rebuild(bq, src, tgt, rels))
+        new[b] = ends[b][::-1]
+    return _ShiftPlan(tuple(moves), _named(bq, new, rels - {(a1, a2)} | {(a2, a3)}))
 
 
 def _replay(bq: BoundQuiver, moves):
@@ -503,51 +486,51 @@ def shift_relation_direct(bq: BoundQuiver, rel, direction: ShiftDirection) -> Bo
 
 def _match_block(bq: BoundQuiver, beta: str) -> _ShiftPlan:
     """Match the block slide anchored at a free arrow into a bare sink."""
-    idx = _index(bq.quiver)
-    if beta not in idx.src_of:
+    vs, ids = bq.vertices, [a for a, _s, _t in bq.arrows]
+    if beta not in ids:
         raise PatternMismatch("unknown arrow %r" % beta)
-    if any(beta in pair for pair in bq.relations):
+    q = _Ints(*_integer(bq))
+    ends, rels = q.ends, q.rels
+    b = ids.index(beta)
+    if any(b in pair for pair in rels):
         raise PatternMismatch("anchor arrow %s is not free" % beta)
-    x0 = idx.tgt_of[beta]
-    if idx.out_of[x0]:
-        raise PatternMismatch("block head %s is not a sink" % x0)
-    ins = sorted(idx.into[x0])
+    x0 = ends[b][1]
+    if q.outs[x0]:
+        raise PatternMismatch("block head %s is not a sink" % vs[x0])
+    ins = q.ins[x0]
     if len(ins) != 2:
-        raise PatternMismatch("block head %s needs exactly one chain arrow besides the anchor" % x0)
-    a1 = next(a for a in ins if a != beta)
+        raise PatternMismatch("block head %s needs exactly one chain arrow besides the anchor"
+                              % vs[x0])
+    a1 = ins[0] if ins[1] == b else ins[1]
     # the chained relations are (a_1, a_2), (a_2, a_3), ...: follow seconds
-    rel_next = {f: s2 for f, s2 in bq.relations}
+    rel_next = dict(rels)
     chain = [a1]
     while chain[-1] in rel_next:
         nxt = rel_next[chain[-1]]
         if nxt in chain:
-            raise PatternMismatch("relation chain at %s closes into a cycle" % a1)
+            raise PatternMismatch("relation chain at %s closes into a cycle" % ids[a1])
         chain.append(nxt)
     n = len(chain)
     if n < 2:
-        raise PatternMismatch("no relation chain starts at %s" % a1)
+        raise PatternMismatch("no relation chain starts at %s" % ids[a1])
     # chain[i] = a_{i+1}: x_{i+1} -> x_i; interior vertices must be bare
     for i in range(n - 1):
-        v = idx.src_of[chain[i]]  # x_{i+1}
-        if sorted(idx.out_of[v]) != [chain[i]] or sorted(idx.into[v]) != [chain[i + 1]]:
-            raise PatternMismatch("vertex %s interrupts the relation chain" % v)
-    xs = [x0] + [idx.src_of[a] for a in chain]  # xs[i] = x_i
-    src, tgt = dict(idx.src_of), dict(idx.tgt_of)
-    y = idx.src_of[beta]
-    src[beta], tgt[beta] = xs[1], y
+        v = ends[chain[i]][0]  # x_{i+1}
+        if q.outs[v] != [chain[i]] or q.ins[v] != [chain[i + 1]]:
+            raise PatternMismatch("vertex %s interrupts the relation chain" % vs[v])
+    xs = [x0] + [ends[a][0] for a in chain]  # xs[i] = x_i
+    new = list(ends)
+    new[b] = (xs[1], ends[b][0])
     for i in range(1, n - 1):  # a_i moves to x_{i+1} -> x_i
-        src[chain[i - 1]] = xs[i + 1]
-        tgt[chain[i - 1]] = xs[i]
-    src[chain[n - 2]] = xs[0]
-    tgt[chain[n - 2]] = xs[n - 1]
-    src[chain[n - 1]] = xs[0]
-    tgt[chain[n - 1]] = xs[n]
-    rels = set(bq.relations) - {(chain[n - 2], chain[n - 1])} | {(beta, a1)}
-    moves = [Move(MoveKind.APR_REFLECT, xs[0])]
+        new[chain[i - 1]] = (xs[i + 1], xs[i])
+    new[chain[n - 2]] = (xs[0], xs[n - 1])
+    new[chain[n - 1]] = (xs[0], xs[n])
+    moves = [Move(MoveKind.APR_REFLECT, vs[xs[0]])]
     for i in range(1, n):
-        moves.append(Move(MoveKind.APR_REFLECT, xs[i]))
-        moves.append(Move(MoveKind.GEN_APR_REFLECT, xs[0]))
-    return _ShiftPlan(tuple(moves), _rebuild(bq, src, tgt, rels))
+        moves.append(Move(MoveKind.APR_REFLECT, vs[xs[i]]))
+        moves.append(Move(MoveKind.GEN_APR_REFLECT, vs[xs[0]]))
+    rels = rels - {(chain[n - 2], chain[n - 1])} | {(b, a1)}
+    return _ShiftPlan(tuple(moves), _named(bq, new, rels))
 
 
 def shift_relation_block(bq: BoundQuiver, beta: str):

@@ -17,8 +17,9 @@ named quiver or text is made only for what is printed or handed to a caller
 partition: completeness (every class reaches a canonical family), minimality
 (no two canonical representatives collide), and the table of small
 equivalence facts used throughout, which takes family instances and moves on
-indices too.  The audit closure ``orbit`` still applies all seven moves and
-records each edge.
+indices too.  The audit closure ``orbit`` applies all seven moves to codes
+as well and records each edge, naming the moves and states only for its
+result.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ from .core import (
     _name,
     _serial_key,
     _valid,
-    canonical_form,
     cycle_rank,
-    parse,
     require_valid,
     serialize,
     validate,
@@ -66,8 +65,6 @@ from .moves import (
     _image,
     _Ints,
     _reverse,
-    apply_move,
-    applicable_moves,
 )
 
 __all__ = [
@@ -263,40 +260,63 @@ class OrbitResult:
     complete: bool
 
 
+def _moves(n: int, q: _Ints):
+    """Each move that applies to the canonical form of ``q``, in the order
+    ``applicable_moves`` lists them there, with its output ``(ends, rels)``;
+    an invalid output raises AssertionError."""
+    order = sorted(range(n), key=lambda x: _name("v", x))
+    for kind, x in _applicable_pairs(q, order) + [(MoveKind.OPPOSITE, None)]:
+        ends, rels = _image(q, kind, x)
+        mv = Move(kind, None if x is None else _name("v", x))
+        if not _valid(n, ends, rels):
+            raise AssertionError("%s produced an invalid quiver: %s"
+                                 % (mv, validate(_form(_code(n, ends, rels)))))
+        yield mv, ends, rels
+
+
 def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES,
           hit_table: dict | None = None) -> OrbitResult:
-    """Breadth-first closure of the class of ``bq`` under all moves."""
+    """Breadth-first closure of the class of ``bq`` under all moves.
+
+    The states are canonical codes, each level walked in the order
+    ``serialize`` sorts their forms.  Every applicable move is an edge
+    ``(key, move, key)``, with the move named on the canonical form, also
+    when its output is a new state beyond ``max_states``.  Keys and forms are
+    made only for the result.
+    """
     require_valid(bq)
-    start = canonical_form(bq)
-    k0 = serialize(start)
-    states = {k0: start}
+    n = len(bq.vertices)
+    keys: dict[tuple, str] = {}
+
+    def key(code):
+        if code not in keys:
+            keys[code] = serialize(_form(code))
+        return keys[code]
+
+    states = [_canonical_code(bq)]
+    seen = set(states)
     edges = []
-    frontier = [k0]
+    frontier = states[:]
     complete = True
     while frontier:
-        frontier.sort()
         nxt = []
-        for key in frontier:
-            st = states[key]
-            for mv in applicable_moves(st):
-                out, receipt = apply_move(st, mv, _input_key=key)
-                k2 = receipt.output_key
-                edges.append((key, mv, k2))
-                if k2 not in states:
+        for code in sorted(frontier, key=_serial_key):
+            for mv, ends, rels in _moves(n, _Ints(*_decode(code))):
+                out = _code(n, ends, rels)
+                edges.append((key(code), mv, key(out)))
+                if out not in seen:
                     if len(states) >= max_states:
                         complete = False
                         continue
-                    states[k2] = parse(k2)
-                    nxt.append(k2)
+                    seen.add(out)
+                    states.append(out)
+                    nxt.append(out)
         frontier = nxt
-    hits = []
-    if hit_table:
-        codes = {k: _canonical_code(st) for k, st in states.items()}
-        hits = sorted(
-            ((k, hit_table[c]) for k, c in codes.items() if c in hit_table),
-            key=lambda kv: (kv[1], kv[0]),
-        )
-    return OrbitResult(frozenset(states), states, tuple(edges), tuple(hits), complete)
+    table = hit_table or {}
+    hits = sorted([(key(c), table[c]) for c in states if c in table],
+                  key=lambda kv: (kv[1], kv[0]))
+    return OrbitResult(frozenset([key(c) for c in states]), {key(c): _form(c) for c in states},
+                       tuple(edges), tuple(hits), complete)
 
 
 @functools.lru_cache(maxsize=None)
@@ -472,6 +492,10 @@ def _nondegenerate_specs(max_vertices: int) -> list[FamilySpec]:
 def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4,
                       max_states: int = DEFAULT_MAX_STATES) -> Report:
     """Nondegenerate canonical-list entries are pairwise inequivalent."""
+    # fail before any work: the orbit checks would reach the bound only after
+    # partitioning the smaller sizes
+    largest = min(max_vertices, orbit_max_vertices)
+    _bounded(SizeClass(largest, largest + 1))
     specs = _nondegenerate_specs(max_vertices)
     lines = ["nondegenerate-specs: %d" % len(specs)]
     phi_failures = []
@@ -598,8 +622,6 @@ def _move_sweep(sweep_vertices: int, max_states: int):
     for n in range(2, sweep_vertices + 1):
         assignment, _members, family, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        # the order applicable_moves lists the canonical form's vertices in
-        order = sorted(range(n), key=lambda x: _name("v", x))
         for code in _enumerate_cached(SizeClass(n, n + 1), True):
             q = _Ints(*_decode(code))
             n_classes += 1
@@ -616,12 +638,7 @@ def _move_sweep(sweep_vertices: int, max_states: int):
             elif fam is not None and (total == 1) != (fam.tag in ("L0", "L0p")):
                 degen_fails.append(
                     "phi total %d but family %s for %s" % (total, fam, _compact(code)))
-            for kind, x in _applicable_pairs(q, order) + [(MoveKind.OPPOSITE, None)]:
-                ends, rels = _image(q, kind, x)
-                mv = Move(kind, None if x is None else _name("v", x))
-                if not _valid(n, ends, rels):
-                    raise AssertionError("%s produced an invalid quiver: %s"
-                                         % (mv, validate(_form(_code(n, ends, rels)))))
+            for mv, ends, rels in _moves(n, q):
                 n_moves += 1
                 if len(ends) != n + 1:
                     move_fails.append("%s changed the size class" % mv)

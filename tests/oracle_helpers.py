@@ -9,6 +9,7 @@ import random
 from gentleq.core import (
     BoundQuiver,
     QuiverError,
+    Violation,
     _canonical_code,
     _form,
     canonical_form,
@@ -21,7 +22,6 @@ from gentleq.core import (
     require_valid,
     serialize,
     validate,
-    _index,
 )
 from gentleq.families import FamilySpec, _candidate_specs, _spec_checked, build_family
 from gentleq.invariant import (
@@ -34,17 +34,133 @@ from gentleq.invariant import (
     permitted_threads,
     trivial_thread,
 )
-from gentleq.moves import Move, MoveKind
+from gentleq.moves import Move, MoveKind, applicable_moves
 from gentleq.orbit import (
     DEFAULT_MAX_STATES,
     NoCanonicalHit,
+    OrbitResult,
     SizeClass,
     StateLimitExceeded,
     _classes_of_shapes,
     enumerate_classes,
-    orbit,
     theorem_key_table,
 )
+
+
+class _Index:
+    """Name-keyed lookup tables of a quiver: the ends of each arrow and the
+    arrows out of and into each vertex, in listed order."""
+
+    def __init__(self, q: Quiver):
+        self.src_of = {a: s for a, s, t in q.arrows}
+        self.tgt_of = {a: t for a, s, t in q.arrows}
+        self.out_of = {v: [] for v in q.vertices}
+        self.into = {v: [] for v in q.vertices}
+        for a, s, t in q.arrows:
+            self.out_of[s].append(a)
+            self.into[t].append(a)
+
+
+def oracle_validate(bq: BoundQuiver, require_connected: bool = False) -> tuple[Violation, ...]:
+    """``validate`` on names, as it stood before the integer one: G1 by
+    vertex, G3 and G4 by arrow id, FIN by a colored depth-first search over
+    the arrow graph, CONN by ``oracle_connected``."""
+    idx = _Index(bq.quiver)
+    out: list[Violation] = []
+    for v in bq.vertices:
+        if len(idx.out_of[v]) > 2:
+            out.append(Violation("G1", "vertex %s has %d outgoing arrows" % (v, len(idx.out_of[v]))))
+        if len(idx.into[v]) > 2:
+            out.append(Violation("G1", "vertex %s has %d incoming arrows" % (v, len(idx.into[v]))))
+    for a in sorted(idx.src_of):
+        s, t = idx.src_of[a], idx.tgt_of[a]
+        before_free = [b for b in idx.into[s] if (a, b) not in bq.relations]
+        after_free = [b for b in idx.out_of[t] if (b, a) not in bq.relations]
+        before_rel = [b for b in idx.into[s] if (a, b) in bq.relations]
+        after_rel = [b for b in idx.out_of[t] if (b, a) in bq.relations]
+        if len(before_free) > 1:
+            out.append(Violation("G3", "arrow %s has free predecessors %s" % (a, ",".join(sorted(before_free)))))
+        if len(after_free) > 1:
+            out.append(Violation("G3", "arrow %s has free successors %s" % (a, ",".join(sorted(after_free)))))
+        if len(before_rel) > 1:
+            out.append(Violation("G4", "arrow %s has relation predecessors %s" % (a, ",".join(sorted(before_rel)))))
+        if len(after_rel) > 1:
+            out.append(Violation("G4", "arrow %s has relation successors %s" % (a, ",".join(sorted(after_rel)))))
+    succ = {a: [b for b in idx.out_of[idx.tgt_of[a]] if (b, a) not in bq.relations]
+            for a in idx.src_of}
+    cycle = _oracle_find_cycle(succ)
+    if cycle is not None:
+        out.append(Violation("FIN", "relation-avoiding cycle %s" % ",".join(cycle)))
+    if require_connected and not oracle_connected(bq):
+        out.append(Violation("CONN", "underlying graph is disconnected"))
+    return tuple(out)
+
+
+def _oracle_find_cycle(succ: dict[str, list[str]]) -> list[str] | None:
+    """Return some directed cycle in the graph on arrows, or None."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {a: WHITE for a in succ}
+    for start in sorted(succ):
+        if color[start] != WHITE:
+            continue
+        stack = [(start, iter(succ[start]))]
+        path = [start]
+        color[start] = GRAY
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color[nxt] == GRAY:
+                    return path[path.index(nxt):]
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    stack.append((nxt, iter(succ[nxt])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                path.pop()
+                stack.pop()
+    return None
+
+
+def oracle_orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES,
+                 hit_table: dict | None = None) -> OrbitResult:
+    """``orbit`` on named quivers, as it stood before the integer one: every
+    state is parsed back from its key, and every edge applies a move listed
+    by ``applicable_moves`` through the named rewrites of
+    ``oracle_apply_move``."""
+    require_valid(bq)
+    start = canonical_form(bq)
+    k0 = serialize(start)
+    states = {k0: start}
+    edges = []
+    frontier = [k0]
+    complete = True
+    while frontier:
+        frontier.sort()
+        nxt = []
+        for key in frontier:
+            st = states[key]
+            for mv in applicable_moves(st):
+                k2 = canonical_key(oracle_apply_move(st, mv))
+                edges.append((key, mv, k2))
+                if k2 not in states:
+                    if len(states) >= max_states:
+                        complete = False
+                        continue
+                    states[k2] = parse(k2)
+                    nxt.append(k2)
+        frontier = nxt
+    hits = []
+    if hit_table:
+        codes = {k: _canonical_code(st) for k, st in states.items()}
+        hits = sorted(
+            ((k, hit_table[c]) for k, c in codes.items() if c in hit_table),
+            key=lambda kv: (kv[1], kv[0]),
+        )
+    return OrbitResult(frozenset(states), states, tuple(edges), tuple(hits), complete)
 
 
 def arrow_maps(bq: BoundQuiver):
@@ -230,7 +346,7 @@ def oracle_junction_choices(bq: BoundQuiver):
     """Per vertex with arrows in and out, every relation set among its
     through-pairs that leaves each arrow at most one free and at most one
     related continuation there, found by trying all subsets."""
-    idx = _index(bq.quiver)
+    idx = _Index(bq.quiver)
     all_choices = []
     for v in bq.vertices:
         outs, ins = idx.out_of[v], idx.into[v]
@@ -401,7 +517,7 @@ def oracle_pairings(bq: BoundQuiver) -> list[PairCycle]:
     """
     permitted = sorted(permitted_threads(bq), key=_thread_key)
     forbidden = sorted(forbidden_threads(bq), key=_thread_key)
-    idx = _index(bq.quiver)
+    idx = _Index(bq.quiver)
     src, tgt, start_arrow, end_arrow = {}, {}, {}, {}
     for t in permitted + forbidden:
         if t.trivial:
@@ -496,7 +612,7 @@ def oracle_threads(bq: BoundQuiver):
     -epsilon(b) or -sigma(g))``, where ``or`` falls back when the arrow is
     missing; at an isolated vertex ``(1, -1)`` and ``(-1, 1)``.
     """
-    idx = _index(bq.quiver)
+    idx = _Index(bq.quiver)
     rels = bq.relations
     free_succ, rel_succ = {}, {}
     free_pred, rel_pred = set(), set()
@@ -559,7 +675,7 @@ def oracle_characteristic_sequences(bq: BoundQuiver) -> tuple:
     """``characteristic_sequences`` of a valid quiver by the forced walk on
     names, as it stood before the integer walk."""
     permitted, forbidden, cycles = oracle_threads(bq)
-    idx = _index(bq.quiver)
+    idx = _Index(bq.quiver)
     starts = {(s, sg): (t, e, ep) for t, s, e, sg, ep in permitted}
     ends = {(e, ep): (t, s, sg) for t, s, e, sg, ep in forbidden}
     incomplete = PairingIncomplete(
@@ -591,14 +707,14 @@ def oracle_characteristic_sequences(bq: BoundQuiver) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def oracle_orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
-    """``_orbit_partition`` by the audit BFS ``orbit``, under all seven moves.
+    """``_orbit_partition`` by the named BFS ``oracle_orbit``, under all
+    seven moves.
 
     Returns (code -> orbit index, orbit index -> (code of the first-listed
     member, set of member codes), orbit index -> least canonical hit or None,
     complete flag).
     """
     classes = enumerate_classes(SizeClass(n, n + 1), two_cycle=True)
-    table = theorem_key_table(n)
     class_keys = {serialize(c) for c in classes}
     assignment: dict[tuple, int] = {}
     members: dict[int, tuple] = {}
@@ -607,7 +723,7 @@ def oracle_orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
     for rep in classes:
         if _canonical_code(rep) in assignment:
             continue
-        res = orbit(rep, max_states, table)
+        res = oracle_orbit_of_key(serialize(rep), max_states)
         complete = complete and res.complete
         oid = len(members)
         assert res.component <= class_keys, "orbit escaped the enumerated classes"
@@ -620,7 +736,7 @@ def oracle_orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
 
 
 def oracle_normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES):
-    """``normalize`` by the audit BFS ``orbit``, under all seven moves."""
+    """``normalize`` by the named BFS ``oracle_orbit``, under all seven moves."""
     require_valid(bq, require_connected=True)
     if cycle_rank(bq) != 2:
         raise QuiverError("normalization applies to two-cycle quivers")
@@ -631,9 +747,17 @@ def oracle_normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES):
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_normalize_key(key: str, max_states: int):
+def oracle_orbit_of_key(key: str, max_states: int = DEFAULT_MAX_STATES) -> OrbitResult:
+    """``oracle_orbit`` of the quiver with canonical key ``key``, with the
+    canonical-family hits of its size; memoized, so the oracle partition,
+    ``oracle_normalize`` and the tests share each BFS."""
     bq = parse(key)
-    res = orbit(bq, max_states, theorem_key_table(len(bq.vertices)))
+    return oracle_orbit(bq, max_states, theorem_key_table(len(bq.vertices)))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_normalize_key(key: str, max_states: int):
+    res = oracle_orbit_of_key(key, max_states)
     if not res.complete:
         raise StateLimitExceeded("orbit exceeded %d states" % max_states)
     if not res.canonical_hits:
@@ -656,7 +780,7 @@ def _oracle_loop_at(idx, x):
 
 def oracle_gen_apr_precondition(bq: BoundQuiver, x: str) -> str | None:
     """None when gen-apr-reflect applies at ``x``, otherwise the violated condition."""
-    idx = _index(bq.quiver)
+    idx = _Index(bq.quiver)
     if x not in idx.out_of:
         return "unknown vertex %r" % x
     loops = _oracle_loop_at(idx, x)
@@ -684,7 +808,7 @@ def _oracle_redirect_target(bq: BoundQuiver, idx, x):
 
 
 def oracle_gen_apr_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
-    idx = _index(bq.quiver)
+    idx = _Index(bq.quiver)
     loops = _oracle_loop_at(idx, x)
     new_tgt_of = _oracle_redirect_target(bq, idx, x)
     new_src = {}
@@ -730,7 +854,7 @@ def oracle_gen_apr_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
 def oracle_hw_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
     if len(bq.vertices) == 1:
         return bq
-    idx = _index(bq.quiver)
+    idx = _Index(bq.quiver)
     pred = {}
     for a in idx.src_of:
         frees = [b for b in idx.into[idx.src_of[a]] if (a, b) not in bq.relations]
@@ -766,7 +890,7 @@ def oracle_hw_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
 
 def oracle_not_applicable_reason(bq: BoundQuiver, move: Move) -> str | None:
     """None when ``move`` applies to ``bq``, otherwise why not."""
-    idx = _index(bq.quiver)
+    idx = _Index(bq.quiver)
     kind, x = move.kind, move.vertex
     if kind is MoveKind.OPPOSITE:
         return None
@@ -783,7 +907,7 @@ def oracle_not_applicable_reason(bq: BoundQuiver, move: Move) -> str | None:
 
 def oracle_generator_images(bq: BoundQuiver) -> tuple[list[BoundQuiver], BoundQuiver]:
     """The outputs of the generating moves on ``bq``: (reflections, opposite)."""
-    idx = _index(bq.quiver)
+    idx = _Index(bq.quiver)
     reflections = []
     for v in sorted(bq.vertices):
         if oracle_gen_apr_precondition(bq, v) is None:

@@ -194,6 +194,19 @@ class TestGoldenFiles:
             ["phi", str(GOLDEN / "family_l1_12010.quiver")])
         assert out == (GOLDEN / "phi_l1_12010.txt").read_text()
 
+    def test_frozen_validate(self):
+        # G1, G3, G4 and FIN at once: witness texts and their order
+        code, out, err = run_cli(["validate", str(GOLDEN / "validate_g1_g3_g4_fin.quiver")])
+        assert (code, err) == (2, "")
+        assert out == (GOLDEN / "validate_g1_g3_g4_fin.txt").read_text()
+
+    def test_frozen_capped_orbit(self):
+        # which states a capped run keeps depends on the breadth-first order
+        _code, text, _err = run_cli(["family", "build", "L2", "2", "1", "1", "0", "0"])
+        code, out, err = run_cli(["orbit", "--max-states", "4", "-"], stdin=text)
+        assert (code, err) == (2, "")
+        assert out == (GOLDEN / "orbit_l2_21100_cap4.txt").read_text()
+
 
 class TestOptionBounds:
     @pytest.mark.parametrize("args", [
@@ -288,6 +301,22 @@ class TestVerifyCommands:
         code, out, err = run_cli(["verify", "lemmas", option, "7", "--jobs", "1"])
         assert (code, out) == (2, "")
         assert err == "error: vertex count 7 exceeds the bound 6\n"
+
+    @pytest.mark.parametrize("args, count", [
+        (["--max-vertices", "8", "--orbit-vertices", "7"], 7),
+        (["--max-vertices", "7", "--orbit-vertices", "8"], 7),
+        (["--max-vertices", "9", "--orbit-vertices", "8"], 8),
+    ])
+    def test_minimality_vertex_bound_fails_fast(self, monkeypatch, args, count):
+        orbit = importlib.import_module("gentleq.orbit")
+
+        def no_partition(*_args):
+            raise AssertionError("the report started its work")
+
+        monkeypatch.setattr(orbit, "_orbit_partition", no_partition)
+        code, out, err = run_cli(["verify", "minimality"] + args)
+        assert (code, out) == (2, "")
+        assert err == "error: vertex count %d exceeds the bound 6\n" % count
 
     def test_fuzz_shift(self):
         code, out, _ = run_cli(["fuzz-shift", "--seed", "3", "--count", "25"])

@@ -1,11 +1,10 @@
-import gc
 import itertools
 import random
-import weakref
 
 import pytest
 
 from gentleq.core import (
+    _arcs_connected,
     _canonical_code,
     _decode,
     _form,
@@ -21,6 +20,7 @@ from gentleq.core import (
     canonical_key,
     classify_arrows,
     cycle_rank,
+    is_connected,
     is_isomorphic,
     make_bound_quiver,
     opposite,
@@ -37,6 +37,7 @@ from oracle_helpers import (
     oracle_connected,
     oracle_fin_fails,
     oracle_generator_images,
+    oracle_validate,
     random_relabel,
 )
 
@@ -73,21 +74,15 @@ def vertex_degrees(bq):
     ]
 
 
-class TestIndexMemo:
-    def test_memo_not_in_eq_hash_repr(self):
-        q1, q2 = parse(L0_TEXT).quiver, parse(L0_TEXT).quiver
-        assert q1.source("a1") == "w1"
-        assert q1._memo is not None and q2._memo is None
-        assert q1 == q2 and hash(q1) == hash(q2) and repr(q1) == repr(q2)
-        assert "_memo" not in repr(q1)
-
-    def test_memo_lives_as_long_as_the_quiver(self):
+class TestQuiverLookup:
+    def test_source_and_target(self):
         q = parse(L0_TEXT).quiver
-        validate(BoundQuiver(q, frozenset()))
-        ref = weakref.ref(q)
-        del q
-        gc.collect()
-        assert ref() is None
+        assert [(q.source(a), q.target(a)) for a in ("a1", "b", "c")] == [
+            ("w1", "w0"), ("w0", "w1"), ("w0", "w1")]
+        with pytest.raises(KeyError):
+            q.source("nope")
+        with pytest.raises(KeyError):
+            q.target("nope")
 
 
 class TestIdentifierCheck:
@@ -227,7 +222,8 @@ class TestValidate:
 
 
 class TestIntegerValidity:
-    """``_valid`` against ``not validate(...)``."""
+    """``_valid`` against ``not validate(...)``, and ``validate`` against the
+    named ``oracle_validate`` on the relation-stage candidates."""
 
     def test_relation_stage_candidates(self):
         # every candidate the enumerator's relation stage tries, kept or not
@@ -242,7 +238,9 @@ class TestIntegerValidity:
                     rels = {pair for choice in combo for pair in choice}
                     cand = BoundQuiver(form.quiver, frozenset(
                         (names[f], names[s]) for f, s in rels))
-                    want = not validate(cand)
+                    violations = validate(cand)
+                    assert violations == oracle_validate(cand), serialize(cand)
+                    want = not violations
                     assert _valid(n, ends, rels) == want, serialize(cand)
                     kept += want
                     rejected += not want
@@ -265,6 +263,62 @@ class TestIntegerValidity:
             seen.update(v.condition for v in bad)
             seen.add("ok" if not bad else "bad")
         assert seen == {"G1", "G3", "G4", "FIN", "ok", "bad"}
+
+
+class TestValidateAgainstOracle:
+    """``validate`` on indices against the named ``oracle_validate``,
+    witness texts and order included."""
+
+    @staticmethod
+    def check(bq):
+        for connected in (False, True):
+            got = validate(bq, require_connected=connected)
+            assert got == oracle_validate(bq, require_connected=connected), serialize(bq)
+        return got
+
+    def test_classes_at_every_arrow_count(self):
+        count = 0
+        for n in range(1, 5):
+            for a in range(2 * n + 1):
+                for bq in enumerate_classes(SizeClass(n, a)):
+                    assert self.check(bq) == ()
+                    count += 1
+        assert count == 982
+
+    def test_random_named_quivers(self):
+        # names whose text order differs from their listed order, so the
+        # arrow-id order of G3, G4 and the FIN search shows in the witnesses
+        rng = random.Random(7)
+        pool = ["a", "b", "x", "a1", "a10", "a2", "b0", "e9", "e10", "Q", "q_1"]
+        pool += ["u%d" % i for i in range(20)]
+        seen = set()
+        for _ in range(500):
+            n, m = rng.randint(1, 6), rng.randint(0, 10)
+            names = rng.sample(pool, n + m)
+            vs = names[:n]
+            arrows = [(a, rng.choice(vs), rng.choice(vs)) for a in names[n:]]
+            pairs = [(f, s) for f, fs, _ft in arrows for s, _ss, st in arrows if fs == st]
+            p = rng.random()
+            bq = make_bound_quiver(vs, arrows, [q for q in pairs if rng.random() < p])
+            for q in (bq, opposite(bq)):
+                seen.update(v.condition for v in self.check(q))
+        assert seen == {"G1", "G3", "G4", "FIN", "CONN"}
+
+
+class TestConnectivity:
+    # the empty quiver, one vertex and a disconnected pair included
+    @pytest.mark.parametrize("vertices, arrows", [
+        ([], []),
+        (["x"], []),
+        (["x"], [("l", "x", "x")]),
+        (["x", "y"], []),
+        (["x", "y"], [("a", "y", "x")]),
+        (["x", "y", "z"], [("a", "z", "z"), ("b", "x", "y")]),
+    ])
+    def test_matches_oracle(self, vertices, arrows):
+        bq = make_bound_quiver(vertices, arrows, [])
+        want = oracle_connected(bq)
+        assert is_connected(bq) == _arcs_connected(*_integer(bq)[:2]) == want
 
 
 class TestSerialKey:

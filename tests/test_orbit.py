@@ -41,6 +41,8 @@ from oracle_helpers import (
     oracle_enumerate,
     oracle_junction_choices,
     oracle_normalize,
+    oracle_orbit,
+    oracle_orbit_of_key,
     oracle_orbit_partition,
     oracle_shapes,
     random_relabel,
@@ -271,7 +273,7 @@ class TestIntegerStates:
         def no_receipt(*args, **kwargs):
             raise AssertionError("the sweep applied a named move")
 
-        monkeypatch.setattr(orbit_module, "apply_move", no_receipt)
+        monkeypatch.setattr(importlib.import_module("gentleq.moves"), "apply_move", no_receipt)
         assert not any(check_closed_form(sp) for sp in _closed_form_specs(8))
         checks, limited = orbit_module._move_sweep(4, DEFAULT_MAX_STATES)
         assert [(c.name, c.instances, c.failures) for c in checks] == [
@@ -329,6 +331,49 @@ class TestGeneratorClosure:
         bq = build_family(spec("L0", 3, 0))
         normalize(bq)
         assert checked == [len(orbit(bq).component)]
+
+
+class TestOrbitAgainstOracle:
+    """The audit BFS on codes against the named ``oracle_orbit``: every
+    field equal, the order of the edges and of the representatives too."""
+
+    @staticmethod
+    def check(got, want):
+        assert got == want
+        assert list(got.representatives) == list(want.representatives)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_complete_orbits(self, n):
+        # from the first-listed class of each orbit, the start of the oracle
+        # partition's own BFS
+        _assignment, members, _family, _complete = _orbit_partition(n)
+        for member in members.values():
+            rep = _form(member[0])
+            self.check(orbit(rep, DEFAULT_MAX_STATES, theorem_key_table(n)),
+                       oracle_orbit_of_key(serialize(rep), DEFAULT_MAX_STATES))
+
+    @pytest.mark.parametrize("max_states", [1, 4])
+    def test_capped_orbits(self, two_cycle_classes, max_states):
+        for n in (2, 3):
+            for bq in two_cycle_classes(n):
+                self.check(orbit(bq, max_states, theorem_key_table(n)),
+                           oracle_orbit(bq, max_states, theorem_key_table(n)))
+
+    def test_theorem_list(self):
+        # capped from each spec and its opposite; complete from the key the
+        # normalize oracle walks, for every eighth spec with 5 vertices (all
+        # 63 add about a second)
+        five = [sp for sp in theorem_list(5) if family_size(sp) == 5]
+        for sp in theorem_list(5):
+            bq = build_family(sp)
+            n = len(bq.vertices)
+            for q in (bq, opposite(bq)):
+                self.check(orbit(q, 4, theorem_key_table(n)),
+                           oracle_orbit(q, 4, theorem_key_table(n)))
+            if sp in five[::8]:
+                key = min(canonical_key(bq), canonical_key(opposite(bq)))
+                self.check(orbit(parse(key), DEFAULT_MAX_STATES, theorem_key_table(n)),
+                           oracle_orbit_of_key(key, DEFAULT_MAX_STATES))
 
 
 class TestVerifyCompleteness:
