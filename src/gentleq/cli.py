@@ -179,12 +179,12 @@ def _cmd_shift(args) -> int:
     if args.block:
         if not args.beta:
             raise _UsageError("--block needs --beta")
-        out, _receipts = moves.shift_relation_block(bq, args.beta)
+        out = moves.shift_relation_block(bq, args.beta)[0]
     else:
         if not args.first or not args.second:
             raise _UsageError("shift needs --first and --second (or --block)")
-        out, _receipts = moves.shift_relation(
-            bq, (args.first, args.second), moves.ShiftDirection(args.direction))
+        out = moves.shift_relation(
+            bq, (args.first, args.second), moves.ShiftDirection(args.direction))[0]
     sys.stdout.write(core.serialize(out))
     return 0
 

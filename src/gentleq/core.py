@@ -448,28 +448,6 @@ class ArrowClass:
     CONNECTING = "connecting"
 
 
-def _component_sizes(vertices, arrows):
-    """Sizes (vertex count, arrow count) of weak components."""
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for _, s, t in arrows:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[rs] = rt
-    sizes: dict[str, list[int]] = {}
-    for v in vertices:
-        sizes.setdefault(find(v), [0, 0])[0] += 1
-    for _, s, _t in arrows:
-        sizes[find(s)][1] += 1
-    return [tuple(x) for x in sizes.values()]
-
-
 def classify_arrows(bq: BoundQuiver):
     """Delete-one-arrow trichotomy plus the connecting vertices.
 
@@ -479,25 +457,37 @@ def classify_arrows(bq: BoundQuiver):
     components.  A connecting vertex meets at least three non-branch arrow
     ends (a loop contributes both of its ends).
     """
-    if cycle_rank(bq) != 2:
-        raise CycleRankError("arrow classification needs cycle rank 2, got %d" % cycle_rank(bq))
+    rank = cycle_rank(bq)
+    if rank != 2:
+        raise CycleRankError("arrow classification needs cycle rank 2, got %d" % rank)
+    n, ends, _rels = _integer(bq)
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (s, t) in enumerate(ends):
+        links[s].append((k, t))
+        links[t].append((k, s))
     classes: dict[str, str] = {}
-    for a, s, t in bq.arrows:
-        rest = [arr for arr in bq.arrows if arr[0] != a]
-        comps = _component_sizes(bq.vertices, rest)
-        if len(comps) == 1:
-            classes[a] = ArrowClass.CYCLE
-        elif any(ac == vc + 1 for vc, ac in comps):
-            classes[a] = ArrowClass.BRANCH
+    degree = [0] * n  # non-branch arrow ends at each vertex
+    for k, (s, t) in enumerate(ends):
+        # the component of s once arrow k is gone: with cycle rank 2 it is
+        # either everything, or one of two components that are both one-cycle
+        # (as many arrows as vertices) or not
+        side, todo = {s}, [s]
+        while todo:
+            for j, w in links[todo.pop()]:
+                if j != k and w not in side:
+                    side.add(w)
+                    todo.append(w)
+        if len(side) == n:
+            cls = ArrowClass.CYCLE
+        elif sum(1 for j, (u, _w) in enumerate(ends) if j != k and u in side) == len(side):
+            cls = ArrowClass.CONNECTING
         else:
-            classes[a] = ArrowClass.CONNECTING
-    ends: dict[str, int] = {v: 0 for v in bq.vertices}
-    for a, s, t in bq.arrows:
-        if classes[a] == ArrowClass.BRANCH:
-            continue
-        ends[s] += 1
-        ends[t] += 1
-    connecting = frozenset(v for v, k in ends.items() if k >= 3)
+            cls = ArrowClass.BRANCH
+        classes[bq.arrows[k][0]] = cls
+        if cls != ArrowClass.BRANCH:
+            degree[s] += 1
+            degree[t] += 1
+    connecting = frozenset(v for v, d in zip(bq.vertices, degree) if d >= 3)
     return classes, connecting
 
 

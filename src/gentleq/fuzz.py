@@ -146,29 +146,29 @@ def fuzz_shift(seed: int, count: int) -> Report:
         try:
             if kind == "pool" and pool:
                 bq, rel, direction = rng.choice(pool)
-                got, _receipts = shift_relation(bq, rel, direction)
+                got = shift_relation(bq, rel, direction)[0]
                 want = shift_relation_direct(bq, rel, direction)
             elif kind == "basic":
                 bq, rel = _synth_basic(rng)
                 if validate(bq):
                     continue
-                got, _receipts = shift_relation(bq, rel, ShiftDirection.RIGHT)
+                got = shift_relation(bq, rel, ShiftDirection.RIGHT)[0]
                 want = shift_relation_direct(bq, rel, ShiftDirection.RIGHT)
             elif kind == "closed":
                 bq, rel = _synth_closed(rng)
-                got, _receipts = shift_relation(bq, rel, ShiftDirection.RIGHT)
+                got = shift_relation(bq, rel, ShiftDirection.RIGHT)[0]
                 want = shift_relation_direct(bq, rel, ShiftDirection.RIGHT)
             elif kind == "long":
                 bq, rel = _synth_long(rng)
                 if validate(bq):
                     continue
-                got, _receipts = shift_relation(bq, rel, ShiftDirection.RIGHT)
+                got = shift_relation(bq, rel, ShiftDirection.RIGHT)[0]
                 want = shift_relation_direct(bq, rel, ShiftDirection.RIGHT)
             else:
                 bq, beta = _synth_block(rng)
                 if validate(bq):
                     continue
-                got, _receipts = shift_relation_block(bq, beta)
+                got = shift_relation_block(bq, beta)[0]
                 want = shift_relation_block_direct(bq, beta)
         except PatternMismatch:
             continue

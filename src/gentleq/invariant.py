@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     BoundQuiver,
@@ -419,43 +418,19 @@ def _det_int(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _inverse_fractions(matrix):
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def euler_data(bq: BoundQuiver):
     """``(det C, det(E + E^T))`` with ``E`` the inverse transpose of the path
     count matrix, or ``None`` when that matrix is not invertible over the
-    integers."""
+    integers.
+
+    ``E + E^T = C^-1 (C + C^T) C^-T``, so when ``det C`` is 1 or -1 the second
+    determinant is ``det(C + C^T)``.
+    """
     _, rows = cartan_matrix(bq)
     det_c = _det_int(rows)
     if det_c not in (1, -1):
         return None
-    inv = _inverse_fractions(rows)
-    n = len(rows)
-    e = [[inv[j][i] for j in range(n)] for i in range(n)]  # transpose
-    sym = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = e[i][j] + e[j][i]
-            assert x.denominator == 1, "unimodular inverse must be integral"
-            row.append(x.numerator)
-        sym.append(row)
+    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
     return det_c, _det_int(sym)
 
 

@@ -11,9 +11,10 @@ run the same kernel and rebuild with the original ids.
 
 On top of the primitives sit two macros that slide a relation (or a block of
 chained relations) along free arrows; each macro replays a fixed composite of
-primitive moves and returns the receipts, so every macro output is reachable
-step by step.  Their pattern matchers work on indices too, and their
-one-shot rewrites are redrawn with the original ids.
+primitive moves on indices, checking every step, and returns the moves it
+replayed, so every macro output is reachable step by step.  Their pattern
+matchers work on indices too, and only the one-shot rewrites that the direct
+forms return are redrawn with the original ids.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     Quiver,
     QuiverError,
     canonical_key,
-    opposite,
     require_valid,
     validate,
     _adjacency,
@@ -274,14 +274,6 @@ def _named(bq: BoundQuiver, ends, rels) -> BoundQuiver:
     )
 
 
-def _gen_apr_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
-    return _named(bq, *_gen_apr(_Ints(*_integer(bq)), bq.vertices.index(x)))
-
-
-def _hw_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
-    return _named(bq, *_hw(_Ints(*_integer(bq)), bq.vertices.index(x)))
-
-
 def _applies(q: _Ints, kind: MoveKind, x: int) -> bool:
     """Whether the move ``kind`` (not 'opposite') applies at the vertex ``x``."""
     if kind is MoveKind.APR_REFLECT or kind is MoveKind.HW_REFLECT:
@@ -335,16 +327,32 @@ def applicable_moves(bq: BoundQuiver) -> list[Move]:
     return out
 
 
-def apply_move(bq: BoundQuiver, move: Move):
-    """Apply one move; returns the new quiver and the audit receipt."""
+def _replay(bq: BoundQuiver, moves):
+    """Apply ``moves`` in turn to ``bq``; returns the result and ``moves``.
+
+    The steps run on indices: each checks that its move applies and that its
+    output is valid, and only the result is redrawn with the original ids.
+    A move keeps every vertex and arrow at its position, so the names of
+    ``bq`` serve every step's messages.
+    """
     q, pos = _indexed(bq)
-    reason = _not_applicable_reason(bq, q, pos, move)
-    if reason is not None:
-        raise MoveNotApplicable("%s: %s" % (move, reason))
-    ends, rels = _image(q, move.kind, pos.get(move.vertex))
-    out = _named(bq, ends, rels)
-    if not _valid(q.n, ends, rels):
-        raise AssertionError("%s produced an invalid quiver: %s" % (move, validate(out)))
+    for mv in moves:
+        reason = _not_applicable_reason(bq, q, pos, mv)
+        if reason is not None:
+            raise MoveNotApplicable("%s: %s" % (mv, reason))
+        ends, rels = _image(q, mv.kind, pos.get(mv.vertex))
+        if not _valid(q.n, ends, rels):
+            raise AssertionError("%s produced an invalid quiver: %s"
+                                 % (mv, validate(_named(bq, ends, rels))))
+        q = _Ints(q.n, ends, rels)
+    return _named(bq, q.ends, q.rels), moves
+
+
+def apply_move(bq: BoundQuiver, move: Move):
+    """Apply one move to a valid quiver; returns the new quiver and the audit
+    receipt."""
+    require_valid(bq)
+    out, _moves = _replay(bq, (move,))
     receipt = MoveReceipt(
         move,
         canonical_key(bq),
@@ -365,12 +373,16 @@ class ShiftDirection(enum.Enum):
 
 @dataclass(frozen=True)
 class _ShiftPlan:
+    """A slide: the composite of moves and the one-shot rewrite on indices."""
+
     moves: tuple[Move, ...]
-    direct: BoundQuiver
+    ends: list
+    rels: set
 
 
-def _match_shift_right(bq: BoundQuiver, rel) -> _ShiftPlan:
-    """Match the slide-one-step-right pattern at a relation.
+def _match_shift_right(bq: BoundQuiver, q: _Ints, rel) -> _ShiftPlan:
+    """Match the slide-one-step-right pattern at a relation of ``q``, which
+    is ``bq`` or its opposite on indices (``bq`` gives the names).
 
     Either the short form (the middle vertex carries only the relation's
     second arrow and one free continuation) or the long form (the relation's
@@ -378,12 +390,12 @@ def _match_shift_right(bq: BoundQuiver, rel) -> _ShiftPlan:
     end receives the continuation arrow).
     """
     first, second = rel
-    if (first, second) not in bq.relations:
-        raise PatternMismatch("(%s, %s) is not a relation" % (first, second))
-    q = _Ints(*_integer(bq))
     vs, ids = bq.vertices, [a for a, _s, _t in bq.arrows]
-    a1, a2 = ids.index(first), ids.index(second)
+    aidx = {a: k for k, a in enumerate(ids)}
+    a1, a2 = aidx.get(first), aidx.get(second)
     ends, rels = q.ends, q.rels
+    if (a1, a2) not in rels:
+        raise PatternMismatch("(%s, %s) is not a relation" % (first, second))
     x, y = ends[a1][0], ends[a2][0]
     new = list(ends)
 
@@ -401,10 +413,8 @@ def _match_shift_right(bq: BoundQuiver, rel) -> _ShiftPlan:
             new[a1], new[a2] = ends[a1][::-1], ends[a2][::-1]
         else:
             new[a1], new[a2], new[a3] = (y, ends[a1][1]), (x, y), (ends[a3][0], x)
-        return _ShiftPlan(
-            (Move(MoveKind.GEN_APR_COREFLECT, vs[y]),),
-            _named(bq, new, rels - {(a1, a2)} | {(a2, a3)}),
-        )
+        return _ShiftPlan((Move(MoveKind.GEN_APR_COREFLECT, vs[y]),),
+                          new, rels - {(a1, a2)} | {(a2, a3)})
 
     # long form: y emits a2 plus one free arrow and receives nothing
     if in_y or len(out_y) != 2:
@@ -450,46 +460,40 @@ def _match_shift_right(bq: BoundQuiver, rel) -> _ShiftPlan:
     new[a1], new[a2], new[a3] = (y_of[0], ends[a1][1]), (x, y_of[n]), (ends[a3][0], x)
     for b in chain:  # every free arrow of the chain is reversed
         new[b] = ends[b][::-1]
-    return _ShiftPlan(tuple(moves), _named(bq, new, rels - {(a1, a2)} | {(a2, a3)}))
-
-
-def _replay(bq: BoundQuiver, moves):
-    receipts = []
-    cur = bq
-    for mv in moves:
-        cur, receipt = apply_move(cur, mv)
-        receipts.append(receipt)
-    return cur, tuple(receipts)
+    return _ShiftPlan(tuple(moves), new, rels - {(a1, a2)} | {(a2, a3)})
 
 
 def shift_relation(bq: BoundQuiver, rel, direction: ShiftDirection):
     """Slide a relation one step along its path via primitive moves.
 
-    Returns ``(quiver, receipts)``; raises PatternMismatch when the local
+    Returns ``(quiver, moves)``; raises PatternMismatch when the local
     shape around the relation does not allow the slide.
     """
     require_valid(bq)
+    q = _Ints(*_integer(bq))
     if direction is ShiftDirection.RIGHT:
-        plan = _match_shift_right(bq, rel)
-        return _replay(bq, plan.moves)
-    plan = _match_shift_right(opposite(bq), (rel[1], rel[0]))
+        return _replay(bq, _match_shift_right(bq, q, rel).moves)
+    plan = _match_shift_right(bq, q.opposite(), (rel[1], rel[0]))
     return _replay(bq, tuple(m.dual() for m in plan.moves))
 
 
 def shift_relation_direct(bq: BoundQuiver, rel, direction: ShiftDirection) -> BoundQuiver:
     """The slide's one-shot rewrite, bypassing the primitives (test oracle)."""
     require_valid(bq)
+    q = _Ints(*_integer(bq))
     if direction is ShiftDirection.RIGHT:
-        return _match_shift_right(bq, rel).direct
-    return opposite(_match_shift_right(opposite(bq), (rel[1], rel[0])).direct)
+        plan = _match_shift_right(bq, q, rel)
+        return _named(bq, plan.ends, plan.rels)
+    plan = _match_shift_right(bq, q.opposite(), (rel[1], rel[0]))
+    return _named(bq, *_reverse(plan.ends, plan.rels))
 
 
-def _match_block(bq: BoundQuiver, beta: str) -> _ShiftPlan:
-    """Match the block slide anchored at a free arrow into a bare sink."""
+def _match_block(bq: BoundQuiver, q: _Ints, beta: str) -> _ShiftPlan:
+    """Match the block slide anchored at a free arrow into a bare sink of
+    ``q``, which is ``bq`` on indices."""
     vs, ids = bq.vertices, [a for a, _s, _t in bq.arrows]
     if beta not in ids:
         raise PatternMismatch("unknown arrow %r" % beta)
-    q = _Ints(*_integer(bq))
     ends, rels = q.ends, q.rels
     b = ids.index(beta)
     if any(b in pair for pair in rels):
@@ -529,18 +533,18 @@ def _match_block(bq: BoundQuiver, beta: str) -> _ShiftPlan:
     for i in range(1, n):
         moves.append(Move(MoveKind.APR_REFLECT, vs[xs[i]]))
         moves.append(Move(MoveKind.GEN_APR_REFLECT, vs[xs[0]]))
-    rels = rels - {(chain[n - 2], chain[n - 1])} | {(b, a1)}
-    return _ShiftPlan(tuple(moves), _named(bq, new, rels))
+    return _ShiftPlan(tuple(moves), new, rels - {(chain[n - 2], chain[n - 1])} | {(b, a1)})
 
 
 def shift_relation_block(bq: BoundQuiver, beta: str):
-    """Slide a maximal block of chained relations over the free arrow ``beta``."""
+    """Slide a maximal block of chained relations over the free arrow ``beta``.
+
+    Returns ``(quiver, moves)`` like ``shift_relation``."""
     require_valid(bq)
-    plan = _match_block(bq, beta)
-    return _replay(bq, plan.moves)
+    return _replay(bq, _match_block(bq, _Ints(*_integer(bq)), beta).moves)
 
 
 def shift_relation_block_direct(bq: BoundQuiver, beta: str) -> BoundQuiver:
     require_valid(bq)
-    plan = _match_block(bq, beta)
-    return plan.direct
+    plan = _match_block(bq, _Ints(*_integer(bq)), beta)
+    return _named(bq, plan.ends, plan.rels)

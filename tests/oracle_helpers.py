@@ -5,9 +5,12 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 from gentleq.core import (
+    ArrowClass,
     BoundQuiver,
+    CycleRankError,
     QuiverError,
     Violation,
     _canonical_code,
@@ -28,8 +31,10 @@ from gentleq.invariant import (
     ArrowCycle,
     PairCycle,
     PairingIncomplete,
+    _det_int,
     _thread_key,
     arrow_thread,
+    cartan_matrix,
     forbidden_threads,
     permitted_threads,
     trivial_thread,
@@ -929,3 +934,88 @@ def oracle_apply_move(bq: BoundQuiver, move: Move) -> BoundQuiver:
     if kind is MoveKind.APR_COREFLECT or kind is MoveKind.GEN_APR_COREFLECT:
         return opposite(oracle_gen_apr_reflect(opposite(bq), x))
     return opposite(oracle_hw_reflect(opposite(bq), x))
+
+
+def _oracle_component_sizes(vertices, arrows):
+    """Sizes (vertex count, arrow count) of weak components."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for _, s, t in arrows:
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            parent[rs] = rt
+    sizes: dict[str, list[int]] = {}
+    for v in vertices:
+        sizes.setdefault(find(v), [0, 0])[0] += 1
+    for _, s, _t in arrows:
+        sizes[find(s)][1] += 1
+    return [tuple(x) for x in sizes.values()]
+
+
+def oracle_classify_arrows(bq: BoundQuiver):
+    """``classify_arrows`` by a union-find on names over each one-arrow
+    deletion."""
+    if cycle_rank(bq) != 2:
+        raise CycleRankError("arrow classification needs cycle rank 2, got %d" % cycle_rank(bq))
+    classes: dict[str, str] = {}
+    for a, s, t in bq.arrows:
+        rest = [arr for arr in bq.arrows if arr[0] != a]
+        comps = _oracle_component_sizes(bq.vertices, rest)
+        if len(comps) == 1:
+            classes[a] = ArrowClass.CYCLE
+        elif any(ac == vc + 1 for vc, ac in comps):
+            classes[a] = ArrowClass.BRANCH
+        else:
+            classes[a] = ArrowClass.CONNECTING
+    ends: dict[str, int] = {v: 0 for v in bq.vertices}
+    for a, s, t in bq.arrows:
+        if classes[a] == ArrowClass.BRANCH:
+            continue
+        ends[s] += 1
+        ends[t] += 1
+    connecting = frozenset(v for v, k in ends.items() if k >= 3)
+    return classes, connecting
+
+
+def _oracle_inverse_fractions(matrix):
+    n = len(matrix)
+    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def oracle_euler_data(bq: BoundQuiver):
+    """``euler_data`` by inverting the path count matrix over the rationals."""
+    _, rows = cartan_matrix(bq)
+    det_c = _det_int(rows)
+    if det_c not in (1, -1):
+        return None
+    inv = _oracle_inverse_fractions(rows)
+    n = len(rows)
+    e = [[inv[j][i] for j in range(n)] for i in range(n)]  # transpose
+    sym = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = e[i][j] + e[j][i]
+            assert x.denominator == 1, "unimodular inverse must be integral"
+            row.append(x.numerator)
+        sym.append(row)
+    return det_c, _det_int(sym)

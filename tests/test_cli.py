@@ -95,6 +95,17 @@ class TestBasicCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("move,vertex", [("gen-apr-reflect", "x"),
+                                             ("gen-apr-coreflect", "y")])
+    def test_apply_invalid_input(self, move, vertex):
+        text = ("quiver q\nvertex x\nvertex y\nvertex z\n"
+                "arrow a y x\narrow b z x\narrow c x z\nend\n")
+        code, out, err = run_cli(["apply", "--move", move, "--vertex", vertex, "-"],
+                                 stdin=text)
+        assert (code, out) == (2, "")
+        assert err == ("error: not a valid bound quiver: G3 arrow c has free predecessors "
+                       "a,b; FIN relation-avoiding cycle c,b\n")
+
     def test_shift_roundtrip(self):
         text = ("quiver t\nvertex u\nvertex x\nvertex y\nvertex v\n"
                 "arrow a1 x u\narrow a2 y x\narrow a3 v y\nrel a1 a2\nend\n")

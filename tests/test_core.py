@@ -34,6 +34,7 @@ from gentleq.orbit import SizeClass, _junction_choices, _shapes, enumerate_class
 from oracle_helpers import (
     _oracle_refined_colors,
     oracle_canonical_form,
+    oracle_classify_arrows,
     oracle_connected,
     oracle_fin_fails,
     oracle_generator_images,
@@ -392,6 +393,46 @@ class TestClassifyArrows:
                     assert classes[a] == ArrowClass.CYCLE
                 else:
                     assert classes[a] in (ArrowClass.BRANCH, ArrowClass.CONNECTING)
+
+
+def outcome(classify, bq):
+    """``classify(bq)``, or the type and text of what it raises."""
+    try:
+        return classify(bq)
+    except (CycleRankError, NotConnectedError) as exc:
+        return type(exc), str(exc)
+
+
+def with_pendant_tree(bq):
+    """``bq`` with a two-arrow path hanging off its first vertex."""
+    v = bq.vertices[0]
+    return make_bound_quiver(
+        list(bq.vertices) + ["p0", "p1"],
+        list(bq.arrows) + [("t0", v, "p0"), ("t1", "p0", "p1")],
+        bq.relations,
+    )
+
+
+class TestClassifyArrowsOracle:
+    """The integer walk against the union-find on names it replaced."""
+
+    def test_small_classes(self):
+        for n in range(1, 5):
+            for a in range(0, 2 * n + 1):
+                for bq in enumerate_classes(SizeClass(n, a)):
+                    assert outcome(classify_arrows, bq) == outcome(oracle_classify_arrows, bq)
+
+    def test_two_cycle_classes_with_pendant_trees(self, two_cycle_classes):
+        seen = set()
+        for n in range(1, 6):
+            for bq in two_cycle_classes(n):
+                for q in (bq, opposite(bq)):
+                    for r in (q, with_pendant_tree(q)):
+                        classes, connecting = classify_arrows(r)
+                        assert (classes, connecting) == oracle_classify_arrows(r)
+                        assert list(classes) == [a for a, _s, _t in r.arrows]
+                        seen.update(classes.values())
+        assert seen == {ArrowClass.CYCLE, ArrowClass.BRANCH, ArrowClass.CONNECTING}
 
 
 class TestOpposite:

@@ -5,7 +5,7 @@ import pytest
 import gentleq.core
 import gentleq.families
 from gentleq.core import InvalidQuiverError, _integer, make_bound_quiver, opposite
-from gentleq.families import build_family, phi_formula, spec
+from gentleq.families import build_family, phi_formula, spec, theorem_list
 from gentleq.invariant import (
     DEGENERATE,
     NONDEGENERATE,
@@ -29,6 +29,7 @@ from gentleq.orbit import SizeClass, _closed_form_specs, enumerate_classes
 from oracle_helpers import (
     oracle_cartan,
     oracle_characteristic_sequences,
+    oracle_euler_data,
     oracle_maximal_antipaths,
     oracle_maximal_paths,
     oracle_pairings,
@@ -353,3 +354,16 @@ class TestCartan:
             assert euler_data(build_family(spec("L0", 3, r))) == (1, 0)
         assert euler_data(build_family(spec("L1", 1, 2, 0, 1, 0))) is None
         assert euler_data(build_family(spec("L2", 1, 1, 1, 0, 0))) is None
+
+    def test_euler_data_matches_inverse(self, two_cycle_classes):
+        # det(C + C^T) against E + E^T from the rational inverse of C
+        inputs = [bq for n in range(1, 5) for a in range(0, 2 * n + 1)
+                  for bq in enumerate_classes(SizeClass(n, a))]
+        inputs += two_cycle_classes(5)
+        inputs += [build_family(sp) for sp in theorem_list(9)]
+        unimodular = 0
+        for bq in inputs:
+            got = euler_data(bq)
+            assert got == oracle_euler_data(bq)
+            unimodular += got is not None
+        assert (len(inputs), unimodular) == (4777, 2021)

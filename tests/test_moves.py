@@ -1,8 +1,10 @@
+import importlib
 import random
 
 import pytest
 
 from gentleq.core import (
+    InvalidQuiverError,
     _canonical_code,
     canonical_key,
     is_isomorphic,
@@ -21,8 +23,6 @@ from gentleq.moves import (
     ShiftDirection,
     _KIND_ORDER,
     _generator_codes,
-    _gen_apr_reflect,
-    _hw_reflect,
     applicable,
     applicable_moves,
     apply_move,
@@ -206,11 +206,11 @@ class TestIntegerKernel:
                 for q in (copy, opposite(copy)):
                     for v in q.vertices:
                         if oracle_gen_apr_precondition(q, v) is None:
-                            assert serialize(_gen_apr_reflect(q, v)) == \
-                                serialize(oracle_gen_apr_reflect(q, v))
+                            got = apply_move(q, Move(MoveKind.GEN_APR_REFLECT, v))[0]
+                            assert serialize(got) == serialize(oracle_gen_apr_reflect(q, v))
                         if not any(s == v for _a, s, _t in q.arrows):
-                            assert serialize(_hw_reflect(q, v)) == \
-                                serialize(oracle_hw_reflect(q, v))
+                            got = apply_move(q, Move(MoveKind.HW_REFLECT, v))[0]
+                            assert serialize(got) == serialize(oracle_hw_reflect(q, v))
 
     def test_apply_move_matches_oracle(self, two_cycle_classes):
         applied = 0
@@ -229,6 +229,16 @@ class TestIntegerKernel:
                     applied += 1
         assert applied == 2379
 
+    def test_invalid_input_rejected(self):
+        # the kernel assumes a valid input; an invalid one is an input error
+        bq = make_bound_quiver(
+            ["x", "y", "z"], [("a", "y", "x"), ("b", "z", "x"), ("c", "x", "z")], [])
+        for mv in (Move(MoveKind.GEN_APR_REFLECT, "x"), Move(MoveKind.GEN_APR_COREFLECT, "y")):
+            with pytest.raises(InvalidQuiverError) as info:
+                apply_move(bq, mv)
+            assert str(info.value) == ("not a valid bound quiver: G3 arrow c has free "
+                                       "predecessors a,b; FIN relation-avoiding cycle c,b")
+
     def test_unknown_vertex_reason(self):
         with pytest.raises(MoveNotApplicable, match="unknown vertex 'nope'"):
             apply_move(a3_equioriented(), Move(MoveKind.GEN_APR_COREFLECT, "nope"))
@@ -242,10 +252,19 @@ def linear_shift_host():
     )
 
 
+def long_form_host():
+    return make_bound_quiver(
+        ["u", "x", "y2", "y1", "y0", "v"],
+        [("a1", "x", "u"), ("a2", "y2", "x"), ("b2", "y2", "y1"),
+         ("b1", "y1", "y0"), ("a3", "v", "y0")],
+        [("a1", "a2")],
+    )
+
+
 class TestShiftRelation:
     def test_right_basic(self):
         bq = linear_shift_host()
-        got, receipts = shift_relation(bq, ("a1", "a2"), ShiftDirection.RIGHT)
+        got, moves = shift_relation(bq, ("a1", "a2"), ShiftDirection.RIGHT)
         assert got == shift_relation_direct(bq, ("a1", "a2"), ShiftDirection.RIGHT)
         assert got.relations == frozenset({("a2", "a3")})
         src = {a: s for a, s, t in got.arrows}
@@ -253,7 +272,7 @@ class TestShiftRelation:
         assert (src["a1"], tgt["a1"]) == ("y", "u")
         assert (src["a2"], tgt["a2"]) == ("x", "y")
         assert (src["a3"], tgt["a3"]) == ("v", "x")
-        assert [r.move.kind for r in receipts] == [MoveKind.GEN_APR_COREFLECT]
+        assert [m.kind for m in moves] == [MoveKind.GEN_APR_COREFLECT]
 
     def test_left_undoes_right(self):
         bq = linear_shift_host()
@@ -282,16 +301,11 @@ class TestShiftRelation:
         assert is_isomorphic(got, bq)  # the triangle slides onto itself
 
     def test_long_form(self):
-        bq = make_bound_quiver(
-            ["u", "x", "y2", "y1", "y0", "v"],
-            [("a1", "x", "u"), ("a2", "y2", "x"), ("b2", "y2", "y1"),
-             ("b1", "y1", "y0"), ("a3", "v", "y0")],
-            [("a1", "a2")],
-        )
-        got, receipts = shift_relation(bq, ("a1", "a2"), ShiftDirection.RIGHT)
+        bq = long_form_host()
+        got, moves = shift_relation(bq, ("a1", "a2"), ShiftDirection.RIGHT)
         assert got == shift_relation_direct(bq, ("a1", "a2"), ShiftDirection.RIGHT)
         assert got.relations == frozenset({("a2", "a3")})
-        assert len(receipts) > 1
+        assert len(moves) > 1
 
     def test_pattern_absent(self):
         # middle vertex has an extra arrow hanging off
@@ -309,29 +323,30 @@ class TestShiftRelation:
             shift_relation(linear_shift_host(), ("a2", "a3"), ShiftDirection.RIGHT)
 
 
-class TestShiftBlock:
-    def host(self, n, decorate=False):
-        vertices = ["y"] + ["x%d" % i for i in range(n + 1)]
-        arrows = [("b", "y", "x0")]
-        for i in range(1, n + 1):
-            arrows.append(("a%d" % i, "x%d" % i, "x%d" % (i - 1)))
-        rels = [("a%d" % i, "a%d" % (i + 1)) for i in range(1, n)]
-        if decorate:
-            vertices.append("w")
-            arrows.append(("c", "w", "y"))
-        return make_bound_quiver(vertices, arrows, rels)
+def block_host(n, decorate=False):
+    vertices = ["y"] + ["x%d" % i for i in range(n + 1)]
+    arrows = [("b", "y", "x0")]
+    for i in range(1, n + 1):
+        arrows.append(("a%d" % i, "x%d" % i, "x%d" % (i - 1)))
+    rels = [("a%d" % i, "a%d" % (i + 1)) for i in range(1, n)]
+    if decorate:
+        vertices.append("w")
+        arrows.append(("c", "w", "y"))
+    return make_bound_quiver(vertices, arrows, rels)
 
+
+class TestShiftBlock:
     def test_n2(self):
-        bq = self.host(2)
-        got, receipts = shift_relation_block(bq, "b")
+        bq = block_host(2)
+        got, moves = shift_relation_block(bq, "b")
         assert got == shift_relation_block_direct(bq, "b")
         assert got.relations == frozenset({("b", "a1")})
-        kinds = [r.move.kind for r in receipts]
+        kinds = [m.kind for m in moves]
         assert kinds == [MoveKind.APR_REFLECT, MoveKind.APR_REFLECT,
                          MoveKind.GEN_APR_REFLECT]
 
     def test_n3_decorated(self):
-        bq = self.host(3, decorate=True)
+        bq = block_host(3, decorate=True)
         got, _ = shift_relation_block(bq, "b")
         assert got == shift_relation_block_direct(bq, "b")
         # the block keeps its head relations, loses the last one, and gains
@@ -351,6 +366,49 @@ class TestShiftBlock:
             shift_relation_block(bq, "b")
 
     def test_anchor_not_free(self):
-        bq = self.host(2)
+        bq = block_host(2)
         with pytest.raises(PatternMismatch):
             shift_relation_block(bq, "a1")
+
+
+class TestReplay:
+    """The slides replay their moves on indices, checking every step."""
+
+    moves_module = importlib.import_module("gentleq.moves")
+
+    def test_no_canonical_key(self, monkeypatch):
+        def no_key(bq):
+            raise AssertionError("the replay computed a canonical key")
+
+        monkeypatch.setattr(self.moves_module, "canonical_key", no_key)
+        bq = long_form_host()
+        want = shift_relation_direct(bq, ("a1", "a2"), ShiftDirection.RIGHT)
+        assert shift_relation(bq, ("a1", "a2"), ShiftDirection.RIGHT)[0] == want
+        back = shift_relation(want, ("a2", "a3"), ShiftDirection.LEFT)[0]
+        assert back == shift_relation_direct(want, ("a2", "a3"), ShiftDirection.LEFT) == bq
+        host = block_host(3, decorate=True)
+        assert shift_relation_block(host, "b")[0] == shift_relation_block_direct(host, "b")
+
+    def test_every_step_is_applicable(self, monkeypatch):
+        applies = self.moves_module._applies
+        calls = []
+
+        def fails_second(q, kind, x):
+            calls.append(kind)
+            return len(calls) != 2 and applies(q, kind, x)
+
+        monkeypatch.setattr(self.moves_module, "_applies", fails_second)
+        with pytest.raises(MoveNotApplicable, match="^apr-reflect@x1: vertex x1 is not a sink$"):
+            shift_relation_block(block_host(2), "b")
+        calls.clear()
+        with pytest.raises(MoveNotApplicable, match="^apr-coreflect@x: vertex x is not a source$"):
+            shift_relation(long_form_host(), ("a1", "a2"), ShiftDirection.RIGHT)
+
+    def test_every_step_is_validated(self, monkeypatch):
+        # every arrow a loop at the first vertex breaks G1
+        monkeypatch.setattr(self.moves_module, "_image",
+                            lambda q, kind, x: ([(0, 0)] * len(q.ends), set()))
+        with pytest.raises(AssertionError, match="^apr-reflect@x0 produced an invalid quiver"):
+            shift_relation_block(block_host(2), "b")
+        with pytest.raises(AssertionError, match="^gen-apr-coreflect@y produced an invalid"):
+            shift_relation(linear_shift_host(), ("a1", "a2"), ShiftDirection.RIGHT)
