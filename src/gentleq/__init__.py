@@ -1,14 +1,10 @@
 """Gentle bound quivers: moves, invariants, families, and verification."""
 
 from .core import (
-    ArrowClass,
     BoundQuiver,
     QuiverError,
     QuiverSyntaxError,
     Quiver,
-    canonical_form,
-    canonical_key,
-    classify_arrows,
     compact_key,
     cycle_rank,
     is_connected,
@@ -21,23 +17,15 @@ from .core import (
 )
 from .families import FamilySpec, build_family, phi_formula, recognize, spec, theorem_list
 from .invariant import (
-    ArrowCycle,
-    PairCycle,
     Phi,
-    Thread,
-    arrow_cycle_sequences,
     cartan_matrix,
-    characteristic_sequences,
     degeneracy_class,
     euler_data,
-    forbidden_threads,
-    permitted_threads,
     phi,
 )
 from .moves import (
     Move,
     MoveKind,
-    MoveReceipt,
     ShiftDirection,
     applicable_moves,
     apply_move,

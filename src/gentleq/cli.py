@@ -169,7 +169,7 @@ def _cmd_apply(args) -> int:
         raise _UsageError("--vertex is required for %s" % kind.value)
     if kind is moves.MoveKind.OPPOSITE:
         vertex = None
-    out, _receipt = moves.apply_move(bq, moves.Move(kind, vertex))
+    out = moves.apply_move(bq, moves.Move(kind, vertex))[0]
     sys.stdout.write(core.serialize(out))
     return 0
 

@@ -7,12 +7,12 @@ composite "second, then first"; composability means
 ``source(first) == target(second)``.
 
 This module holds the data model, the line-oriented text format, the
-gentleness/finiteness validator, the cycle rank, the cycle/branch/connecting
-arrow trichotomy, the opposite quiver, and isomorphism testing via canonical
-labeling.  Everything is immutable and every operation is a pure function.
-Names live at the edges: the validator, connectivity and the canonical
-kernel read a bound quiver on indices, ``_integer(bq)`` = ``(n, ends,
-rels)``, and names are attached only to what they return.
+gentleness/finiteness validator, the cycle rank, the opposite quiver, and
+isomorphism testing via canonical labeling.  Everything is immutable and
+every operation is a pure function.  Names live at the edges: the validator,
+connectivity and the canonical kernel read a bound quiver on indices,
+``_integer(bq)`` = ``(n, ends, rels)``, and names are attached only to what
+they return.
 """
 
 from __future__ import annotations
@@ -26,21 +26,16 @@ __all__ = [
     "Quiver",
     "BoundQuiver",
     "Violation",
-    "ArrowClass",
     "QuiverError",
     "QuiverSyntaxError",
     "NotConnectedError",
-    "CycleRankError",
     "parse",
     "serialize",
     "validate",
     "require_valid",
     "is_connected",
     "cycle_rank",
-    "classify_arrows",
     "opposite",
-    "canonical_form",
-    "canonical_key",
     "is_isomorphic",
 ]
 
@@ -62,10 +57,6 @@ class QuiverSyntaxError(QuiverError):
 
 
 class NotConnectedError(QuiverError):
-    pass
-
-
-class CycleRankError(QuiverError):
     pass
 
 
@@ -442,55 +433,6 @@ def cycle_rank(bq: BoundQuiver) -> int:
     return len(bq.arrows) - len(bq.vertices) + 1
 
 
-class ArrowClass:
-    CYCLE = "cycle"
-    BRANCH = "branch"
-    CONNECTING = "connecting"
-
-
-def classify_arrows(bq: BoundQuiver):
-    """Delete-one-arrow trichotomy plus the connecting vertices.
-
-    An arrow is a cycle arrow when deleting it leaves the quiver connected, a
-    branch arrow when one remaining component still has two independent
-    cycles, and a connecting arrow when the quiver splits into two one-cycle
-    components.  A connecting vertex meets at least three non-branch arrow
-    ends (a loop contributes both of its ends).
-    """
-    rank = cycle_rank(bq)
-    if rank != 2:
-        raise CycleRankError("arrow classification needs cycle rank 2, got %d" % rank)
-    n, ends, _rels = _integer(bq)
-    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (s, t) in enumerate(ends):
-        links[s].append((k, t))
-        links[t].append((k, s))
-    classes: dict[str, str] = {}
-    degree = [0] * n  # non-branch arrow ends at each vertex
-    for k, (s, t) in enumerate(ends):
-        # the component of s once arrow k is gone: with cycle rank 2 it is
-        # either everything, or one of two components that are both one-cycle
-        # (as many arrows as vertices) or not
-        side, todo = {s}, [s]
-        while todo:
-            for j, w in links[todo.pop()]:
-                if j != k and w not in side:
-                    side.add(w)
-                    todo.append(w)
-        if len(side) == n:
-            cls = ArrowClass.CYCLE
-        elif sum(1 for j, (u, _w) in enumerate(ends) if j != k and u in side) == len(side):
-            cls = ArrowClass.CONNECTING
-        else:
-            cls = ArrowClass.BRANCH
-        classes[bq.arrows[k][0]] = cls
-        if cls != ArrowClass.BRANCH:
-            degree[s] += 1
-            degree[t] += 1
-    connecting = frozenset(v for v, d in zip(bq.vertices, degree) if d >= 3)
-    return classes, connecting
-
-
 def opposite(bq: BoundQuiver) -> BoundQuiver:
     """Reverse every arrow and swap every relation pair."""
     return BoundQuiver(
@@ -666,20 +608,6 @@ def _serial_key(code: tuple) -> tuple:
     arcs = sorted([("%d" % k, "%d" % s, "%d" % t)
                    for k, (s, t) in enumerate(divmod(c, n) for c in base)])
     return arcs, sorted([("%d" % f, "%d" % s) for f, s in (divmod(c, m) for c in rels)])
-
-
-def canonical_form(bq: BoundQuiver) -> BoundQuiver:
-    """Relabel onto v0..v{n-1} / a0..a{k-1}, minimal over all relabelings.
-
-    Two bound quivers are isomorphic exactly when their canonical forms are
-    equal; ``_code`` says how the least relabeling is found.
-    """
-    return _form(_canonical_code(bq))
-
-
-def canonical_key(bq: BoundQuiver) -> str:
-    """Serialization of the canonical form; equal keys iff isomorphic."""
-    return serialize(canonical_form(bq))
 
 
 def compact_key(bq: BoundQuiver) -> str:

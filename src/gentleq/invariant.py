@@ -35,19 +35,12 @@ from .core import (
 )
 
 __all__ = [
-    "Thread",
-    "PairCycle",
-    "ArrowCycle",
     "Phi",
     "PairingError",
     "PairingIncomplete",
     "UnexpectedPhiTotal",
     "NONDEGENERATE",
     "DEGENERATE",
-    "permitted_threads",
-    "forbidden_threads",
-    "arrow_cycle_sequences",
-    "characteristic_sequences",
     "phi",
     "degeneracy_class",
     "cartan_matrix",
@@ -70,66 +63,6 @@ class UnexpectedPhiTotal(QuiverError):
 
 NONDEGENERATE = "nondegenerate"
 DEGENERATE = "degenerate"
-
-
-@dataclass(frozen=True)
-class Thread:
-    """A permitted or forbidden thread.
-
-    ``arrows`` is in traversal order (``arrows[0]`` is the starting arrow);
-    trivial threads have no arrows and carry their vertex instead.
-    """
-
-    vertex: str | None
-    arrows: tuple[str, ...]
-
-    @property
-    def trivial(self) -> bool:
-        return not self.arrows
-
-    def __len__(self) -> int:
-        return len(self.arrows)
-
-    def render(self) -> str:
-        if self.trivial:
-            return "e(%s)" % self.vertex
-        # composite order, terminating arrow first
-        return ".".join(reversed(self.arrows))
-
-
-def _thread_key(t: Thread):
-    return (0, t.vertex, ()) if t.trivial else (1, "", t.arrows)
-
-
-def trivial_thread(vertex: str) -> Thread:
-    return Thread(vertex, ())
-
-
-def arrow_thread(arrows) -> Thread:
-    arrows = tuple(arrows)
-    if not arrows:
-        raise ValueError("nontrivial thread needs arrows")
-    return Thread(None, arrows)
-
-
-@dataclass(frozen=True)
-class PairCycle:
-    """Cyclic sequence of (permitted, forbidden) thread pairs."""
-
-    pairs: tuple[tuple[Thread, Thread], ...]
-
-    def type(self) -> tuple[int, int]:
-        return len(self.pairs), sum(len(t) for _, t in self.pairs)
-
-
-@dataclass(frozen=True)
-class ArrowCycle:
-    """Cyclic arrow sequence all of whose consecutive pairs are relations."""
-
-    arrows: tuple[str, ...]  # traversal order, rotated to the least arrow id
-
-    def type(self) -> tuple[int, int]:
-        return 0, len(self.arrows)
 
 
 @dataclass(frozen=True)
@@ -238,10 +171,16 @@ def _threads(n: int, ends, rels):
 
 def _walk(n: int, ends, rels):
     """The characteristic sequences of a valid bound quiver on indices:
-    ``(alternations, cycles)``, the cycles of the walk that
-    ``characteristic_sequences`` describes, each a list of ``(permitted,
-    forbidden)`` thread pairs, and the relation cycles, as ``_threads``
-    gives them."""
+    ``(alternations, cycles)``.
+
+    The alternations are the cycles of the Avella-Alaminos–Geiss walk, each a
+    list of ``(permitted, forbidden)`` thread pairs: from a permitted thread
+    ``H`` to the forbidden thread ending at the end of ``H`` with the
+    opposite epsilon, then to the permitted thread starting at the start of
+    that one with the opposite sigma.  Each cycle starts at its first
+    permitted thread in the order of ``_threads``, and the cycles come in
+    that order.  The relation cycles are as ``_threads`` gives them.
+    """
     permitted, forbidden, cycles = _threads(n, ends, rels)
     starts = {(t[1], t[3]): t for t in permitted}
     stops = {(t[2], t[4]): t for t in forbidden}
@@ -270,65 +209,6 @@ def _walk(n: int, ends, rels):
     if stops:
         raise incomplete
     return alternations, cycles
-
-
-def _namer(bq: BoundQuiver):
-    """The ``Thread`` of ``bq`` that an integer thread of ``_threads`` stands for."""
-    vs, ids = bq.vertices, [a for a, _s, _t in bq.arrows]
-
-    def thread(t) -> Thread:
-        return arrow_thread([ids[a] for a in t[0]]) if t[0] else trivial_thread(vs[t[1]])
-
-    return thread
-
-
-def _arrow_cycles(bq: BoundQuiver, cycles) -> list[ArrowCycle]:
-    """The relation cycles named, each from its least arrow id, in that order."""
-    ids = [a for a, _s, _t in bq.arrows]
-    named = []
-    for c in cycles:
-        arrows = [ids[a] for a in c]
-        k = arrows.index(min(arrows))
-        named.append(ArrowCycle(tuple(arrows[k:] + arrows[:k])))
-    return sorted(named, key=lambda c: c.arrows)
-
-
-def permitted_threads(bq: BoundQuiver) -> frozenset[Thread]:
-    """Maximal relation-avoiding paths plus the qualifying trivial vertices."""
-    require_valid(bq)
-    return frozenset(map(_namer(bq), _threads(*_integer(bq))[0]))
-
-
-def forbidden_threads(bq: BoundQuiver) -> frozenset[Thread]:
-    """Maximal finite relation chains plus the qualifying trivial vertices."""
-    require_valid(bq)
-    return frozenset(map(_namer(bq), _threads(*_integer(bq))[1]))
-
-
-def arrow_cycle_sequences(bq: BoundQuiver) -> frozenset[ArrowCycle]:
-    require_valid(bq)
-    return frozenset(_arrow_cycles(bq, _threads(*_integer(bq))[2]))
-
-
-def characteristic_sequences(bq: BoundQuiver) -> tuple:
-    """All characteristic sequences: thread alternations plus relation cycles.
-
-    The alternations are the cycles of the Avella-Alaminos–Geiss walk: from
-    a permitted thread ``H`` to the forbidden thread ending at the end of
-    ``H`` with the opposite epsilon, then to the permitted thread starting at
-    the start of that one with the opposite sigma.  Each cycle starts at its
-    least permitted thread, and the cycles come in that order.
-    """
-    require_valid(bq)
-    alternations, cycles = _walk(*_integer(bq))
-    thread = _namer(bq)
-    pair_cycles = []
-    for alternation in alternations:
-        pairs = [(thread(p), thread(f)) for p, f in alternation]
-        k = min(range(len(pairs)), key=lambda i: _thread_key(pairs[i][0]))
-        pair_cycles.append(PairCycle(tuple(pairs[k:] + pairs[:k])))
-    pair_cycles.sort(key=lambda pc: _thread_key(pc.pairs[0][0]))
-    return tuple(pair_cycles) + tuple(_arrow_cycles(bq, cycles))
 
 
 def phi(bq: BoundQuiver) -> Phi:

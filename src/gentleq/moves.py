@@ -26,7 +26,6 @@ from .core import (
     BoundQuiver,
     Quiver,
     QuiverError,
-    canonical_key,
     require_valid,
     validate,
     _adjacency,
@@ -39,11 +38,9 @@ from .core import (
 __all__ = [
     "MoveKind",
     "Move",
-    "MoveReceipt",
     "MoveNotApplicable",
     "PatternMismatch",
     "ShiftDirection",
-    "applicable",
     "applicable_moves",
     "apply_move",
     "shift_relation",
@@ -107,16 +104,6 @@ class Move:
         if self.kind is MoveKind.OPPOSITE:
             return "opposite"
         return "%s@%s" % (self.kind.value, self.vertex)
-
-
-@dataclass(frozen=True)
-class MoveReceipt:
-    """Audit record: which move sent which class to which, arrow by arrow."""
-
-    move: Move
-    input_key: str
-    output_key: str
-    arrow_map: tuple[tuple[str, str, str], ...]  # (arrow, new source, new target)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +232,8 @@ def _generator_codes(code: tuple) -> tuple[list[tuple], tuple]:
 
     The reflections are ``gen-apr-reflect`` at every vertex meeting its
     preconditions and ``hw-reflect`` at every sink, in vertex order, without
-    receipts or validation; ``gentleq.orbit`` says why these moves reach every
-    move's output.
+    validation; ``gentleq.orbit`` says why these moves reach every move's
+    output.
     """
     n = code[0]
     q = _Ints(*_decode(code))
@@ -310,16 +297,10 @@ def _not_applicable_reason(bq: BoundQuiver, q: _Ints, pos: dict, move: Move) -> 
     return "outgoing arrow %s has no relation-free incoming continuation" % bq.arrows[blocker][0]
 
 
-def _indexed(bq: BoundQuiver) -> tuple[_Ints, dict]:
-    return _Ints(*_integer(bq)), {v: i for i, v in enumerate(bq.vertices)}
-
-
-def applicable(bq: BoundQuiver, move: Move) -> bool:
-    return _not_applicable_reason(bq, *_indexed(bq), move) is None
-
-
 def applicable_moves(bq: BoundQuiver) -> list[Move]:
-    """Every applicable (kind, vertex) pair, plus 'opposite', in fixed order."""
+    """Every applicable (kind, vertex) pair of a valid quiver, plus
+    'opposite', in fixed order."""
+    require_valid(bq)
     vs = bq.vertices
     order = sorted(range(len(vs)), key=vs.__getitem__)
     out = [Move(kind, vs[x]) for kind, x in _applicable_pairs(_Ints(*_integer(bq)), order)]
@@ -335,7 +316,7 @@ def _replay(bq: BoundQuiver, moves):
     A move keeps every vertex and arrow at its position, so the names of
     ``bq`` serve every step's messages.
     """
-    q, pos = _indexed(bq)
+    q, pos = _Ints(*_integer(bq)), {v: i for i, v in enumerate(bq.vertices)}
     for mv in moves:
         reason = _not_applicable_reason(bq, q, pos, mv)
         if reason is not None:
@@ -349,17 +330,10 @@ def _replay(bq: BoundQuiver, moves):
 
 
 def apply_move(bq: BoundQuiver, move: Move):
-    """Apply one move to a valid quiver; returns the new quiver and the audit
-    receipt."""
+    """Apply one move to a valid quiver; returns ``(quiver, (move,))`` like
+    ``shift_relation``."""
     require_valid(bq)
-    out, _moves = _replay(bq, (move,))
-    receipt = MoveReceipt(
-        move,
-        canonical_key(bq),
-        canonical_key(out),
-        tuple(sorted((a, s, t) for a, s, t in out.arrows)),
-    )
-    return out, receipt
+    return _replay(bq, (move,))
 
 
 # ---------------------------------------------------------------------------

@@ -610,7 +610,7 @@ def _move_sweep(sweep_vertices: int, max_states: int):
     ``sweep_vertices`` vertices keeps the size and ``phi``; ``phi`` is the
     same on the opposite and splits the classes by degeneracy.
 
-    Runs on the classes' codes: no receipt, key or named quiver is made.
+    Runs on the classes' codes: no key or named quiver is made.
     Returns the three checks and whether a partition hit the state cap.
     """
     move_fails = []

@@ -5,18 +5,16 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from gentleq.core import (
-    ArrowClass,
     BoundQuiver,
-    CycleRankError,
     QuiverError,
     Violation,
     _canonical_code,
     _form,
-    canonical_form,
-    canonical_key,
+    _integer,
     cycle_rank,
     Quiver,
     make_bound_quiver,
@@ -27,18 +25,7 @@ from gentleq.core import (
     validate,
 )
 from gentleq.families import FamilySpec, _candidate_specs, _spec_checked, build_family
-from gentleq.invariant import (
-    ArrowCycle,
-    PairCycle,
-    PairingIncomplete,
-    _det_int,
-    _thread_key,
-    arrow_thread,
-    cartan_matrix,
-    forbidden_threads,
-    permitted_threads,
-    trivial_thread,
-)
+from gentleq.invariant import PairingIncomplete, _det_int, _threads, _walk, cartan_matrix
 from gentleq.moves import Move, MoveKind, applicable_moves
 from gentleq.orbit import (
     DEFAULT_MAX_STATES,
@@ -50,6 +37,17 @@ from gentleq.orbit import (
     enumerate_classes,
     theorem_key_table,
 )
+
+
+def canonical_form(bq: BoundQuiver) -> BoundQuiver:
+    """Relabel onto v0..v{n-1} / a0..a{k-1}, minimal over all relabelings:
+    the package's canonical code, named."""
+    return _form(_canonical_code(bq))
+
+
+def canonical_key(bq: BoundQuiver) -> str:
+    """Serialization of the canonical form; equal keys iff isomorphic."""
+    return serialize(canonical_form(bq))
 
 
 class _Index:
@@ -508,6 +506,118 @@ def random_relabel(bq: BoundQuiver, rng: random.Random) -> BoundQuiver:
     return make_bound_quiver(verts, arrows, rels)
 
 
+# ---------------------------------------------------------------------------
+# named threads: the integer threads and walk of ``gentleq.invariant`` with
+# the vertex and arrow names attached, for the oracles on names
+
+
+@dataclass(frozen=True)
+class Thread:
+    """A permitted or forbidden thread.
+
+    ``arrows`` is in traversal order (``arrows[0]`` is the starting arrow);
+    trivial threads have no arrows and carry their vertex instead.
+    """
+
+    vertex: str | None
+    arrows: tuple[str, ...]
+
+    @property
+    def trivial(self) -> bool:
+        return not self.arrows
+
+    def __len__(self) -> int:
+        return len(self.arrows)
+
+    def render(self) -> str:
+        if self.trivial:
+            return "e(%s)" % self.vertex
+        # composite order, terminating arrow first
+        return ".".join(reversed(self.arrows))
+
+
+def _thread_key(t: Thread):
+    return (0, t.vertex, ()) if t.trivial else (1, "", t.arrows)
+
+
+def trivial_thread(vertex: str) -> Thread:
+    return Thread(vertex, ())
+
+
+def arrow_thread(arrows) -> Thread:
+    arrows = tuple(arrows)
+    if not arrows:
+        raise ValueError("nontrivial thread needs arrows")
+    return Thread(None, arrows)
+
+
+@dataclass(frozen=True)
+class PairCycle:
+    """Cyclic sequence of (permitted, forbidden) thread pairs."""
+
+    pairs: tuple[tuple[Thread, Thread], ...]
+
+    def type(self) -> tuple[int, int]:
+        return len(self.pairs), sum(len(t) for _, t in self.pairs)
+
+
+@dataclass(frozen=True)
+class ArrowCycle:
+    """Cyclic arrow sequence all of whose consecutive pairs are relations."""
+
+    arrows: tuple[str, ...]  # traversal order, rotated to the least arrow id
+
+    def type(self) -> tuple[int, int]:
+        return 0, len(self.arrows)
+
+
+def thread_namer(bq: BoundQuiver):
+    """The ``Thread`` of ``bq`` that an integer thread of ``_threads`` stands for."""
+    vs, ids = bq.vertices, [a for a, _s, _t in bq.arrows]
+
+    def thread(t) -> Thread:
+        return arrow_thread([ids[a] for a in t[0]]) if t[0] else trivial_thread(vs[t[1]])
+
+    return thread
+
+
+def named_cycles(bq: BoundQuiver, cycles) -> list[ArrowCycle]:
+    """The relation cycles named, each from its least arrow id, in that order."""
+    ids = [a for a, _s, _t in bq.arrows]
+    named = []
+    for c in cycles:
+        arrows = [ids[a] for a in c]
+        k = arrows.index(min(arrows))
+        named.append(ArrowCycle(tuple(arrows[k:] + arrows[:k])))
+    return sorted(named, key=lambda c: c.arrows)
+
+
+def named_threads(bq: BoundQuiver):
+    """``_threads`` of a valid quiver, named: the permitted threads, the
+    forbidden threads and the relation cycles, each as a frozenset."""
+    require_valid(bq)
+    permitted, forbidden, cycles = _threads(*_integer(bq))
+    thread = thread_namer(bq)
+    return (frozenset(map(thread, permitted)), frozenset(map(thread, forbidden)),
+            frozenset(named_cycles(bq, cycles)))
+
+
+def named_sequences(bq: BoundQuiver) -> tuple:
+    """``_walk`` of a valid quiver, named: the thread alternations, each
+    rotated to start at its least permitted thread and in that order, then
+    the relation cycles."""
+    require_valid(bq)
+    alternations, cycles = _walk(*_integer(bq))
+    thread = thread_namer(bq)
+    pair_cycles = []
+    for alternation in alternations:
+        pairs = [(thread(p), thread(f)) for p, f in alternation]
+        k = min(range(len(pairs)), key=lambda i: _thread_key(pairs[i][0]))
+        pair_cycles.append(PairCycle(tuple(pairs[k:] + pairs[:k])))
+    pair_cycles.sort(key=lambda pc: _thread_key(pc.pairs[0][0]))
+    return tuple(pair_cycles) + tuple(named_cycles(bq, cycles))
+
+
 def oracle_pairings(bq: BoundQuiver) -> list[PairCycle]:
     """The characteristic sequences of permitted and forbidden threads, by
     backtracking over every partition of the threads into cyclic
@@ -520,8 +630,9 @@ def oracle_pairings(bq: BoundQuiver) -> list[PairCycle]:
     substance, not in presentation.  Raises ``PairingIncomplete`` when there
     is no solution and ``AssertionError`` when there is more than one.
     """
-    permitted = sorted(permitted_threads(bq), key=_thread_key)
-    forbidden = sorted(forbidden_threads(bq), key=_thread_key)
+    permitted, forbidden, _cycles = named_threads(bq)
+    permitted = sorted(permitted, key=_thread_key)
+    forbidden = sorted(forbidden, key=_thread_key)
     idx = _Index(bq.quiver)
     src, tgt, start_arrow, end_arrow = {}, {}, {}, {}
     for t in permitted + forbidden:
@@ -677,8 +788,8 @@ def oracle_threads(bq: BoundQuiver):
 
 
 def oracle_characteristic_sequences(bq: BoundQuiver) -> tuple:
-    """``characteristic_sequences`` of a valid quiver by the forced walk on
-    names, as it stood before the integer walk."""
+    """``named_sequences`` of a valid quiver by the forced walk on names, as
+    it stood before the integer walk."""
     permitted, forbidden, cycles = oracle_threads(bq)
     idx = _Index(bq.quiver)
     starts = {(s, sg): (t, e, ep) for t, s, e, sg, ep in permitted}
@@ -936,6 +1047,16 @@ def oracle_apply_move(bq: BoundQuiver, move: Move) -> BoundQuiver:
     return opposite(oracle_hw_reflect(opposite(bq), x))
 
 
+class CycleRankError(QuiverError):
+    pass
+
+
+class ArrowClass:
+    CYCLE = "cycle"
+    BRANCH = "branch"
+    CONNECTING = "connecting"
+
+
 def _oracle_component_sizes(vertices, arrows):
     """Sizes (vertex count, arrow count) of weak components."""
     parent = {v: v for v in vertices}
@@ -959,8 +1080,15 @@ def _oracle_component_sizes(vertices, arrows):
 
 
 def oracle_classify_arrows(bq: BoundQuiver):
-    """``classify_arrows`` by a union-find on names over each one-arrow
-    deletion."""
+    """Delete-one-arrow trichotomy plus the connecting vertices, by a
+    union-find on names over each one-arrow deletion.
+
+    An arrow is a cycle arrow when deleting it leaves the quiver connected, a
+    branch arrow when one remaining component still has two independent
+    cycles, and a connecting arrow when the quiver splits into two one-cycle
+    components.  A connecting vertex meets at least three non-branch arrow
+    ends (a loop contributes both of its ends).
+    """
     if cycle_rank(bq) != 2:
         raise CycleRankError("arrow classification needs cycle rank 2, got %d" % cycle_rank(bq))
     classes: dict[str, str] = {}

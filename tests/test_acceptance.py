@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from gentleq.core import canonical_key, parse, serialize, validate
+from gentleq.core import parse, serialize, validate
 from gentleq.families import build_family, spec
 from gentleq.fuzz import fuzz_shift
 from gentleq.invariant import Phi, cartan_matrix, phi
@@ -25,7 +25,7 @@ from gentleq.orbit import (
     verify_minimality,
 )
 
-from oracle_helpers import naive_enumerate, oracle_cartan
+from oracle_helpers import canonical_key, naive_enumerate, oracle_cartan
 
 
 def report(criterion, name, ok, detail=""):
@@ -76,7 +76,7 @@ def test_c03_move_invariance():
         for bq in enumerate_classes(SizeClass(n, n + 1), two_cycle=True):
             base = phi(bq)
             for mv in applicable_moves(bq):
-                out, _receipt = apply_move(bq, mv)
+                out, _moves = apply_move(bq, mv)
                 applications += 1
                 if validate(out, require_connected=True):
                     failures += 1

@@ -13,6 +13,11 @@ from gentleq.core import parse, serialize
 from gentleq.families import build_family, phi_formula, spec
 
 L0_FILE = serialize(build_family(spec("L0", 1, 0)))
+# two arrows into x and one out of it, with no relations
+INVALID_FILE = ("quiver q\nvertex x\nvertex y\nvertex z\n"
+                "arrow a y x\narrow b z x\narrow c x z\nend\n")
+INVALID_ERROR = ("error: not a valid bound quiver: G3 arrow c has free predecessors "
+                 "a,b; FIN relation-avoiding cycle c,b\n")
 
 
 def child_env(hash_seed: str) -> dict:
@@ -98,13 +103,13 @@ class TestBasicCommands:
     @pytest.mark.parametrize("move,vertex", [("gen-apr-reflect", "x"),
                                              ("gen-apr-coreflect", "y")])
     def test_apply_invalid_input(self, move, vertex):
-        text = ("quiver q\nvertex x\nvertex y\nvertex z\n"
-                "arrow a y x\narrow b z x\narrow c x z\nend\n")
         code, out, err = run_cli(["apply", "--move", move, "--vertex", vertex, "-"],
-                                 stdin=text)
-        assert (code, out) == (2, "")
-        assert err == ("error: not a valid bound quiver: G3 arrow c has free predecessors "
-                       "a,b; FIN relation-avoiding cycle c,b\n")
+                                 stdin=INVALID_FILE)
+        assert (code, out, err) == (2, "", INVALID_ERROR)
+
+    def test_moves_invalid_input(self):
+        code, out, err = run_cli(["moves", "-"], stdin=INVALID_FILE)
+        assert (code, out, err) == (2, "", INVALID_ERROR)
 
     def test_shift_roundtrip(self):
         text = ("quiver t\nvertex u\nvertex x\nvertex y\nvertex v\n"

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gentleq.core import _integer, canonical_key, cycle_rank, is_isomorphic, validate
+from gentleq.core import _integer, cycle_rank, is_isomorphic, validate
 from gentleq.families import (
     FAMILY_TAGS,
     _PARAM_COUNT,
@@ -20,7 +20,7 @@ from gentleq.families import (
 from gentleq.invariant import Phi, phi
 from gentleq.orbit import _closed_form_specs
 
-from oracle_helpers import oracle_recognize, random_relabel
+from oracle_helpers import canonical_key, oracle_recognize, random_relabel
 import random
 
 

@@ -1,12 +1,16 @@
-"""Source hygiene: every name a package module imports is used there, and
-every private top-level function or class is used somewhere in the package."""
+"""Source hygiene: every name a package module imports is used there, every
+private top-level function or class is used somewhere in the package, and
+every public name is reached from what the command, the verifiers, the README
+library example and the benchmark call."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gentleq"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gentleq"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -24,6 +28,17 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def names_read(tree: ast.AST) -> set[str]:
+    """The names and attribute names that ``tree`` reads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def unused_private_definitions(sources: list[str]) -> list[str]:
     """The private top-level functions and classes of ``sources`` that no
     code in them reads outside the definition itself."""
@@ -35,16 +50,54 @@ def unused_private_definitions(sources: list[str]) -> list[str]:
                 owner = stmt.name
                 if owner.startswith("_") and not owner.startswith("__"):
                     defined.add(owner)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
-                    read.add(name)
+            read |= names_read(stmt) - {owner}
     return sorted(defined - read)
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a top-level function, class or assignment defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def unreached_public_names(sources: dict[str, str], roots: set[str]) -> list[str]:
+    """The names in the ``__all__`` lists of ``sources`` (file name -> text)
+    that no top-level definition reached from ``roots`` reads.
+
+    The walk starts from ``roots``, every definition of ``cli.py`` and every
+    ``verify_*`` definition, and follows the names each definition reads; a
+    name defined in two modules follows both definitions.
+    """
+    reads: dict[str, set[str]] = {}
+    public, todo = set(), set(roots)
+    for path, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = defined_names(stmt)
+            if names == ["__all__"]:
+                public.update(ast.literal_eval(stmt.value))
+                continue
+            for name in names:
+                reads.setdefault(name, set()).update(names_read(stmt))
+                if path == "cli.py" or name.startswith("verify_"):
+                    todo.add(name)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= reads.get(name, set()) - reached
+    return sorted(public - reached)
+
+
+def readme_example_names() -> set[str]:
+    """The names read by the README's library example."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", text, re.S)
+    return names_read(ast.parse(block.group(1)))
 
 
 def test_modules_found():
@@ -80,3 +133,31 @@ def test_unused_private_definition_is_caught():
         "def run():\n    return core._used()\n",
     ]
     assert unused_private_definitions(sources) == ["_walk"]
+
+
+def test_every_public_name_is_reached():
+    roots = readme_example_names()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        roots |= names_read(ast.parse(path.read_text(encoding="utf-8")))
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreached_public_names(sources, roots) == []
+
+
+def test_unreached_public_name_is_caught():
+    sources = {
+        "cli.py": "def _cmd_run(args):\n    return core.run(args)\n",
+        "core.py": (
+            '__all__ = ["run", "helper", "LIMIT", "verify_all", "check", "walk", "orphan",'
+            ' "stale"]\n'
+            "LIMIT = 3\n"
+            "def run(args):\n    return helper(args, LIMIT)\n"
+            "def helper(args, limit):\n    return args[:limit]\n"
+            "def verify_all():\n    return check([])\n"
+            "def check(args):\n    return not args\n"
+            "def walk(bq):\n    return bq\n"
+            "def orphan():\n    return stale() + orphan()\n"
+            "def stale():\n    return 0\n"
+        ),
+    }
+    assert unreached_public_names(sources, {"walk"}) == ["orphan", "stale"]
+    assert unreached_public_names(sources, set()) == ["orphan", "stale", "walk"]

@@ -9,17 +9,11 @@ from gentleq.families import build_family, phi_formula, spec, theorem_list
 from gentleq.invariant import (
     DEGENERATE,
     NONDEGENERATE,
-    ArrowCycle,
     PairingIncomplete,
     Phi,
-    arrow_cycle_sequences,
     cartan_matrix,
-    characteristic_sequences,
     degeneracy_class,
     euler_data,
-    forbidden_threads,
-    permitted_threads,
-    _namer,
     _phi,
     _threads,
     phi,
@@ -27,6 +21,10 @@ from gentleq.invariant import (
 from gentleq.orbit import SizeClass, _closed_form_specs, enumerate_classes
 
 from oracle_helpers import (
+    ArrowCycle,
+    named_cycles,
+    named_sequences,
+    named_threads,
     oracle_cartan,
     oracle_characteristic_sequences,
     oracle_euler_data,
@@ -35,6 +33,7 @@ from oracle_helpers import (
     oracle_pairings,
     oracle_threads,
     random_relabel,
+    thread_namer,
 )
 
 
@@ -53,69 +52,70 @@ def phi_of(entries):
 class TestThreads:
     def test_l0_threads(self):
         bq = build_family(spec("L0", 1, 0))
-        perm = permitted_threads(bq)
-        forb = forbidden_threads(bq)
+        perm, forb, _cycles = named_threads(bq)
         assert {t.render() for t in perm} == {"b.a1.c"}
         assert {t.render() for t in forb} == {"c.a1.b"}
 
     def test_a2_threads(self):
         bq = a2_quiver()
-        perm = permitted_threads(bq)
-        forb = forbidden_threads(bq)
+        perm, forb, _cycles = named_threads(bq)
         assert {t.render() for t in perm} == {"al", "e(x)", "e(y)"}
         assert {t.render() for t in forb} == {"al", "e(x)", "e(y)"}
 
     def test_l1_threads(self):
         bq = build_family(spec("L1", 1, 2, 0, 1, 0))
-        assert {t.render() for t in permitted_threads(bq)} == {"a1", "b2.d1.b1"}
-        assert {t.render() for t in forbidden_threads(bq)} == {"d1", "e(B1)"}
+        perm, forb, _cycles = named_threads(bq)
+        assert {t.render() for t in perm} == {"a1", "b2.d1.b1"}
+        assert {t.render() for t in forb} == {"d1", "e(B1)"}
 
     def test_partition_properties(self, two_cycle_classes):
         for n in (2, 3, 4):
             for bq in two_cycle_classes(n):
                 arrows = {a for a, _s, _t in bq.arrows}
-                on_perm = [a for t in permitted_threads(bq) for a in t.arrows]
+                perm, forb, cycles = named_threads(bq)
+                on_perm = [a for t in perm for a in t.arrows]
                 assert sorted(on_perm) == sorted(arrows)
-                on_forb = [a for t in forbidden_threads(bq) for a in t.arrows]
-                on_cyc = [a for c in arrow_cycle_sequences(bq) for a in c.arrows]
+                on_forb = [a for t in forb for a in t.arrows]
+                on_cyc = [a for c in cycles for a in c.arrows]
                 assert sorted(on_forb + on_cyc) == sorted(arrows)
 
     def test_threads_match_oracle(self, two_cycle_classes):
         for n in (2, 3):
             for bq in two_cycle_classes(n):
-                got = {t.arrows for t in permitted_threads(bq) if not t.trivial}
+                perm, forb, _cycles = named_threads(bq)
+                got = {t.arrows for t in perm if not t.trivial}
                 assert got == oracle_maximal_paths(bq)
-                got = {t.arrows for t in forbidden_threads(bq) if not t.trivial}
+                got = {t.arrows for t in forb if not t.trivial}
                 assert got == oracle_maximal_antipaths(bq)
 
 
 class TestArrowCycles:
     def test_l2_loops(self):
         bq = build_family(spec("L2", 1, 1, 1, 0, 0))
-        cycles = arrow_cycle_sequences(bq)
+        cycles = named_threads(bq)[2]
         assert {c.arrows for c in cycles} == {("a1",), ("b1",)}
         assert {c.type() for c in cycles} == {(0, 1)}
 
     def test_l1_triangle(self):
         bq = build_family(spec("L1", 1, 2, 0, 1, 0))
-        cycles = arrow_cycle_sequences(bq)
+        cycles = named_threads(bq)[2]
         assert len(cycles) == 1
         (c,) = cycles
         assert c.type() == (0, 3)
         assert set(c.arrows) == {"a1", "b1", "b2"}
 
     def test_relation_free(self):
-        assert arrow_cycle_sequences(a2_quiver()) == frozenset()
+        assert named_threads(a2_quiver())[2] == frozenset()
 
 
 class TestCharacteristicSequences:
     def test_l0_single_pair(self):
-        seqs = characteristic_sequences(build_family(spec("L0", 1, 0)))
+        seqs = named_sequences(build_family(spec("L0", 1, 0)))
         assert len(seqs) == 1
         assert seqs[0].type() == (1, 3)
 
     def test_a2_forced_walk(self):
-        seqs = characteristic_sequences(a2_quiver())
+        seqs = named_sequences(a2_quiver())
         assert len(seqs) == 1
         assert seqs[0].type() == (3, 1)
         rendered = [(s.render(), t.render()) for s, t in seqs[0].pairs]
@@ -124,23 +124,24 @@ class TestCharacteristicSequences:
         assert rendered in rotations
 
     def test_l1_full_set(self):
-        seqs = characteristic_sequences(build_family(spec("L1", 1, 2, 0, 1, 0)))
+        seqs = named_sequences(build_family(spec("L1", 1, 2, 0, 1, 0)))
         assert sorted(s.type() for s in seqs) == [(0, 3), (1, 0), (1, 1)]
 
     def test_each_thread_used_once(self, two_cycle_classes):
         for bq in two_cycle_classes(3):
-            seqs = characteristic_sequences(bq)
+            seqs = named_sequences(bq)
             sigmas = [s for cs in seqs if hasattr(cs, "pairs") for s, _t in cs.pairs]
             taus = [t for cs in seqs if hasattr(cs, "pairs") for _s, t in cs.pairs]
             assert len(sigmas) == len(set(sigmas))
             assert len(taus) == len(set(taus))
-            assert set(sigmas) == permitted_threads(bq)
-            assert set(taus) == forbidden_threads(bq)
+            perm, forb, _cycles = named_threads(bq)
+            assert set(sigmas) == perm
+            assert set(taus) == forb
 
     def test_isolated_vertex_has_no_pairing(self):
         bq = make_bound_quiver(["x", "y", "z"], [("a", "y", "z")], [])
         with pytest.raises(PairingIncomplete):
-            characteristic_sequences(bq)
+            named_sequences(bq)
 
 
 def disjoint_union(left, right):
@@ -156,8 +157,8 @@ def disjoint_union(left, right):
 
 def assert_walk_matches_search(bq):
     want = tuple(oracle_pairings(bq)) + tuple(
-        sorted(arrow_cycle_sequences(bq), key=lambda c: c.arrows))
-    assert characteristic_sequences(bq) == want
+        sorted(named_threads(bq)[2], key=lambda c: c.arrows))
+    assert named_sequences(bq) == want
 
 
 class TestWalkAgainstSearch:
@@ -190,7 +191,7 @@ class TestWalkAgainstSearch:
             with pytest.raises(PairingIncomplete):
                 oracle_pairings(with_point)
             with pytest.raises(PairingIncomplete):
-                characteristic_sequences(with_point)
+                named_sequences(with_point)
         assert_walk_matches_search(disjoint_union(point(), point()))
 
 
@@ -199,17 +200,17 @@ def assert_integer_walk_matches_names(bq):
     ints = _integer(bq)
     permitted, forbidden, cycles = _threads(*ints)
     want_permitted, want_forbidden, want_cycles = oracle_threads(bq)
-    thread, vs = _namer(bq), bq.vertices
+    thread, vs = thread_namer(bq), bq.vertices
 
     def named(entries):
         return [(thread(t), vs[t[1]], vs[t[2]], t[3], t[4]) for t in entries]
 
     assert named(permitted) == want_permitted
     assert named(forbidden) == want_forbidden
-    assert arrow_cycle_sequences(bq) == frozenset(ArrowCycle(c) for c in want_cycles)
+    assert named_cycles(bq, cycles) == [ArrowCycle(c) for c in want_cycles]
     want = oracle_characteristic_sequences(bq)
     assert _phi(*ints) == Phi.from_types(cs.type() for cs in want)
-    assert repr(characteristic_sequences(bq)) == repr(want)
+    assert repr(named_sequences(bq)) == repr(want)
 
 
 class TestIntegerWalk:
@@ -260,9 +261,9 @@ class TestPhi:
 
     def test_pair_cycle_count_equals_permitted_count(self, two_cycle_classes):
         for bq in two_cycle_classes(3):
-            seqs = characteristic_sequences(bq)
+            seqs = named_sequences(bq)
             pair_n = sum(cs.type()[0] for cs in seqs if not isinstance(cs, ArrowCycle))
-            assert pair_n == len(permitted_threads(bq))
+            assert pair_n == len(named_threads(bq)[0])
 
     def test_opposite_invariance(self, two_cycle_classes):
         for n in (2, 3, 4):

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+from gentleq import cli
 from gentleq.core import (
     InvalidQuiverError,
     _canonical_code,
-    canonical_key,
     is_isomorphic,
     make_bound_quiver,
     opposite,
@@ -23,7 +23,6 @@ from gentleq.moves import (
     ShiftDirection,
     _KIND_ORDER,
     _generator_codes,
-    applicable,
     applicable_moves,
     apply_move,
     shift_relation,
@@ -33,6 +32,7 @@ from gentleq.moves import (
 )
 
 from oracle_helpers import (
+    canonical_key,
     oracle_apply_move,
     oracle_gen_apr_precondition,
     oracle_gen_apr_reflect,
@@ -74,9 +74,9 @@ class TestApplicability:
 
     def test_loop_variant(self):
         bq = build_family(spec("L2", 1, 1, 1, 0, 0))
-        assert applicable(bq, Move(MoveKind.GEN_APR_REFLECT, "va"))
+        assert Move(MoveKind.GEN_APR_REFLECT, "va") in applicable_moves(bq)
         # the loop vertex without an outside arrow in is not reflectable
-        assert not applicable(bq, Move(MoveKind.GEN_APR_REFLECT, "vb"))
+        assert Move(MoveKind.GEN_APR_REFLECT, "vb") not in applicable_moves(bq)
 
     def test_not_applicable_raises(self):
         with pytest.raises(MoveNotApplicable):
@@ -85,11 +85,13 @@ class TestApplicability:
 
 class TestApplyMove:
     def test_apr_chain_example(self):
-        out, receipt = apply_move(chain_with_relation(), Move(MoveKind.APR_REFLECT, "x"))
+        mv = Move(MoveKind.APR_REFLECT, "x")
+        out, moves = apply_move(chain_with_relation(), mv)
         want = make_bound_quiver(
             ["x", "y", "z"], [("p", "z", "x"), ("q", "x", "y")], [])
         assert is_isomorphic(out, want)
-        assert receipt.output_key == canonical_key(out)
+        assert canonical_key(out) == canonical_key(want)
+        assert moves == (mv,)
         assert phi(out) == phi(chain_with_relation())
 
     def test_hw_single_vertex_identity(self):
@@ -133,7 +135,7 @@ class TestApplyMove:
                 back, _ = apply_move(out, Move(MoveKind.GEN_APR_COREFLECT, mv.vertex))
                 assert is_isomorphic(back, bq)
                 strict = Move(MoveKind.APR_COREFLECT, mv.vertex)
-                if applicable(out, strict):
+                if strict in applicable_moves(out):
                     back2, _ = apply_move(out, strict)
                     assert is_isomorphic(back2, bq)
 
@@ -146,11 +148,11 @@ class TestApplyMove:
                     if any(s == v for _a, s, _t in bq.arrows):
                         continue
                     sinks += 1
-                    out, receipt = apply_move(bq, Move(MoveKind.APR_REFLECT, v))
-                    gen_out, gen_receipt = apply_move(bq, Move(MoveKind.GEN_APR_REFLECT, v))
+                    out, _moves = apply_move(bq, Move(MoveKind.APR_REFLECT, v))
+                    gen_out, _moves = apply_move(bq, Move(MoveKind.GEN_APR_REFLECT, v))
                     assert out == gen_out
-                    assert receipt.output_key == gen_receipt.output_key
-                    assert receipt.arrow_map == gen_receipt.arrow_map
+                    assert canonical_key(out) == canonical_key(gen_out)
+                    assert tuple(sorted(out.arrows)) == tuple(sorted(gen_out.arrows))
         assert sinks
 
     def test_opposite_conjugation(self, two_cycle_classes):
@@ -163,18 +165,22 @@ class TestApplyMove:
             for refl, corefl in pairs:
                 for v in bq.vertices:
                     mv = Move(refl, v)
-                    if not applicable(opposite(bq), mv):
+                    if mv not in applicable_moves(opposite(bq)):
                         continue
                     left, _ = apply_move(opposite(bq), mv)
                     right, _ = apply_move(bq, Move(corefl, v))
                     assert is_isomorphic(left, opposite(right))
 
     def test_receipt_replay(self):
+        # the returned moves replay to the output, arrow by arrow
         bq = chain_with_relation()
-        out, receipt = apply_move(bq, Move(MoveKind.APR_REFLECT, "x"))
-        rebuilt = {(a, s, t) for a, s, t in out.arrows}
-        assert rebuilt == set(receipt.arrow_map)
-        assert receipt.input_key == canonical_key(bq)
+        mv = Move(MoveKind.APR_REFLECT, "x")
+        out, moves = apply_move(bq, mv)
+        assert moves == (mv,)
+        assert tuple(sorted(out.arrows)) == (("al", "x", "y"), ("be", "z", "x"))
+        assert out.relations == frozenset()
+        assert apply_move(bq, *moves)[0] == out
+        assert canonical_key(bq) != canonical_key(out)
 
 
 class TestIntegerKernel:
@@ -376,11 +382,18 @@ class TestReplay:
 
     moves_module = importlib.import_module("gentleq.moves")
 
-    def test_no_canonical_key(self, monkeypatch):
-        def no_key(bq):
-            raise AssertionError("the replay computed a canonical key")
+    def forbid_keys(self, monkeypatch):
+        """Make every canonical labeling raise."""
+        def no_key(*args):
+            raise AssertionError("a named move computed a canonical key")
 
-        monkeypatch.setattr(self.moves_module, "canonical_key", no_key)
+        core = importlib.import_module("gentleq.core")
+        for module, name in ((core, "_canonical_code"), (core, "_code"),
+                             (self.moves_module, "_code")):
+            monkeypatch.setattr(module, name, no_key)
+
+    def test_no_canonical_key(self, monkeypatch):
+        self.forbid_keys(monkeypatch)
         bq = long_form_host()
         want = shift_relation_direct(bq, ("a1", "a2"), ShiftDirection.RIGHT)
         assert shift_relation(bq, ("a1", "a2"), ShiftDirection.RIGHT)[0] == want
@@ -388,6 +401,28 @@ class TestReplay:
         assert back == shift_relation_direct(want, ("a2", "a3"), ShiftDirection.LEFT) == bq
         host = block_host(3, decorate=True)
         assert shift_relation_block(host, "b")[0] == shift_relation_block_direct(host, "b")
+
+    def test_apply_move_keys_nothing(self, monkeypatch, tmp_path, capsys):
+        # a relation 12-cycle: labeling it would take factorial time
+        n = 12
+        cycle = make_bound_quiver(
+            ["v%d" % i for i in range(n)],
+            [("a%d" % i, "v%d" % i, "v%d" % ((i + 1) % n)) for i in range(n)],
+            [("a%d" % ((i + 1) % n), "a%d" % i) for i in range(n)])
+        family = build_family(spec("L2", 2, 1, 1, 1, 0))
+        x = next(v for v in family.vertices if oracle_gen_apr_precondition(family, v) is None)
+        cases = [(cycle, Move(MoveKind.OPPOSITE), opposite(cycle)),
+                 (family, Move(MoveKind.GEN_APR_REFLECT, x), oracle_gen_apr_reflect(family, x))]
+        self.forbid_keys(monkeypatch)
+        for bq, mv, want in cases:
+            assert serialize(apply_move(bq, mv)[0]) == serialize(want)
+            path = tmp_path / "in.quiver"
+            path.write_text(serialize(bq))
+            argv = ["apply", "--move", mv.kind.value, str(path)]
+            if mv.vertex is not None:
+                argv[3:3] = ["--vertex", mv.vertex]
+            assert cli.dispatch(argv) == 0
+            assert capsys.readouterr().out == serialize(want)
 
     def test_every_step_is_applicable(self, monkeypatch):
         applies = self.moves_module._applies

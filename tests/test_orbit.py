@@ -7,7 +7,6 @@ from gentleq.core import (
     _canonical_code,
     _decode,
     _form,
-    canonical_key,
     opposite,
     parse,
     serialize,
@@ -37,6 +36,7 @@ from gentleq.orbit import (
 )
 
 from oracle_helpers import (
+    canonical_key,
     naive_enumerate,
     oracle_enumerate,
     oracle_junction_choices,
@@ -202,9 +202,9 @@ class TestOrbit:
         res = orbit(build_family(spec("L0", 2, 1)))
         assert res.edges
         for k1, mv, k2 in res.edges:
-            out, receipt = apply_move(parse(k1), mv)
-            assert receipt.input_key == k1
-            assert receipt.output_key == k2
+            out, moves = apply_move(parse(k1), mv)
+            assert moves == (mv,)
+            assert canonical_key(parse(k1)) == k1
             assert canonical_key(out) == k2
 
 
@@ -260,7 +260,7 @@ class TestIntegerStates:
 
     def test_no_named_quiver_on_the_lemma_sweeps(self, monkeypatch):
         # the closed-form and move sweeps run on indices: no BoundQuiver, no
-        # validate and no move receipt
+        # validate and no named move
         import gentleq.core as core
 
         orbit_module = importlib.import_module("gentleq.orbit")
@@ -270,10 +270,10 @@ class TestIntegerStates:
             monkeypatch.setattr(importlib.import_module("gentleq." + name), "validate",
                                 lambda *args: checked.append(1))
 
-        def no_receipt(*args, **kwargs):
+        def no_named_move(*args, **kwargs):
             raise AssertionError("the sweep applied a named move")
 
-        monkeypatch.setattr(importlib.import_module("gentleq.moves"), "apply_move", no_receipt)
+        monkeypatch.setattr(importlib.import_module("gentleq.moves"), "apply_move", no_named_move)
         assert not any(check_closed_form(sp) for sp in _closed_form_specs(8))
         checks, limited = orbit_module._move_sweep(4, DEFAULT_MAX_STATES)
         assert [(c.name, c.instances, c.failures) for c in checks] == [
