@@ -148,8 +148,9 @@ def _cmd_cartan(args) -> int:
     print("vertices: %s" % " ".join(order))
     for v, row in zip(order, rows):
         print("row %s: %s" % (v, " ".join(str(x) for x in row)))
-    print("det: %d" % invariant.cartan_determinant(bq))
-    data = invariant.euler_data(bq)
+    det = invariant._det_int(rows)
+    print("det: %d" % det)
+    data = invariant._euler(rows, det)
     print("euler: none" if data is None else "euler: sym-det=%d" % data[1])
     return 0
 

@@ -477,6 +477,11 @@ def recognize(bq: BoundQuiver) -> FamilySpec | None:
 def phi_formula(sp: FamilySpec) -> Phi:
     """Closed form of the derived invariant for the four classified families."""
     check_spec(sp)
+    return _phi_closed_form(sp)
+
+
+def _phi_closed_form(sp: FamilySpec) -> Phi:
+    """``phi_formula`` of a spec that has passed ``check_spec``."""
     p = sp.params
     if sp.tag == "L0":
         pp, _r = p

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .core import (
     BoundQuiver,
     QuiverError,
-    cycle_rank,
     require_valid,
     _adjacency,
     _integer,
@@ -228,7 +227,8 @@ def _phi(n: int, ends, rels) -> Phi:
 def degeneracy_class(bq: BoundQuiver) -> str:
     """Split by the total number of characteristic sequences (3 or 1)."""
     require_valid(bq, require_connected=True)
-    if cycle_rank(bq) != 2:
+    # connected, so the cycle rank is arrows - vertices + 1
+    if len(bq.arrows) - len(bq.vertices) + 1 != 2:
         raise QuiverError("degeneracy split applies to two-cycle quivers only")
     total = _phi(*_integer(bq)).total
     if total == 3:
@@ -307,7 +307,11 @@ def euler_data(bq: BoundQuiver):
     determinant is ``det(C + C^T)``.
     """
     _, rows = cartan_matrix(bq)
-    det_c = _det_int(rows)
+    return _euler(rows, _det_int(rows))
+
+
+def _euler(rows, det_c: int):
+    """``euler_data`` from the path count matrix ``rows`` and its determinant."""
     if det_c not in (1, -1):
         return None
     sym = [[x + y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]

@@ -43,7 +43,6 @@ from .core import (
     _name,
     _serial_key,
     _valid,
-    cycle_rank,
     require_valid,
     serialize,
     validate,
@@ -51,6 +50,7 @@ from .core import (
 from .families import (
     FamilySpec,
     _family_ints,
+    _phi_closed_form,
     family_size,
     phi_formula,
     spec,
@@ -387,22 +387,54 @@ def _reach(start: tuple, max_states: int):
     return states, complete
 
 
+# canonical code -> (least canonical hit or None, orbit size), for every state
+# of each orbit ``normalize`` closed completely in this process; it holds at
+# most DEFAULT_MAX_STATES states
+_closed: dict[tuple, tuple] = {}
+
+
+def _remember(states: list, answer: tuple) -> None:
+    """Record ``answer`` for every state of a completely closed orbit,
+    emptying the memo first if the orbit would take it past its bound."""
+    if len(states) > DEFAULT_MAX_STATES:
+        return
+    if len(_closed) + len(states) > DEFAULT_MAX_STATES:
+        _closed.clear()
+    _closed.update(dict.fromkeys(states, answer))
+
+
 def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySpec:
-    """The least canonical-family spec in the orbit of ``bq``."""
+    """The least canonical-family spec in the orbit of ``bq``.
+
+    An orbit closed completely earlier in the process answers for each of its
+    states without a second closure: reachability is symmetric (every
+    complete closure checks its inverse edges), so the closure from any
+    member is the same set, and the answer, exception and ``max_states``
+    outcome are those a fresh closure would give.
+    """
     require_valid(bq, require_connected=True)
-    if cycle_rank(bq) != 2:
+    # connected, so the cycle rank is arrows - vertices + 1
+    if len(bq.arrows) - len(bq.vertices) + 1 != 2:
         raise QuiverError("normalization applies to two-cycle quivers")
-    states, complete = _reach(_canonical_code(bq), max_states)
-    if not complete:
+    start = _canonical_code(bq)
+    answer = _closed.get(start)
+    if answer is None:
+        states, complete = _reach(start, max_states)
+        if not complete:
+            raise StateLimitExceeded("orbit exceeded %d states" % max_states)
+        table = theorem_key_table(len(bq.vertices))
+        answer = (min((table[c] for c in states if c in table), default=None), len(states))
+        _remember(states, answer)
+    elif answer[1] > max(max_states, 1):
+        # a closure is complete exactly when the orbit has at most this many states
         raise StateLimitExceeded("orbit exceeded %d states" % max_states)
-    table = theorem_key_table(len(bq.vertices))
-    hits = [table[c] for c in states if c in table]
-    if not hits:
+    hit, size = answer
+    if hit is None:
         raise NoCanonicalHit(
             "orbit of size %d contains no canonical-family representative "
-            "(candidate counterexample)" % len(states)
+            "(candidate counterexample)" % size
         )
-    return min(hits)
+    return hit
 
 
 @functools.lru_cache(maxsize=None)
@@ -556,8 +588,8 @@ def _closed_form_specs(bound: int):
 
 def check_closed_form(sp: FamilySpec) -> str | None:
     """Worker: closed form versus computed invariant for one spec."""
-    want = phi_formula(sp)
-    got = _phi(*_family_ints(sp))
+    got = _phi(*_family_ints(sp))  # checks the spec
+    want = _phi_closed_form(sp)
     if want != got:
         return "%s: computed %s, formula %s" % (sp, got, want)
     return None

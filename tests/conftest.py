@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from gentleq.orbit import SizeClass, enumerate_classes
+from gentleq.orbit import SizeClass, _closed, enumerate_classes
 
 
 @functools.lru_cache(maxsize=None)
@@ -14,3 +14,10 @@ def _classes(n: int):
 def two_cycle_classes():
     """n -> enumerated two-cycle classes, shared across the whole run."""
     return _classes
+
+
+@pytest.fixture(autouse=True)
+def fresh_normalize_memo():
+    """Each test starts with an empty ``normalize`` memo, so a test that
+    watches a closure sees it whatever ran before."""
+    _closed.clear()

@@ -137,6 +137,18 @@ class TestBasicCommands:
         assert out == ("vertices: w0 w1\nrow w0: 2 3\nrow w1: 1 2\n"
                        "det: 1\neuler: sym-det=0\n")
 
+    def test_cartan_builds_the_matrix_once(self, monkeypatch):
+        invariant = importlib.import_module("gentleq.invariant")
+        calls = []
+        real = invariant.cartan_matrix
+        monkeypatch.setattr(invariant, "cartan_matrix",
+                            lambda bq: calls.append(1) or real(bq))
+        for text, tail in ((L0_FILE, "det: 1\neuler: sym-det=0\n"),
+                           (serialize(build_family(spec("L1", 1, 2, 0, 1, 0))), "euler: none\n")):
+            code, out, _ = run_cli(["cartan", "-"], stdin=text)
+            assert code == 0 and out.endswith(tail)
+        assert len(calls) == 2
+
     def test_moves_listing(self):
         code, out, _ = run_cli(["moves", "-"], stdin=L0_FILE)
         assert code == 0
@@ -289,13 +301,14 @@ class TestVerifyCommands:
 
     def test_lemmas_reports_closed_form_failure(self, monkeypatch):
         orbit = importlib.import_module("gentleq.orbit")
-        real = orbit.phi_formula
+        real = orbit._phi_closed_form
         wrong = spec("L2", 1, 1, 1, 0, 0)
 
         def formula(sp):
             return phi_formula(spec("L0", 1, 0)) if sp == wrong else real(sp)
 
-        monkeypatch.setattr(orbit, "phi_formula", formula)
+        # the sweep reads the closed form of specs it has already checked
+        monkeypatch.setattr(orbit, "_phi_closed_form", formula)
         code, out, err = run_cli([
             "verify", "lemmas", "--bound", "4", "--orbit-vertices", "2",
             "--sweep-vertices", "2", "--jobs", "1"])

@@ -305,16 +305,41 @@ class TestValidateOnce:
     def test_closed_form_check_validates_once(self, monkeypatch):
         from gentleq.orbit import check_closed_form
 
-        calls, integer_calls = [], []
+        calls, integer_calls, spec_calls = [], [], []
         real, real_valid = gentleq.core.validate, gentleq.families._valid
+        real_check = gentleq.families.check_spec
         monkeypatch.setattr(gentleq.core, "validate",
                             lambda *args: calls.append(1) or real(*args))
         monkeypatch.setattr(gentleq.families, "_valid",
                             lambda *args: integer_calls.append(1) or real_valid(*args))
+        monkeypatch.setattr(gentleq.families, "check_spec",
+                            lambda sp: spec_calls.append(1) or real_check(sp))
         specs = list(_closed_form_specs(5))
         assert not any(check_closed_form(sp) for sp in specs)
-        # the integer check in the family builder, not again in phi
-        assert (len(calls), len(integer_calls)) == (0, len(specs))
+        # the integer check in the family builder, not again in phi, and one
+        # spec check, not again in the closed form
+        assert (len(calls), len(integer_calls), len(spec_calls)) == (0, len(specs), len(specs))
+
+    def test_two_cycle_guards_check_connectivity_once(self, monkeypatch):
+        from gentleq.orbit import normalize
+
+        calls = []
+        real = gentleq.core._arcs_connected
+        monkeypatch.setattr(gentleq.core, "_arcs_connected",
+                            lambda *args: calls.append(1) or real(*args))
+        bq = build_family(spec("L0", 2, 1))
+        assert degeneracy_class(bq) == DEGENERATE
+        assert normalize(bq) == spec("L0", 2, 1)
+        assert len(calls) == 2
+        for guard, text in ((degeneracy_class, "degeneracy split applies to two-cycle quivers only"),
+                            (normalize, "normalization applies to two-cycle quivers")):
+            with pytest.raises(gentleq.core.QuiverError) as err:
+                guard(a2_quiver())
+            assert str(err.value) == text
+        disconnected = make_bound_quiver(["x", "y"], [], [])
+        for guard in (degeneracy_class, normalize):
+            with pytest.raises(InvalidQuiverError, match="CONN underlying graph is disconnected"):
+                guard(disconnected)
 
 
 class TestDegeneracy:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gentleq.core import (
+    QuiverError,
     _canonical_code,
     _decode,
     _form,
@@ -17,8 +18,10 @@ from gentleq.orbit import (
     DEFAULT_MAX_STATES,
     BoundExceeded,
     SizeClass,
+    NoCanonicalHit,
     StateLimitExceeded,
     _check_inverse_edges,
+    _closed,
     _closed_form_specs,
     _enumerate_cached,
     _junction_choices,
@@ -242,6 +245,90 @@ class TestNormalize:
             normalize(bq, max_states=size - 1)
 
 
+class TestNormalizeMemo:
+    """A repeated ``normalize`` answers from the orbit an earlier call
+    closed, exactly as a fresh closure would."""
+
+    @staticmethod
+    def outcome(q, cap):
+        try:
+            return normalize(q, max_states=cap)
+        except QuiverError as exc:
+            return type(exc), str(exc)
+
+    def test_repeat_matches_fresh(self, two_cycle_classes, monkeypatch):
+        orbit_module = importlib.import_module("gentleq.orbit")
+        rng = random.Random(12)
+        for n in (2, 3, 4):
+            assignment, members, _family, _complete = _orbit_partition(n)
+            for bq in two_cycle_classes(n):
+                size = len(members[assignment[_canonical_code(bq)]])
+                caps = (0, 1, size - 1, size, DEFAULT_MAX_STATES)
+                inputs = (bq, opposite(bq), random_relabel(bq, rng))
+                fresh = []
+                for q in inputs:
+                    for cap in caps:
+                        _closed.clear()
+                        fresh.append(self.outcome(q, cap))
+                _closed.clear()
+                normalize(bq)
+                with monkeypatch.context() as patch:
+                    patch.setattr(orbit_module, "_reach", None)  # no closure from here
+                    assert [self.outcome(q, cap) for q in inputs for cap in caps] == fresh, bq
+
+    def test_repeat_without_hit_matches_fresh(self, monkeypatch):
+        # with no canonical-list entry at all, every orbit is a counterexample
+        monkeypatch.setattr(importlib.import_module("gentleq.orbit"), "theorem_key_table",
+                            lambda n: {})
+        bq = build_family(spec("L0", 3, 0))
+        size = len(orbit(bq).component)
+        want = (NoCanonicalHit, "orbit of size %d contains no canonical-family "
+                "representative (candidate counterexample)" % size)
+        assert self.outcome(bq, DEFAULT_MAX_STATES) == want
+        assert self.outcome(opposite(bq), size) == want
+        assert self.outcome(bq, size - 1) == (StateLimitExceeded,
+                                               "orbit exceeded %d states" % (size - 1))
+
+    def test_repeat_closes_nothing(self, monkeypatch):
+        orbit_module = importlib.import_module("gentleq.orbit")
+        calls = []
+        for name in ("_reach", "_check_inverse_edges"):
+            real = getattr(orbit_module, name)
+            monkeypatch.setattr(orbit_module, name,
+                                lambda *args, _real=real, _name=name:
+                                calls.append(_name) or _real(*args))
+        bq = build_family(spec("L0", 3, 0))
+        assert normalize(bq) == spec("L0", 3, 0)
+        assert calls == ["_reach", "_check_inverse_edges"]
+        assert normalize(bq) == normalize(opposite(bq)) == spec("L0", 3, 0)
+        with pytest.raises(StateLimitExceeded, match="orbit exceeded 2 states"):
+            normalize(bq, max_states=2)
+        assert calls == ["_reach", "_check_inverse_edges"]
+
+    def test_capped_closure_not_kept(self):
+        bq = build_family(spec("L0", 3, 0))
+        with pytest.raises(StateLimitExceeded):
+            normalize(bq, max_states=2)
+        assert _closed == {}
+
+    def test_memo_emptied_at_bound(self, monkeypatch):
+        orbit_module = importlib.import_module("gentleq.orbit")
+        first, second = build_family(spec("L0", 3, 0)), build_family(spec("L0", 2, 1))
+        sizes = [len(orbit(q).component) for q in (first, second)]
+        code = _canonical_code(first)
+        # room for either orbit, not for both
+        monkeypatch.setattr(orbit_module, "DEFAULT_MAX_STATES", max(sizes) + min(sizes) - 1)
+        normalize(first)
+        assert len(_closed) == sizes[0] and code in _closed
+        normalize(second)
+        assert len(_closed) == sizes[1] and code not in _closed
+        # an orbit larger than the bound is answered but not kept
+        monkeypatch.setattr(orbit_module, "DEFAULT_MAX_STATES", sizes[0] - 1)
+        _closed.clear()
+        assert normalize(first) == spec("L0", 3, 0)
+        assert _closed == {}
+
+
 class TestIntegerStates:
     def test_no_named_quiver_on_the_partition_path(self, monkeypatch):
         # enumeration and closure run on codes: no BoundQuiver is built and
@@ -309,6 +396,7 @@ class TestGeneratorClosure:
         for sp in specs:
             bq = build_family(sp)
             for q in (bq, random_relabel(bq, rng), opposite(bq)):
+                _closed.clear()  # a fresh closure for every input
                 assert normalize(q) == oracle_normalize(q), sp
 
     def test_inverse_edges_accepted(self):
