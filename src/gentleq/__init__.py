@@ -6,8 +6,6 @@ from .core import (
     QuiverSyntaxError,
     Quiver,
     compact_key,
-    cycle_rank,
-    is_connected,
     is_isomorphic,
     make_bound_quiver,
     opposite,
@@ -20,7 +18,6 @@ from .invariant import (
     Phi,
     cartan_matrix,
     degeneracy_class,
-    euler_data,
     phi,
 )
 from .moves import (

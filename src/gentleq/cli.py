@@ -16,7 +16,8 @@ from . import core, families, fuzz, invariant, moves
 from .orbit import (
     DEFAULT_MAX_STATES,
     SizeClass,
-    enumerate_classes,
+    _bounded,
+    _enumerate_cached,
     normalize,
     orbit,
     theorem_key_table,
@@ -210,11 +211,10 @@ def _cmd_enumerate(args) -> int:
     arrows = args.arrows
     if arrows is None:
         arrows = args.vertices + 1
-    classes = enumerate_classes(
-        SizeClass(args.vertices, arrows), two_cycle=args.two_cycle)
-    for bq in classes:
-        print("class %s" % core.compact_key(bq))
-    print("count: %d" % len(classes))
+    codes = _enumerate_cached(_bounded(SizeClass(args.vertices, arrows)), args.two_cycle)
+    for code in codes:
+        print("class %s" % core._compact(code))
+    print("count: %d" % len(codes))
     return 0
 
 

@@ -7,12 +7,11 @@ composite "second, then first"; composability means
 ``source(first) == target(second)``.
 
 This module holds the data model, the line-oriented text format, the
-gentleness/finiteness validator, the cycle rank, the opposite quiver, and
-isomorphism testing via canonical labeling.  Everything is immutable and
-every operation is a pure function.  Names live at the edges: the validator,
-connectivity and the canonical kernel read a bound quiver on indices,
-``_integer(bq)`` = ``(n, ends, rels)``, and names are attached only to what
-they return.
+gentleness/finiteness validator, the opposite quiver, and isomorphism
+testing via canonical labeling.  Everything is immutable and every operation
+is a pure function.  Names live at the edges: the validator, connectivity
+and the canonical kernel read a bound quiver on indices, ``_integer(bq)`` =
+``(n, ends, rels)``, and names are attached only to what they return.
 """
 
 from __future__ import annotations
@@ -28,13 +27,10 @@ __all__ = [
     "Violation",
     "QuiverError",
     "QuiverSyntaxError",
-    "NotConnectedError",
     "parse",
     "serialize",
     "validate",
     "require_valid",
-    "is_connected",
-    "cycle_rank",
     "opposite",
     "is_isomorphic",
 ]
@@ -54,10 +50,6 @@ class QuiverSyntaxError(QuiverError):
             message = "line %d: %s" % (line, message)
         super().__init__(message)
         self.line = line
-
-
-class NotConnectedError(QuiverError):
-    pass
 
 
 class InvalidQuiverError(QuiverError):
@@ -99,12 +91,6 @@ class Quiver:
             seen.add(a)
             if s not in vset or t not in vset:
                 raise ValueError("arrow %r references unknown vertex" % a)
-
-    def source(self, arrow: str) -> str:
-        return {a: s for a, s, _t in self.arrows}[arrow]
-
-    def target(self, arrow: str) -> str:
-        return {a: t for a, _s, t in self.arrows}[arrow]
 
 
 @dataclass(frozen=True)
@@ -264,12 +250,6 @@ class Violation:
     witness: str
 
 
-def is_connected(bq: BoundQuiver) -> bool:
-    """Weak connectivity of the underlying graph (true for the empty quiver)."""
-    n, ends, _rels = _integer(bq)
-    return _arcs_connected(n, ends)
-
-
 def _first_cycle(succ, order) -> list[int] | None:
     """The first cycle a depth-first search meets in the graph ``succ``
     (node -> successor list) that starts from the nodes in ``order``, or
@@ -424,13 +404,6 @@ def _arcs_connected(n: int, arcs) -> bool:
 
 # ---------------------------------------------------------------------------
 # structure
-
-
-def cycle_rank(bq: BoundQuiver) -> int:
-    """Number of arrows minus vertices plus one, for a connected quiver."""
-    if not is_connected(bq):
-        raise NotConnectedError("cycle rank is only defined for connected quivers")
-    return len(bq.arrows) - len(bq.vertices) + 1
 
 
 def opposite(bq: BoundQuiver) -> BoundQuiver:

@@ -40,12 +40,24 @@ __all__ = [
     "theorem_list",
 ]
 
-FAMILY_TAGS = ("G0", "G1", "G2", "L0", "L0p", "L1", "L2", "L2pFive", "L2pSix")
-
-_PARAM_COUNT = {
-    "L0": 2, "L0p": 2, "L1": 5, "L2": 5,
-    "L2pSix": 6, "L2pFive": 5, "G0": 3, "G1": 4, "G2": 4,
+# Each family's shape: the parameters whose sum plus an offset is the vertex
+# count, and those whose sum plus an offset is the relation count.
+_SHAPE = {
+    "G0": ((0, 1), 1, (2,), 2),
+    "G1": ((0, 1, 3), 1, (2, 3), 2),
+    "G2": ((0, 1, 3), 1, (2, 3), 2),
+    "L0": ((0,), 1, (1,), 2),
+    "L0p": ((0,), 2, (1,), 2),
+    "L1": ((0, 1, 2, 3), -1, (1, 4), 1),
+    "L2": ((0, 1, 2), -1, (3, 4), 2),
+    "L2pFive": ((0, 1, 2), 0, (3, 4), 2),
+    "L2pSix": ((0, 1, 2, 3), -1, (4, 5), 2),
 }
+
+FAMILY_TAGS = tuple(_SHAPE)
+
+# every parameter counts towards the vertices or the relations
+_PARAM_COUNT = {tag: len(set(size) | set(rels)) for tag, (size, _o, rels, _r) in _SHAPE.items()}
 
 
 class ConstraintViolation(QuiverError):
@@ -84,52 +96,56 @@ def check_spec(sp: FamilySpec) -> None:
             "%s takes %d parameters, got %d"
             % (sp.tag, _PARAM_COUNT[sp.tag], len(sp.params))
         )
-    p = sp.params
+    failed = _failed_inequality(sp.tag, sp.params)
+    if failed is not None:
+        raise ConstraintViolation("%s: needs %s" % (sp, failed))
 
-    def need(cond: bool, text: str):
-        if not cond:
-            raise ConstraintViolation("%s: needs %s" % (sp, text))
 
-    if sp.tag in ("L0", "L0p"):
+def _failed_inequality(tag: str, p: tuple[int, ...]) -> str | None:
+    """The first inequality the parameters ``p`` of a ``tag`` spec fail, or
+    None when they are valid."""
+    if tag in ("L0", "L0p"):
         pp, r = p
-        need(pp >= 1, "p >= 1")
-        need(0 <= r <= pp - 1, "r in [0, p-1]")
-    elif sp.tag == "L1":
+        rules = ((pp >= 1, "p >= 1"), (0 <= r <= pp - 1, "r in [0, p-1]"))
+    elif tag == "L1":
         p1, p2, p3, p4, r1 = p
-        need(p1 >= 1 and p2 >= 1, "p1, p2 >= 1")
-        need(p3 >= 0 and p4 >= 0, "p3, p4 >= 0")
-        need(0 <= r1 <= p1 - 1, "r1 in [0, p1-1]")
-        need(p2 + p3 >= 2, "p2 + p3 >= 2")
-        need(p4 + r1 >= 1, "p4 + r1 >= 1")
-    elif sp.tag == "L2":
+        rules = ((p1 >= 1 and p2 >= 1, "p1, p2 >= 1"),
+                 (p3 >= 0 and p4 >= 0, "p3, p4 >= 0"),
+                 (0 <= r1 <= p1 - 1, "r1 in [0, p1-1]"),
+                 (p2 + p3 >= 2, "p2 + p3 >= 2"),
+                 (p4 + r1 >= 1, "p4 + r1 >= 1"))
+    elif tag == "L2":
         p1, p2, p3, r1, r2 = p
-        need(p1 >= 1 and p2 >= 1, "p1, p2 >= 1")
-        need(p3 >= 0, "p3 >= 0")
-        need(0 <= r1 <= p1 - 1, "r1 in [0, p1-1]")
-        need(0 <= r2 <= p2 - 1, "r2 in [0, p2-1]")
-        need(p3 + r1 + r2 >= 1, "p3 + r1 + r2 >= 1")
-    elif sp.tag == "L2pSix":
+        rules = ((p1 >= 1 and p2 >= 1, "p1, p2 >= 1"),
+                 (p3 >= 0, "p3 >= 0"),
+                 (0 <= r1 <= p1 - 1, "r1 in [0, p1-1]"),
+                 (0 <= r2 <= p2 - 1, "r2 in [0, p2-1]"),
+                 (p3 + r1 + r2 >= 1, "p3 + r1 + r2 >= 1"))
+    elif tag == "L2pSix":
         p1, p2, p3, p4, r1, r2 = p
-        need(p1 >= 1 and p2 >= 1, "p1, p2 >= 1")
-        need(p3 >= 0 and p4 >= 0, "p3, p4 >= 0")
-        need(0 <= r1 <= p1 - 1, "r1 in [0, p1-1]")
-        need(0 <= r2 <= p2 - 1, "r2 in [0, p2-1]")
-        need(p3 + p4 + r1 + r2 >= 1, "p3 + p4 + r1 + r2 >= 1")
-    elif sp.tag == "L2pFive":
+        rules = ((p1 >= 1 and p2 >= 1, "p1, p2 >= 1"),
+                 (p3 >= 0 and p4 >= 0, "p3, p4 >= 0"),
+                 (0 <= r1 <= p1 - 1, "r1 in [0, p1-1]"),
+                 (0 <= r2 <= p2 - 1, "r2 in [0, p2-1]"),
+                 (p3 + p4 + r1 + r2 >= 1, "p3 + p4 + r1 + r2 >= 1"))
+    elif tag == "L2pFive":
         p1, p2, p3, r1, r2 = p
-        need(p1 >= 1 and p3 >= 1, "p1, p3 >= 1")
-        need(p2 >= 2, "p2 >= 2")
-        need(0 <= r1 <= p1 - 1, "r1 in [0, p1-1]")
-        need(1 <= r2 <= p2 - 1, "r2 in [1, p2-1]")
-    elif sp.tag == "G0":
+        rules = ((p1 >= 1 and p3 >= 1, "p1, p3 >= 1"),
+                 (p2 >= 2, "p2 >= 2"),
+                 (0 <= r1 <= p1 - 1, "r1 in [0, p1-1]"),
+                 (1 <= r2 <= p2 - 1, "r2 in [1, p2-1]"))
+    elif tag == "G0":
         pp, q, r = p
-        need(pp >= 1 and q >= 1, "p, q >= 1")
-        need(0 <= r <= pp - 1, "r in [0, p-1]")
+        rules = ((pp >= 1 and q >= 1, "p, q >= 1"), (0 <= r <= pp - 1, "r in [0, p-1]"))
     else:  # G1, G2
         pp, q, r, rp = p
-        need(pp >= 1 and q >= 1, "p, q >= 1")
-        need(0 <= r <= pp - 1, "r in [0, p-1]")
-        need(rp >= 0, "r' >= 0")
+        rules = ((pp >= 1 and q >= 1, "p, q >= 1"),
+                 (0 <= r <= pp - 1, "r in [0, p-1]"),
+                 (rp >= 0, "r' >= 0"))
+    for ok, text in rules:
+        if not ok:
+            return text
+    return None
 
 
 class _Builder:
@@ -380,91 +396,60 @@ def build_family(sp: FamilySpec) -> BoundQuiver:
 
 def family_size(sp: FamilySpec) -> int:
     """Vertex count of the built quiver, without building it."""
-    p = sp.params
-    if sp.tag == "L0":
-        return p[0] + 1
-    if sp.tag == "L0p":
-        return p[0] + 2
-    if sp.tag == "L1":
-        return p[0] + p[1] + p[2] + p[3] - 1
-    if sp.tag == "L2":
-        return p[0] + p[1] + p[2] - 1
-    if sp.tag == "L2pSix":
-        return p[0] + p[1] + p[2] + p[3] - 1
-    if sp.tag == "L2pFive":
-        return p[0] + p[1] + p[2]
-    if sp.tag == "G0":
-        return p[0] + p[1] + 1
-    return p[0] + p[1] + p[3] + 1  # G1, G2
+    size, offset, _rels, _roffset = _SHAPE[sp.tag]
+    return sum(sp.params[i] for i in size) + offset
 
 
-def _compositions(total, parts, minima):
-    """All tuples of the given length with the given minima summing to total."""
-    if parts == 1:
-        if total >= minima[0]:
-            yield (total,)
-        return
-    for first in range(minima[0], total - sum(minima[1:]) + 1):
-        for rest in _compositions(total - first, parts - 1, minima[1:]):
-            yield (first,) + rest
+def _compositions(total: int, minima: tuple[int, ...]):
+    """All tuples of ``len(minima)`` integers, each at least its minimum,
+    summing to ``total``, in lexicographic order; lazily beyond two parts, so
+    memory stays linear in ``total``."""
+    if len(minima) == 2:
+        return [(k, total - k) for k in range(minima[0], total - minima[1] + 1)]
+    if len(minima) == 1:
+        return [(total,)] if total >= minima[0] else []
+    if not minima:
+        return [()] if total == 0 else []
+    return ((k,) + rest for k in range(minima[0], total - sum(minima[1:]) + 1)
+            for rest in _compositions(total - k, minima[1:]))
 
 
-def _candidate_specs(n: int, n_arrows: int, n_rels: int):
-    """All specs whose built quiver could have these size statistics."""
-    if n_arrows != n + 1:
-        return
-    for tag in FAMILY_TAGS:
-        if tag == "L0":
-            pp = n - 1
-            r = n_rels - 2
-            if pp >= 1 and 0 <= r <= pp - 1:
-                yield spec(tag, pp, r)
-        elif tag == "L0p":
-            pp = n - 2
-            r = n_rels - 2
-            if pp >= 1 and 0 <= r <= pp - 1:
-                yield spec(tag, pp, r)
-        elif tag == "L1":
-            for p1, p2, p3, p4 in _compositions(n + 1, 4, (1, 1, 0, 0)):
-                yield spec(tag, p1, p2, p3, p4, n_rels - p2 - 1)
-        elif tag == "L2":
-            for p1, p2, p3 in _compositions(n + 1, 3, (1, 1, 0)):
-                for r1 in range(0, p1):
-                    yield spec(tag, p1, p2, p3, r1, n_rels - 2 - r1)
-        elif tag == "L2pSix":
-            for p1, p2, p3, p4 in _compositions(n + 1, 4, (1, 1, 0, 0)):
-                for r1 in range(0, p1):
-                    yield spec(tag, p1, p2, p3, p4, r1, n_rels - 2 - r1)
-        elif tag == "L2pFive":
-            for p1, p2, p3 in _compositions(n, 3, (1, 2, 1)):
-                for r1 in range(0, p1):
-                    yield spec(tag, p1, p2, p3, r1, n_rels - 2 - r1)
-        elif tag == "G0":
-            r = n_rels - 2
-            for pp, q in _compositions(n - 1, 2, (1, 1)):
-                yield spec(tag, pp, q, r)
-        else:  # G1, G2
-            for pp, q, rp in _compositions(n - 1, 3, (1, 1, 0)):
-                yield spec(tag, pp, q, n_rels - rp - 2, rp)
+def _specs(tag: str, n: int, nrels: int) -> list[FamilySpec]:
+    """Every valid spec of ``tag`` whose quiver has ``n`` vertices and
+    ``nrels`` relations.
 
-
-def _spec_checked(candidates):
-    for sp in candidates:
-        try:
-            check_spec(sp)
-        except ConstraintViolation:
-            continue
-        yield sp
+    The size parameters run over the compositions of ``n`` less the offset,
+    the relation-only parameters over those of the relations left, and the
+    inequalities of ``check_spec`` keep the valid specs.
+    """
+    size, offset, rels, roffset = _SHAPE[tag]
+    free = [i for i in rels if i not in size]
+    shared = [i for i in rels if i in size]
+    params = [0] * _PARAM_COUNT[tag]
+    out = []
+    for part in _compositions(n - offset, (0,) * len(size)):
+        for i, x in zip(size, part):
+            params[i] = x
+        left = nrels - roffset - sum([params[i] for i in shared])
+        for rest in _compositions(left, (0,) * len(free)):
+            for i, x in zip(free, rest):
+                params[i] = x
+            if _failed_inequality(tag, params) is None:
+                out.append(FamilySpec(tag, tuple(params)))
+    return out
 
 
 @functools.lru_cache(maxsize=64)
 def _recognize_table(n: int, a: int, r: int) -> dict[tuple, FamilySpec]:
     """Canonical code -> least spec, over every spec of this size."""
     table: dict[tuple, FamilySpec] = {}
-    for sp in _spec_checked(_candidate_specs(n, a, r)):
-        code = _code(*_family_ints(sp))
-        if code not in table or sp < table[code]:
-            table[code] = sp
+    if a != n + 1:
+        return table
+    for tag in FAMILY_TAGS:
+        for sp in _specs(tag, n, r):
+            code = _code(*_family_ints(sp))
+            if code not in table or sp < table[code]:
+                table[code] = sp
     return table
 
 
@@ -524,13 +509,13 @@ def theorem_list(max_vertices: int) -> list[FamilySpec]:
     for pp in range(1, max_vertices - 1):
         out.append(spec("L0p", pp, 0))
     for n in range(2, max_vertices + 1):
-        for p1, p2, p3, p4 in _compositions(n + 1, 4, (1, 1, 0, 0)):
+        for p1, p2, p3, p4 in _compositions(n + 1, (1, 1, 0, 0)):
             for r1 in range(0, p1):
                 if p2 + p3 < 2 or p4 + r1 < 1:
                     continue
                 if p3 > p4 or (p3 == p4 and p2 > r1):
                     out.append(spec("L1", p1, p2, p3, p4, r1))
-        for p1, p2, p3 in _compositions(n + 1, 3, (1, 1, 0)):
+        for p1, p2, p3 in _compositions(n + 1, (1, 1, 0)):
             if p1 < p2:
                 continue
             for r1 in range(0, p1):

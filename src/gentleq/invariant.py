@@ -43,8 +43,6 @@ __all__ = [
     "phi",
     "degeneracy_class",
     "cartan_matrix",
-    "cartan_determinant",
-    "euler_data",
 ]
 
 
@@ -298,25 +296,15 @@ def _det_int(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def euler_data(bq: BoundQuiver):
-    """``(det C, det(E + E^T))`` with ``E`` the inverse transpose of the path
-    count matrix, or ``None`` when that matrix is not invertible over the
-    integers.
+def _euler(rows, det_c: int):
+    """``(det C, det(E + E^T))`` for the path count matrix ``C`` = ``rows``
+    with determinant ``det_c``, where ``E`` is the inverse transpose of ``C``,
+    or ``None`` when ``C`` is not invertible over the integers.
 
     ``E + E^T = C^-1 (C + C^T) C^-T``, so when ``det C`` is 1 or -1 the second
     determinant is ``det(C + C^T)``.
     """
-    _, rows = cartan_matrix(bq)
-    return _euler(rows, _det_int(rows))
-
-
-def _euler(rows, det_c: int):
-    """``euler_data`` from the path count matrix ``rows`` and its determinant."""
     if det_c not in (1, -1):
         return None
     sym = [[x + y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
     return det_c, _det_int(sym)
-
-
-def cartan_determinant(bq: BoundQuiver) -> int:
-    return _det_int(cartan_matrix(bq)[1])

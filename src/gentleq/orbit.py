@@ -51,6 +51,7 @@ from .families import (
     FamilySpec,
     _family_ints,
     _phi_closed_form,
+    _specs,
     family_size,
     phi_formula,
     spec,
@@ -613,20 +614,6 @@ class _Check:
     failures: tuple[str, ...]
 
 
-def _orbit_pair_check(pairs, max_states):
-    """Same-orbit assertions for (spec, spec) pairs of equal size."""
-    failures = []
-    limited = False
-    for left, right in pairs:
-        n = family_size(left)
-        assert family_size(right) == n
-        assignment, _m, _f, complete = _orbit_partition(n, max_states)
-        limited = limited or not complete
-        if assignment[_code(*_family_ints(left))] != assignment[_code(*_family_ints(right))]:
-            failures.append("%s and %s are not in the same orbit" % (left, right))
-    return failures, limited
-
-
 def _phi_pair_failures(pairs):
     out = []
     for left, right in pairs:
@@ -635,6 +622,15 @@ def _phi_pair_failures(pairs):
         if pl != pr:
             out.append("phi(%s)=%s differs from phi(%s)=%s" % (left, pl, right, pr))
     return out
+
+
+def _sized_specs(tags, max_vertices: int) -> list[FamilySpec]:
+    """Every valid spec of the given tags with at most ``max_vertices``
+    vertices, by size and then in order.  A gentle quiver has at most one
+    relation starting at each arrow, so at most ``n + 1`` relations."""
+    return [sp for n in range(1, max_vertices + 1)
+            for sp in sorted(sp for tag in tags for r in range(n + 2)
+                             for sp in _specs(tag, n, r))]
 
 
 def _move_sweep(sweep_vertices: int, max_states: int):
@@ -705,94 +701,46 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
     sweep_checks, limited = _move_sweep(sweep_vertices, max_states)
     checks.extend(sweep_checks)
 
-    def sized(specs):
-        return [sp for sp in specs if family_size(sp) <= orbit_vertices]
-
-    # flip of the mixed-cycle family
-    op1_pairs = []
-    for sp in sized(sp for sp in theorem_list(orbit_vertices) if sp.tag == "L1"):
-        p1, p2, p3, p4, r1 = sp.params
-        op1_pairs.append((sp, spec("L1", p1 + p2 - r1 - 1, r1 + 1, p4, p3, p2 - 1)))
-    fails = _phi_pair_failures(op1_pairs)
-    ofails, lim = _orbit_pair_check(op1_pairs, max_states)
-    limited = limited or lim
-    checks.append(_Check("mixed-cycle-flip", len(op1_pairs), tuple(fails + ofails)))
-
-    # swap of the two oriented cycles
-    swap_pairs = []
-    for sp in sized(sp for sp in theorem_list(orbit_vertices) if sp.tag == "L2"):
+    flip_pairs, swap_pairs = [], []  # the mixed-cycle flip, the cycle swap
+    for sp in theorem_list(orbit_vertices):
+        if sp.tag == "L1":
+            p1, p2, p3, p4, r1 = sp.params
+            flip_pairs.append((sp, spec("L1", p1 + p2 - r1 - 1, r1 + 1, p4, p3, p2 - 1)))
+        elif sp.tag == "L2":
+            p1, p2, p3, r1, r2 = sp.params
+            swap_pairs.append((sp, spec("L2", p2, p1, p3, r2, r1)))
+    # sliding the connector split point; a vanishing half is the plain family
+    slide_ids, slide_pairs = [], []
+    for sp in _sized_specs(("L2pSix",), orbit_vertices):
+        p1, p2, p3, p4, r1, r2 = sp.params
+        if p3 == 0:
+            slide_ids.append((sp, spec("L2", p2, p1, p4, r2, r1)))
+        else:
+            slide_pairs.append((sp, spec("L2pSix", p1, p2, p3 - 1, p4 + 1, r1, r2)))
+        if p4 == 0:
+            slide_ids.append((sp, spec("L2", p1, p2, p3, r1, r2)))
+    shift_pairs = [  # the double arrow absorbed into the cycle
+        (sp, spec("L0", sp.params[0] + 1, sp.params[1] - 1))
+        for sp in _sized_specs(("L0p",), orbit_vertices) if sp.params[1] >= 1]
+    close_pairs = []  # closing the five-parameter connector
+    for sp in _sized_specs(("L2pFive",), orbit_vertices):
         p1, p2, p3, r1, r2 = sp.params
-        swap_pairs.append((sp, spec("L2", p2, p1, p3, r2, r1)))
-    fails = _phi_pair_failures(swap_pairs)
-    ofails, lim = _orbit_pair_check(swap_pairs, max_states)
-    limited = limited or lim
-    checks.append(_Check("cycle-swap", len(swap_pairs), tuple(fails + ofails)))
-
-    # sliding the connector split point
-    six_pairs = []
-    six_id_fails = []
-    for n in range(2, orbit_vertices + 1):
-        for p1 in range(1, n):
-            for p2 in range(1, n - p1 + 1):
-                for p3 in range(0, n - p1 - p2 + 2):
-                    p4 = n + 1 - p1 - p2 - p3
-                    if p4 < 0:
-                        continue
-                    for r1 in range(0, p1):
-                        for r2 in range(0, p2):
-                            if p3 + p4 + r1 + r2 < 1:
-                                continue
-                            sp6 = spec("L2pSix", p1, p2, p3, p4, r1, r2)
-                            if family_size(sp6) != n:
-                                continue
-                            if p3 == 0:
-                                want = spec("L2", p2, p1, p4, r2, r1)
-                                if _code(*_family_ints(sp6)) != _code(*_family_ints(want)):
-                                    six_id_fails.append(
-                                        "%s is not isomorphic to %s" % (sp6, want))
-                            else:
-                                six_pairs.append(
-                                    (sp6, spec("L2pSix", p1, p2, p3 - 1, p4 + 1, r1, r2)))
-                            if p4 == 0:
-                                want = spec("L2", p1, p2, p3, r1, r2)
-                                if _code(*_family_ints(sp6)) != _code(*_family_ints(want)):
-                                    six_id_fails.append(
-                                        "%s is not isomorphic to %s" % (sp6, want))
-    fails = _phi_pair_failures(six_pairs)
-    ofails, lim = _orbit_pair_check(six_pairs, max_states)
-    limited = limited or lim
-    checks.append(_Check("connector-slide", len(six_pairs) + len(six_id_fails),
-                         tuple(six_id_fails + fails + ofails)))
-
-    # double arrow absorbed into the cycle
-    ext_pairs = []
-    for pp in range(1, orbit_vertices):
-        for r in range(1, pp):
-            sp0 = spec("L0p", pp, r)
-            if family_size(sp0) <= orbit_vertices:
-                ext_pairs.append((sp0, spec("L0", pp + 1, r - 1)))
-    fails = _phi_pair_failures(ext_pairs)
-    ofails, lim = _orbit_pair_check(ext_pairs, max_states)
-    limited = limited or lim
-    checks.append(_Check("double-arrow-shift", len(ext_pairs), tuple(fails + ofails)))
-
-    # closing the five-parameter connector
-    five_pairs = []
-    for p1 in range(1, orbit_vertices + 1):
-        for p2 in range(2, orbit_vertices + 1):
-            for p3 in range(1, orbit_vertices + 1):
-                if p1 + p2 + p3 > orbit_vertices:
-                    continue
-                for r1 in range(0, p1):
-                    for r2 in range(1, p2):
-                        five_pairs.append((
-                            spec("L2pFive", p1, p2, p3, r1, r2),
-                            spec("L2", p2, p1 + 1, p3, r2 - 1, r1 + 1),
-                        ))
-    fails = _phi_pair_failures(five_pairs)
-    ofails, lim = _orbit_pair_check(five_pairs, max_states)
-    limited = limited or lim
-    checks.append(_Check("five-parameter-close", len(five_pairs), tuple(fails + ofails)))
+        close_pairs.append((sp, spec("L2", p2, p1 + 1, p3, r2 - 1, r1 + 1)))
+    for name, identities, pairs in (("mixed-cycle-flip", [], flip_pairs),
+                                    ("cycle-swap", [], swap_pairs),
+                                    ("connector-slide", slide_ids, slide_pairs),
+                                    ("double-arrow-shift", [], shift_pairs),
+                                    ("five-parameter-close", [], close_pairs)):
+        # isomorphic identities, then equal phi and a shared orbit for each pair
+        fails = ["%s is not isomorphic to %s" % (left, right) for left, right in identities
+                 if _code(*_family_ints(left)) != _code(*_family_ints(right))]
+        fails += _phi_pair_failures(pairs)
+        for left, right in pairs:
+            assignment, _m, _f, complete = _orbit_partition(family_size(left), max_states)
+            limited = limited or not complete
+            if assignment[_code(*_family_ints(left))] != assignment[_code(*_family_ints(right))]:
+                fails.append("%s and %s are not in the same orbit" % (left, right))
+        checks.append(_Check(name, len(identities) + len(pairs), tuple(fails)))
 
     # every canonical-list algebra meets its opposite
     opp_fails = []
@@ -807,33 +755,26 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
             opp_fails.append("%s and its opposite are in different orbits" % sp)
     checks.append(_Check("opposite-in-orbit", opp_count, tuple(opp_fails)))
 
-    # the double-arrow reduction chain
-    gamma_pairs = []
-    max_g = orbit_vertices + 2
-    for pp in range(1, max_g):
-        for q in range(2, max_g - pp):
-            for r in range(0, pp):
-                if pp + q + 1 <= max_g:
-                    gamma_pairs.append((spec("G0", pp, q, r), spec("G0", pp + 1, q - 1, r)))
-    for pp in range(1, max_g):
-        for q in range(1, max_g - pp):
-            for r in range(0, pp):
-                for rp in range(0, max_g - pp - q):
-                    if pp + q + rp + 1 > max_g:
-                        continue
-                    g1 = spec("G1", pp, q, r, rp)
-                    g2 = spec("G2", pp, q, r, rp)
-                    if rp >= r:
-                        gamma_pairs.append((g1, spec("G2", q + rp - r, pp, rp - r, r)))
-                        gamma_pairs.append((g2, spec("G2", pp, q + r, r, rp - r)))
-                    if r >= rp:
-                        gamma_pairs.append((g1, spec("G2", pp + 2 * rp - r, q, rp, r - rp)))
-                        gamma_pairs.append((g2, spec("G2", pp, q, r - rp, rp)))
-    for pp in range(1, max_g - 1):
-        for r in range(0, pp):
-            gamma_pairs.append((spec("G0", pp, 1, r), spec("L0p", pp, r)))
-    fails = _phi_pair_failures(gamma_pairs)
-    checks.append(_Check("double-arrow-chain", len(gamma_pairs), tuple(fails)))
+    # the double-arrow reduction chain, past the orbit bound: phi only
+    chain_pairs = []
+    for sp in _sized_specs(("G0", "G1", "G2"), orbit_vertices + 2):
+        if sp.tag == "G0":
+            pp, q, r = sp.params
+            chain_pairs.append((sp, spec("G0", pp + 1, q - 1, r) if q > 1 else spec("L0p", pp, r)))
+            continue
+        pp, q, r, rp = sp.params
+        if sp.tag == "G1":
+            if rp >= r:
+                chain_pairs.append((sp, spec("G2", q + rp - r, pp, rp - r, r)))
+            if r >= rp:
+                chain_pairs.append((sp, spec("G2", pp + 2 * rp - r, q, rp, r - rp)))
+        else:
+            if rp >= r:
+                chain_pairs.append((sp, spec("G2", pp, q + r, r, rp - r)))
+            if r >= rp:
+                chain_pairs.append((sp, spec("G2", pp, q, r - rp, rp)))
+    checks.append(_Check("double-arrow-chain", len(chain_pairs),
+                         tuple(_phi_pair_failures(chain_pairs))))
 
     lines = []
     all_fail: list[str] = []

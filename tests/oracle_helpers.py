@@ -15,7 +15,6 @@ from gentleq.core import (
     _canonical_code,
     _form,
     _integer,
-    cycle_rank,
     Quiver,
     make_bound_quiver,
     opposite,
@@ -24,8 +23,22 @@ from gentleq.core import (
     serialize,
     validate,
 )
-from gentleq.families import FamilySpec, _candidate_specs, _spec_checked, build_family
-from gentleq.invariant import PairingIncomplete, _det_int, _threads, _walk, cartan_matrix
+from gentleq.families import (
+    FAMILY_TAGS,
+    _PARAM_COUNT,
+    ConstraintViolation,
+    FamilySpec,
+    _family_ints,
+    build_family,
+)
+from gentleq.invariant import (
+    PairingIncomplete,
+    _det_int,
+    _euler,
+    _threads,
+    _walk,
+    cartan_matrix,
+)
 from gentleq.moves import Move, MoveKind, applicable_moves
 from gentleq.orbit import (
     DEFAULT_MAX_STATES,
@@ -262,6 +275,13 @@ def oracle_cartan(bq: BoundQuiver):
     return order, tuple(tuple(r) for r in rows)
 
 
+def cycle_rank(bq: BoundQuiver) -> int:
+    """Number of arrows minus vertices plus one, for a connected quiver."""
+    if not oracle_connected(bq):
+        raise QuiverError("cycle rank is only defined for connected quivers")
+    return len(bq.arrows) - len(bq.vertices) + 1
+
+
 def oracle_connected(bq: BoundQuiver) -> bool:
     verts = set(bq.vertices)
     if len(verts) <= 1:
@@ -477,16 +497,58 @@ def _oracle_family_key(sp: FamilySpec) -> str:
     return canonical_key(build_family(sp))
 
 
+def _tuples_up_to(length: int, total: int):
+    """All tuples of ``length`` nonnegative integers with sum at most ``total``."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in _tuples_up_to(length - 1, total - first):
+            yield (first,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_spec_box(max_vertices: int) -> dict:
+    """``(tag, vertices, relations)`` -> the sorted valid specs whose built
+    quiver has that many vertices and relations, for every size up to
+    ``max_vertices``.
+
+    Each parameter is the length of a path or a count of relations along a
+    path; the paths share no arrow and the counted relations are distinct.
+    A quiver with n vertices has n + 1 arrows and at most n + 1 relations, so
+    the parameters sum to at most 2n + 2.  The box is every parameter tuple
+    with that sum at ``max_vertices``, kept where ``check_spec`` accepts it
+    and the built quiver has at most ``max_vertices`` vertices.
+    """
+    out: dict = {}
+    for tag in FAMILY_TAGS:
+        for params in _tuples_up_to(_PARAM_COUNT[tag], 2 * max_vertices + 2):
+            sp = FamilySpec(tag, params)
+            try:
+                n, _ends, rels = _family_ints(sp)
+            except ConstraintViolation:
+                continue
+            if n <= max_vertices:
+                out.setdefault((tag, n, len(rels)), []).append(sp)
+    return {key: sorted(specs) for key, specs in out.items()}
+
+
+def oracle_specs(tag: str, n: int, nrels: int) -> list[FamilySpec]:
+    """``families._specs`` by a filtered parameter box (sizes up to 6)."""
+    assert n <= 6
+    return _oracle_spec_box(6).get((tag, n, nrels), [])
+
+
 def oracle_recognize(bq: BoundQuiver) -> FamilySpec | None:
-    """The least family spec isomorphic to ``bq``: the key of every candidate
-    spec of its size is compared on each call (memoized per spec, to keep
-    the tests fast)."""
+    """The least family spec isomorphic to ``bq``: the key of every spec
+    of its size is compared on each call (memoized per spec, to keep the
+    tests fast)."""
     key = canonical_key(bq)
-    n, a, r = len(bq.vertices), len(bq.arrows), len(bq.relations)
-    matches = [
-        sp for sp in _spec_checked(_candidate_specs(n, a, r))
-        if _oracle_family_key(sp) == key
-    ]
+    n, r = len(bq.vertices), len(bq.relations)
+    if len(bq.arrows) != n + 1:
+        return None
+    matches = [sp for tag in FAMILY_TAGS for sp in oracle_specs(tag, n, r)
+               if _oracle_family_key(sp) == key]
     return min(matches) if matches else None
 
 
@@ -1127,6 +1189,13 @@ def _oracle_inverse_fractions(matrix):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def euler_data(bq: BoundQuiver):
+    """The package's ``(det C, det(E + E^T))`` or ``None``, as ``gentleq
+    cartan`` takes it from the path count matrix."""
+    rows = cartan_matrix(bq)[1]
+    return _euler(rows, _det_int(rows))
 
 
 def oracle_euler_data(bq: BoundQuiver):

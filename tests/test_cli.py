@@ -403,7 +403,7 @@ class TestInstalledEntryPoint:
     def test_cross_process_determinism(self):
         # fresh interpreters get fresh hash seeds; output must not care
         args = [sys.executable, "-m", "gentleq.cli", "verify", "lemmas",
-                "--bound", "5", "--orbit-vertices", "2", "--sweep-vertices", "2",
+                "--bound", "5", "--orbit-vertices", "3", "--sweep-vertices", "2",
                 "--jobs", "1"]
         outs = set()
         for seed in ("1", "2"):

@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
-from gentleq.core import _integer, cycle_rank, is_isomorphic, validate
+from gentleq.core import _integer, is_isomorphic, validate
 from gentleq.families import (
     FAMILY_TAGS,
     _PARAM_COUNT,
     ConstraintViolation,
+    FamilySpec,
     OutOfLemmaScope,
     _family_ints,
+    _specs,
     build_family,
     check_spec,
     family_size,
@@ -20,7 +22,7 @@ from gentleq.families import (
 from gentleq.invariant import Phi, phi
 from gentleq.orbit import _closed_form_specs
 
-from oracle_helpers import canonical_key, oracle_recognize, random_relabel
+from oracle_helpers import canonical_key, cycle_rank, oracle_recognize, oracle_specs, random_relabel
 import random
 
 
@@ -111,6 +113,39 @@ def specs_up_to(total):
                 except ConstraintViolation:
                     continue
                 yield sp
+
+
+class TestSpecs:
+    def test_matches_box_oracle(self):
+        total = 0
+        for tag in FAMILY_TAGS:
+            for n in range(0, 7):
+                for r in range(0, n + 4):
+                    got = _specs(tag, n, r)
+                    assert sorted(got) == oracle_specs(tag, n, r), (tag, n, r)
+                    assert all(family_size(sp) == n for sp in got)
+                    total += len(got)
+        assert total == 954
+
+    def test_at_most_one_relation_per_arrow(self):
+        # the lemma domains read relation counts 0 to n + 1 only
+        for tag in FAMILY_TAGS:
+            for n in range(0, 7):
+                assert not any(oracle_specs(tag, n, r) for r in range(n + 2, n + 6))
+
+    @pytest.mark.parametrize("tag, params, text", [
+        ("L0", (0, 0), "L0(0,0): needs p >= 1"),
+        ("L1", (1, 1, 0, 1, 0), "L1(1,1,0,1,0): needs p2 + p3 >= 2"),
+        ("L2pSix", (1, 1, 0, 0, 0, 0), "L2pSix(1,1,0,0,0,0): needs p3 + p4 + r1 + r2 >= 1"),
+        ("L2pFive", (1, 2, 1, 0, 0), "L2pFive(1,2,1,0,0): needs r2 in [1, p2-1]"),
+        ("G2", (1, 1, 0, -1), "G2(1,1,0,-1): needs r' >= 0"),
+        ("L3", (1,), "unknown family tag 'L3'"),
+        ("G0", (1, 1), "G0 takes 3 parameters, got 2"),
+    ])
+    def test_check_spec_names_the_first_failure(self, tag, params, text):
+        with pytest.raises(ConstraintViolation) as info:
+            check_spec(FamilySpec(tag, params))
+        assert str(info.value) == text
 
 
 class TestFamilyInts:

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used there, every
-private top-level function or class is used somewhere in the package, and
-every public name is reached from what the command, the verifiers, the README
-library example and the benchmark call."""
+private top-level function or class is used somewhere in the package, every
+public name is reached from what the command, the verifiers, the README
+library example and the benchmark call, and every public method of a public
+class is read by the package, the README library example or the benchmark."""
 
 import ast
 import re
@@ -93,6 +94,33 @@ def unreached_public_names(sources: dict[str, str], roots: set[str]) -> list[str
     return sorted(public - reached)
 
 
+def unread_public_methods(sources: list[str], other_reads: set[str]) -> list[str]:
+    """``Class.method`` for each public method of a class in an ``__all__``
+    list of ``sources`` that neither ``other_reads`` nor any code of
+    ``sources`` outside the method itself reads."""
+    methods, read = [], set(other_reads)
+    for source in sources:
+        body = ast.parse(source).body
+        public = set()
+        for stmt in body:
+            if defined_names(stmt) == ["__all__"]:
+                public.update(ast.literal_eval(stmt.value))
+        for stmt in body:
+            if not isinstance(stmt, ast.ClassDef):
+                read |= names_read(stmt)
+                continue
+            for item in stmt.body:
+                owner = None
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner = item.name
+                    if stmt.name in public and not owner.startswith("_"):
+                        methods.append((stmt.name, owner))
+                read |= names_read(item) - {owner}
+            for node in stmt.bases + stmt.decorator_list:
+                read |= names_read(node)
+    return sorted("%s.%s" % m for m in methods if m[1] not in read)
+
+
 def readme_example_names() -> set[str]:
     """The names read by the README's library example."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -135,12 +163,42 @@ def test_unused_private_definition_is_caught():
     assert unused_private_definitions(sources) == ["_walk"]
 
 
-def test_every_public_name_is_reached():
+def outside_reads() -> set[str]:
+    """The names read by the README library example and the benchmark."""
     roots = readme_example_names()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         roots |= names_read(ast.parse(path.read_text(encoding="utf-8")))
+    return roots
+
+
+def test_every_public_name_is_reached():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert unreached_public_names(sources, roots) == []
+    assert unreached_public_names(sources, outside_reads()) == []
+
+
+def test_every_public_method_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_public_methods(sources, outside_reads()) == []
+
+
+def test_unread_public_method_is_caught():
+    sources = [
+        '__all__ = ["Graph", "edges"]\n'
+        "class Graph:\n"
+        "    def size(self):\n        return len(self.nodes)\n"
+        "    def nodes(self):\n        return self.nodes()\n"
+        "    def spare(self):\n        return self.spare()\n"
+        "    def walk(self):\n        return 0\n"
+        "    def _hidden(self):\n        return 0\n"
+        "class _Plan:\n"
+        "    def unread(self):\n        return 0\n"
+        "def edges(g):\n    return g.size()\n",
+        "from .core import Graph\n"
+        "class Tree(Graph):\n"
+        "    def height(self):\n        return self.nodes()\n",
+    ]
+    assert unread_public_methods(sources, {"walk"}) == ["Graph.spare"]
+    assert unread_public_methods(sources, set()) == ["Graph.spare", "Graph.walk"]
 
 
 def test_unreached_public_name_is_caught():

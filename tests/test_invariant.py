@@ -13,7 +13,6 @@ from gentleq.invariant import (
     Phi,
     cartan_matrix,
     degeneracy_class,
-    euler_data,
     _phi,
     _threads,
     phi,
@@ -22,6 +21,7 @@ from gentleq.orbit import SizeClass, _closed_form_specs, enumerate_classes
 
 from oracle_helpers import (
     ArrowCycle,
+    euler_data,
     named_cycles,
     named_sequences,
     named_threads,

@@ -28,6 +28,7 @@ from gentleq.orbit import (
     _orbit_partition,
     _pmap,
     _shapes,
+    _sized_specs,
     check_closed_form,
     enumerate_classes,
     normalize,
@@ -48,6 +49,7 @@ from oracle_helpers import (
     oracle_orbit_of_key,
     oracle_orbit_partition,
     oracle_shapes,
+    oracle_specs,
     random_relabel,
 )
 
@@ -64,7 +66,8 @@ class TestEnumerate:
         assert len(classes) == 3
 
     def test_outputs_validate_two_cycle(self, two_cycle_classes):
-        from gentleq.core import cycle_rank, validate
+        from gentleq.core import validate
+        from oracle_helpers import cycle_rank
         for bq in two_cycle_classes(3):
             assert validate(bq, require_connected=True) == ()
             assert cycle_rank(bq) == 2
@@ -499,6 +502,51 @@ class TestVerifyLemmas:
         for bound in (1, 2, 5, 10, 16):
             specs = list(_closed_form_specs(bound))
             assert all(a < b for a, b in zip(specs, specs[1:])), bound
+
+    @pytest.mark.parametrize("tags", [("L2pSix",), ("L0p",), ("L2pFive",), ("G0", "G1", "G2")])
+    def test_domains_match_box_oracle(self, tags):
+        for bound in range(0, 7):
+            want = [sp for n in range(0, bound + 1)
+                    for sp in sorted(sp for tag in tags for r in range(n + 4)
+                                     for sp in oracle_specs(tag, n, r))]
+            assert _sized_specs(tags, bound) == want, (tags, bound)
+
+    def test_domain_counts(self):
+        rep = verify_lemma_tables(bound=2, orbit_vertices=4, sweep_vertices=2)
+        assert rep.passed, rep.render()
+        count = {l.split()[1].rstrip(":"): int(l.split("(")[1].split()[0])
+                 for l in rep.lines if l.startswith("check ")}
+        six = _sized_specs(("L2pSix",), 4)
+        # the connector halves may both vanish
+        assert spec("L2pSix", 1, 2, 0, 0, 0, 1) in six
+        # one identity per vanishing half, one slide per nonzero p3
+        assert count["connector-slide"] == len(six) + sum(sp.params[3] == 0 for sp in six) == 120
+        assert count["double-arrow-shift"] == sum(
+            sp.params[1] >= 1 for sp in _sized_specs(("L0p",), 4))
+        assert count["five-parameter-close"] == len(_sized_specs(("L2pFive",), 4))
+        # G1 and G2 meet two rules when r = r'
+        assert count["double-arrow-chain"] == sum(
+            2 if sp.tag != "G0" and sp.params[2] == sp.params[3] else 1
+            for sp in _sized_specs(("G0", "G1", "G2"), 6))
+
+    def test_connector_slide_failure_order(self, monkeypatch):
+        # one instance built as the wrong quiver fails its identity, then the
+        # phi and the orbit check of the slide that reaches it
+        orbit_module = importlib.import_module("gentleq.orbit")
+        real = orbit_module._family_ints
+        wrong = spec("L2pSix", 1, 1, 0, 1, 0, 0)
+        monkeypatch.setattr(orbit_module, "_family_ints",
+                            lambda sp: real(spec("L0", 1, 0) if sp == wrong else sp))
+        rep = verify_lemma_tables(bound=2, orbit_vertices=2, sweep_vertices=2)
+        assert not rep.passed
+        fails = [l for l in rep.lines if l.startswith("failure[")]
+        assert fails == [
+            "failure[connector-slide]: L2pSix(1,1,0,1,0,0) is not isomorphic to L2(1,1,1,0,0)",
+            "failure[connector-slide]: phi(L2pSix(1,1,1,0,0,0))={(0,1):2, (1,1):1} differs "
+            "from phi(L2pSix(1,1,0,1,0,0))={(1,3):1}",
+            "failure[connector-slide]: L2pSix(1,1,1,0,0,0) and L2pSix(1,1,0,1,0,0) "
+            "are not in the same orbit",
+        ]
 
     def test_quick_pass(self):
         rep = verify_lemma_tables(bound=5, orbit_vertices=3, sweep_vertices=3)
