@@ -11,7 +11,10 @@ gentleness/finiteness validator, the opposite quiver, and isomorphism
 testing via canonical labeling.  Everything is immutable and every operation
 is a pure function.  Names live at the edges: the validator, connectivity
 and the canonical kernel read a bound quiver on indices, ``_integer(bq)`` =
-``(n, ends, rels)``, and names are attached only to what they return.
+``(n, ends, rels)``, and names are attached only to what they return.  A
+bound quiver computes its index arrays, its ``validate`` result per flag and
+its canonical code once, on first use, and keeps them in a memo that is not
+part of ``==``, ``hash``, ``repr`` or its pickled state.
 """
 
 from __future__ import annotations
@@ -93,6 +96,19 @@ class Quiver:
                 raise ValueError("arrow %r references unknown vertex" % a)
 
 
+class _Memo:
+    """What a bound quiver computes about itself once: ``_integer``, the
+    ``validate`` result per ``require_connected`` flag and the canonical
+    code."""
+
+    __slots__ = ("ints", "violations", "code")
+
+    def __init__(self, ints=None, code=None):
+        self.ints = ints
+        self.violations: dict[bool, tuple] = {}
+        self.code = code
+
+
 @dataclass(frozen=True)
 class BoundQuiver:
     """A quiver together with length-two monomial relations."""
@@ -100,6 +116,7 @@ class BoundQuiver:
     quiver: Quiver
     relations: frozenset[tuple[str, str]]
     name: str = field(default="q", compare=False)
+    _memo: _Memo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_id(self.name, "quiver name")
@@ -113,6 +130,11 @@ class BoundQuiver:
                     % (first, second, first, idx[first][0], second, idx[second][1])
                 )
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_memo", None)  # an unpickled copy falls back to the class default
+        return state
+
     @property
     def vertices(self) -> tuple[str, ...]:
         return self.quiver.vertices
@@ -120,6 +142,22 @@ class BoundQuiver:
     @property
     def arrows(self) -> tuple[tuple[str, str, str], ...]:
         return self.quiver.arrows
+
+
+def _memo_of(bq: BoundQuiver) -> _Memo:
+    """The memo of ``bq``, made on first use."""
+    memo = bq._memo
+    if memo is None:
+        memo = _Memo()
+        object.__setattr__(bq, "_memo", memo)
+    return memo
+
+
+def _seeded(bq: BoundQuiver, ints: tuple, code: tuple | None = None) -> BoundQuiver:
+    """``bq`` with the ``_integer(bq)`` and, when given, the canonical code
+    that its maker already has in its memo."""
+    object.__setattr__(bq, "_memo", _Memo(ints, code))
+    return bq
 
 
 def make_bound_quiver(vertices, arrows, relations, name="q") -> BoundQuiver:
@@ -151,9 +189,10 @@ def parse(text: str) -> BoundQuiver:
     vertices: list[str] = []
     arrows: list[tuple[str, str, str]] = []
     relations: list[tuple[str, str]] = []
-    vset: set[str] = set()
-    aset: dict[str, tuple[str, str]] = {}
-    rset: set[tuple[str, str]] = set()
+    vpos: dict[str, int] = {}  # vertex id -> position
+    apos: dict[str, int] = {}  # arrow id -> position
+    ends: list[tuple[int, int]] = []
+    rels: set[tuple[int, int]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -179,9 +218,9 @@ def parse(text: str) -> BoundQuiver:
                 raise QuiverSyntaxError("'vertex' takes one id", lineno)
             if not _ID_RE.match(args[0]):
                 raise QuiverSyntaxError("invalid vertex id %r" % args[0], lineno)
-            if args[0] in vset:
+            if args[0] in vpos:
                 raise QuiverSyntaxError("duplicate vertex id %r" % args[0], lineno)
-            vset.add(args[0])
+            vpos[args[0]] = len(vertices)
             vertices.append(args[0])
         elif kw == "arrow":
             if len(args) != 3:
@@ -190,31 +229,33 @@ def parse(text: str) -> BoundQuiver:
             for tok in args:
                 if not _ID_RE.match(tok):
                     raise QuiverSyntaxError("invalid identifier %r" % tok, lineno)
-            if a in aset:
+            if a in apos:
                 raise QuiverSyntaxError("duplicate arrow id %r" % a, lineno)
-            if s not in vset:
+            if s not in vpos:
                 raise QuiverSyntaxError("unknown source vertex %r" % s, lineno)
-            if t not in vset:
+            if t not in vpos:
                 raise QuiverSyntaxError("unknown target vertex %r" % t, lineno)
-            aset[a] = (s, t)
+            apos[a] = len(arrows)
             arrows.append((a, s, t))
+            ends.append((vpos[s], vpos[t]))
         elif kw == "rel":
             if len(args) != 2:
                 raise QuiverSyntaxError("'rel' takes two arrow ids", lineno)
             f, s2 = args
-            if f not in aset:
+            if f not in apos:
                 raise QuiverSyntaxError("unknown arrow %r" % f, lineno)
-            if s2 not in aset:
+            if s2 not in apos:
                 raise QuiverSyntaxError("unknown arrow %r" % s2, lineno)
-            if aset[f][0] != aset[s2][1]:
+            pair = (apos[f], apos[s2])
+            if ends[pair[0]][0] != ends[pair[1]][1]:
                 raise QuiverSyntaxError(
                     "relation (%s, %s) not composable: target of %s is %s, source of %s is %s"
-                    % (f, s2, s2, aset[s2][1], f, aset[f][0]),
+                    % (f, s2, s2, arrows[pair[1]][2], f, arrows[pair[0]][1]),
                     lineno,
                 )
-            if (f, s2) in rset:
+            if pair in rels:
                 raise QuiverSyntaxError("duplicate relation (%s, %s)" % (f, s2), lineno)
-            rset.add((f, s2))
+            rels.add(pair)
             relations.append((f, s2))
         elif kw == "end":
             if args:
@@ -227,7 +268,8 @@ def parse(text: str) -> BoundQuiver:
         raise QuiverSyntaxError("missing 'quiver <name>' header")
     if not ended:
         raise QuiverSyntaxError("missing 'end'")
-    return BoundQuiver(Quiver(tuple(vertices), tuple(arrows)), frozenset(relations), name)
+    bq = BoundQuiver(Quiver(tuple(vertices), tuple(arrows)), frozenset(relations), name)
+    return _seeded(bq, (len(vertices), tuple(ends), frozenset(rels)))
 
 
 def serialize(bq: BoundQuiver) -> str:
@@ -291,7 +333,25 @@ def validate(bq: BoundQuiver, require_connected: bool = False) -> tuple[Violatio
     their ids.  The FIN witness is the first cycle of a depth-first search
     that starts from the arrows in id order and takes the continuations of
     each arrow in listed order.
+
+    The result is computed once per quiver object and flag; the witnesses
+    are searched for only when the integer check ``_valid`` (or
+    connectivity) fails.
     """
+    verdicts = _memo_of(bq).violations
+    if require_connected not in verdicts:
+        n, ends, rels = _integer(bq)
+        # the connected check reuses a plain verdict already found
+        valid = verdicts[False] == () if False in verdicts else _valid(n, ends, rels)
+        if valid and (not require_connected or _arcs_connected(n, ends)):
+            verdicts[require_connected] = ()
+        else:
+            verdicts[require_connected] = _witnesses(bq, require_connected)
+    return verdicts[require_connected]
+
+
+def _witnesses(bq: BoundQuiver, require_connected: bool) -> tuple[Violation, ...]:
+    """The named violations of ``validate``, in its order."""
     n, ends, rels = _integer(bq)
     outs, ins = _adjacency(n, ends)
     ids = [a for a, _s, _t in bq.arrows]
@@ -524,12 +584,21 @@ def _code(n: int, ends, rels) -> tuple:
 
 def _integer(bq: BoundQuiver) -> tuple:
     """``bq`` on indices: ``(n, ends, rels)`` over its vertex and arrow order,
-    with ``ends`` the ``(source, target)`` of each arrow and ``rels`` the set
-    of ``(first, second)`` arrow positions."""
+    with ``ends`` the tuple of the ``(source, target)`` of each arrow and
+    ``rels`` the frozenset of ``(first, second)`` arrow positions; computed
+    once per quiver object."""
+    memo = _memo_of(bq)
+    if memo.ints is None:
+        memo.ints = _index(bq)
+    return memo.ints
+
+
+def _index(bq: BoundQuiver) -> tuple:
+    """``_integer(bq)``, built from the names."""
     pos = {v: i for i, v in enumerate(bq.vertices)}
     aidx = {a: k for k, (a, _s, _t) in enumerate(bq.arrows)}
-    ends = [(pos[s], pos[t]) for _a, s, t in bq.arrows]
-    return len(pos), ends, {(aidx[f], aidx[s]) for f, s in bq.relations}
+    return (len(pos), tuple([(pos[s], pos[t]) for _a, s, t in bq.arrows]),
+            frozenset([(aidx[f], aidx[s]) for f, s in bq.relations]))
 
 
 def _decode(code: tuple) -> tuple:
@@ -540,21 +609,29 @@ def _decode(code: tuple) -> tuple:
 
 
 def _canonical_code(bq: BoundQuiver) -> tuple:
-    """The canonical code of ``bq``: its names mapped to indices, then ``_code``."""
-    return _code(*_integer(bq))
+    """The canonical code of ``bq``: its names mapped to indices, then
+    ``_code``; computed once per quiver object."""
+    memo = _memo_of(bq)
+    if memo.code is None:
+        memo.code = _code(*_integer(bq))
+    return memo.code
 
 
 def _form(code: tuple) -> BoundQuiver:
-    """The canonical form a code stands for, on ``v<i>`` / ``a<k>`` names."""
-    n, base, rels = code
-    m = len(base)
+    """The canonical form a code stands for, on ``v<i>`` / ``a<k>`` names.
+
+    The form is its own canonical labeling, so its memo starts with ``code``
+    and with the index arrays ``_decode(code)``.
+    """
+    n, ends, rels = _decode(code)
     vn = tuple([_name("v", i) for i in range(n)])
-    an = [_name("a", k) for k in range(m)]
-    return BoundQuiver(
-        Quiver(vn, tuple([(an[k], vn[c // n], vn[c % n]) for k, c in enumerate(base)])),
-        frozenset([(an[c // m], an[c % m]) for c in rels]),
+    an = [_name("a", k) for k in range(len(ends))]
+    form = BoundQuiver(
+        Quiver(vn, tuple([(an[k], vn[s], vn[t]) for k, (s, t) in enumerate(ends)])),
+        frozenset([(an[f], an[s]) for f, s in rels]),
         "c",
     )
+    return _seeded(form, (n, tuple(ends), frozenset(rels)), code)
 
 
 def _compact(code: tuple) -> str:

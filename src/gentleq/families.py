@@ -23,6 +23,7 @@ from .core import (
     _code,
     _valid,
     make_bound_quiver,
+    require_valid,
     validate,
 )
 from .invariant import Phi
@@ -454,7 +455,9 @@ def _recognize_table(n: int, a: int, r: int) -> dict[tuple, FamilySpec]:
 
 
 def recognize(bq: BoundQuiver) -> FamilySpec | None:
-    """The least family spec isomorphic to the given quiver, if any."""
+    """The least family spec isomorphic to the given quiver, if any; the
+    quiver must be valid."""
+    require_valid(bq)
     code = _canonical_code(bq)
     return _recognize_table(len(bq.vertices), len(bq.arrows), len(bq.relations)).get(code)
 

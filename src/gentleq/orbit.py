@@ -287,11 +287,13 @@ def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES,
     """
     require_valid(bq)
     n = len(bq.vertices)
+    forms: dict[tuple, BoundQuiver] = {}
     keys: dict[tuple, str] = {}
 
     def key(code):
         if code not in keys:
-            keys[code] = serialize(_form(code))
+            forms[code] = _form(code)
+            keys[code] = serialize(forms[code])
         return keys[code]
 
     states = [_canonical_code(bq)]
@@ -316,7 +318,7 @@ def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES,
     table = hit_table or {}
     hits = sorted([(key(c), table[c]) for c in states if c in table],
                   key=lambda kv: (kv[1], kv[0]))
-    return OrbitResult(frozenset([key(c) for c in states]), {key(c): _form(c) for c in states},
+    return OrbitResult(frozenset([key(c) for c in states]), {key(c): forms[c] for c in states},
                        tuple(edges), tuple(hits), complete)
 
 

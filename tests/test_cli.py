@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gentleq
+import gentleq.core
 from gentleq.cli import dispatch
 from gentleq.core import parse, serialize
 from gentleq.families import build_family, phi_formula, spec
@@ -109,6 +110,10 @@ class TestBasicCommands:
 
     def test_moves_invalid_input(self):
         code, out, err = run_cli(["moves", "-"], stdin=INVALID_FILE)
+        assert (code, out, err) == (2, "", INVALID_ERROR)
+
+    def test_recognize_invalid_input(self):
+        code, out, err = run_cli(["family", "recognize", "-"], stdin=INVALID_FILE)
         assert (code, out, err) == (2, "", INVALID_ERROR)
 
     def test_shift_roundtrip(self):
@@ -216,6 +221,17 @@ class TestGoldenFiles:
         code, out, _ = run_cli(["orbit", "-"], stdin=serialize(build_family(spec("L0", 2, 1))))
         assert code == 0
         assert out == (GOLDEN / "orbit_l0_21.txt").read_text()
+
+    def test_frozen_orbit_labels_only_the_input(self, monkeypatch):
+        # the closure keys states through gentleq.orbit's kernel; every form
+        # it reports carries its code, so the printed keys label nothing
+        calls = []
+        real = gentleq.core._code
+        monkeypatch.setattr(gentleq.core, "_code", lambda *args: calls.append(1) or real(*args))
+        code, out, _ = run_cli(["orbit", "-"], stdin=serialize(build_family(spec("L0", 2, 1))))
+        assert code == 0
+        assert out == (GOLDEN / "orbit_l0_21.txt").read_text()
+        assert len(calls) == 1  # the input's own code, before the closure
 
     def test_frozen_phi(self):
         _code, out, _err = run_cli(

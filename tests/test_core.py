@@ -1,28 +1,43 @@
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 
+import gentleq.core
 from gentleq.core import (
     _arcs_connected,
     _canonical_code,
+    _code,
     _decode,
     _form,
     _integer,
     _serial_key,
     _valid,
+    _witnesses,
     BoundQuiver,
     QuiverError,
     QuiverSyntaxError,
+    compact_key,
     is_isomorphic,
     make_bound_quiver,
     opposite,
     parse,
+    require_valid,
     serialize,
     validate,
 )
-from gentleq.families import build_family, family_size, spec, theorem_list
-from gentleq.orbit import SizeClass, _junction_choices, _shapes, enumerate_classes
+from gentleq.families import build_family, family_size, recognize, spec, theorem_list
+from gentleq.invariant import cartan_matrix, phi
+from gentleq.orbit import (
+    SizeClass,
+    _enumerate_cached,
+    _junction_choices,
+    _shapes,
+    enumerate_classes,
+    normalize,
+)
 
 from oracle_helpers import (
     ArrowClass,
@@ -209,9 +224,24 @@ class TestValidate:
         assert any(v.condition == "FIN" for v in validate(bad))
 
 
+def random_bound_quivers(seed=3, count=3000):
+    """Seeded bound quivers with arbitrary degrees and relation sets, so G1,
+    G3, G4 and FIN fail as well as pass."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        vs = ["v%d" % i for i in range(n)]
+        arrows = [("a%d" % k, rng.choice(vs), rng.choice(vs))
+                  for k in range(rng.randint(0, 7))]
+        pairs = [(f, s) for f, fs, _ft in arrows for s, _ss, st in arrows if fs == st]
+        rels = [p for p in pairs if rng.random() < 0.4]
+        yield make_bound_quiver(vs, arrows, rels)
+
+
 class TestIntegerValidity:
-    """``_valid`` against ``not validate(...)``, and ``validate`` against the
-    named ``oracle_validate`` on the relation-stage candidates."""
+    """``_valid`` against the witness walk ``_witnesses``, which ``validate``
+    runs only when ``_valid`` fails, and the walk against the named
+    ``oracle_validate`` on the relation-stage candidates."""
 
     def test_relation_stage_candidates(self):
         # every candidate the enumerator's relation stage tries, kept or not
@@ -226,28 +256,21 @@ class TestIntegerValidity:
                     rels = {pair for choice in combo for pair in choice}
                     cand = BoundQuiver(form.quiver, frozenset(
                         (names[f], names[s]) for f, s in rels))
-                    violations = validate(cand)
+                    violations = _witnesses(cand, False)
                     assert violations == oracle_validate(cand), serialize(cand)
                     want = not violations
                     assert _valid(n, ends, rels) == want, serialize(cand)
+                    assert validate(cand) == violations, serialize(cand)
                     kept += want
                     rejected += not want
         assert kept and rejected
 
     def test_random_bound_quivers(self):
-        # arbitrary degrees and relation sets, so G1, G3 and G4 fail as well
-        rng = random.Random(3)
         seen = set()
-        for _ in range(3000):
-            n = rng.randint(1, 4)
-            vs = ["v%d" % i for i in range(n)]
-            arrows = [("a%d" % k, rng.choice(vs), rng.choice(vs))
-                      for k in range(rng.randint(0, 7))]
-            pairs = [(f, s) for f, fs, _ft in arrows for s, _ss, st in arrows if fs == st]
-            rels = [p for p in pairs if rng.random() < 0.4]
-            bq = make_bound_quiver(vs, arrows, rels)
-            bad = validate(bq)
+        for bq in random_bound_quivers():
+            bad = _witnesses(bq, False)
             assert _valid(*_integer(bq)) == (not bad), serialize(bq)
+            assert validate(bq) == bad, serialize(bq)
             seen.update(v.condition for v in bad)
             seen.add("ok" if not bad else "bad")
         assert seen == {"G1", "G3", "G4", "FIN", "ok", "bad"}
@@ -540,3 +563,124 @@ class TestKernelAgainstOracle:
         b = canonical_form(build_family(spec("L2", 1, 1, 1, 0, 0)))
         assert a.vertices[1] is b.vertices[1]
         assert a.arrows[0][0] is b.arrows[0][0]
+
+
+def fresh(bq):
+    """An equal bound quiver with an empty memo."""
+    return BoundQuiver(bq.quiver, bq.relations, bq.name)
+
+
+def small_classes():
+    return [bq for n in range(1, 5) for a in range(2 * n + 1)
+            for bq in enumerate_classes(SizeClass(n, a))]
+
+
+class TestQuiverMemo:
+    """Each bound quiver computes ``_integer``, ``validate`` per flag and its
+    canonical code once; the memo changes no result and no identity."""
+
+    @staticmethod
+    def outcome(f, bq):
+        try:
+            return f(bq)
+        except QuiverError as exc:
+            return type(exc), str(exc)
+
+    def check(self, bq):
+        want = {flag: validate(fresh(bq), flag) for flag in (False, True)}
+        for order in ((False, True), (True, False)):
+            q = fresh(bq)
+            for flag in order + order:
+                assert validate(q, flag) == want[flag], serialize(bq)
+        q = fresh(bq)
+        for f in (phi, cartan_matrix, compact_key):
+            got = self.outcome(f, fresh(bq))
+            for _ in range(2):
+                assert self.outcome(f, q) == got, serialize(bq)
+
+    def test_small_classes(self):
+        classes = small_classes()
+        assert len(classes) == 982
+        for bq in classes:
+            self.check(bq)
+            self.check(opposite(bq))
+
+    def test_random_bound_quivers(self):
+        for bq in random_bound_quivers():
+            self.check(bq)
+
+    def test_seeds_equal_computed(self):
+        # parse seeds the index it reads off its tables, _form the index and
+        # the code it is drawn from
+        for bq in small_classes() + list(random_bound_quivers(count=300)):
+            for q in (bq, opposite(bq)):
+                text = serialize(q)
+                parsed = parse(text)
+                assert parsed._memo.ints == gentleq.core._index(parsed), text
+                code = _canonical_code(fresh(q))
+                form = _form(code)
+                assert form._memo.ints == gentleq.core._index(form), text
+                assert form._memo.code == _code(*gentleq.core._index(form)) == code, text
+
+    def test_decode_round_trip(self):
+        for n in range(1, 6):
+            for a in range(2 * n + 1) if n < 5 else (n, n + 1):
+                for code in _enumerate_cached(SizeClass(n, a), False):
+                    assert _code(*_decode(code)) == code
+
+    def test_identity_ignores_memo(self):
+        bq = build_family(spec("L1", 1, 2, 0, 1, 0))
+        used = parse(serialize(bq))
+        blank = fresh(used)
+        validate(used, True)
+        compact_key(used)
+        assert used._memo.code is not None and blank._memo is None
+        assert used == blank and hash(used) == hash(blank)
+        assert repr(used) == repr(blank) and "_memo" not in repr(used)
+        assert serialize(used) == serialize(blank)
+        assert pickle.dumps(used) == pickle.dumps(blank)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == used and back._memo is None
+        assert validate(back, True) == () and compact_key(back) == compact_key(used)
+        renamed = dataclasses.replace(used, name="z")
+        assert renamed == used and renamed._memo is None
+        with pytest.raises(ValueError):
+            dataclasses.replace(used, _memo=None)
+
+    def test_query_computes_each_fact_once(self, monkeypatch):
+        counts = dict.fromkeys(["_index", "_code", "_valid", "_arcs_connected", "_witnesses"], 0)
+        for name in counts:
+            real = getattr(gentleq.core, name)
+
+            def counted(*args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(gentleq.core, name, counted)
+        text = serialize(build_family(spec("L1", 1, 2, 0, 1, 0)))
+        for bq, indexed in ((parse(text), 0), (build_family(spec("L2", 1, 1, 1, 0, 0)), 1)):
+            counts.update(dict.fromkeys(counts, 0))
+            for _ in range(2):
+                assert validate(bq) == ()
+                phi(bq)
+                cartan_matrix(bq)
+                normalize(bq)
+                recognize(bq)
+            # parse seeds the index; the connected check reuses the plain verdict
+            assert counts == {"_index": indexed, "_code": 1, "_valid": 1,
+                              "_arcs_connected": 1, "_witnesses": 0}
+
+    def test_one_witness_walk_per_flag(self, monkeypatch):
+        calls = []
+        real = gentleq.core._witnesses
+        monkeypatch.setattr(gentleq.core, "_witnesses",
+                            lambda bq, flag: calls.append(flag) or real(bq, flag))
+        bad = parse("quiver q\nvertex x\nvertex y\nvertex z\n"
+                    "arrow a y x\narrow b z x\narrow c x z\nend\n")
+        for _ in range(2):
+            assert validate(bad)
+            for check in (require_valid, phi, cartan_matrix, recognize, normalize):
+                with pytest.raises(QuiverError):
+                    check(bad)
+        assert calls == [False, True]
+        assert validate(bad, True) == validate(bad) == validate(fresh(bad))

@@ -153,7 +153,8 @@ class TestFamilyInts:
         specs = set(theorem_list(8)) | set(_closed_form_specs(10)) | set(specs_up_to(8))
         assert {sp.tag for sp in specs} == set(FAMILY_TAGS)
         for sp in sorted(specs):
-            assert _family_ints(sp) == _integer(build_family(sp)), sp
+            n, ends, rels = _family_ints(sp)
+            assert (n, tuple(ends), frozenset(rels)) == _integer(build_family(sp)), sp
 
 
 class TestRecognize:
