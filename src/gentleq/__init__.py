@@ -4,11 +4,9 @@ from .core import (
     BoundQuiver,
     QuiverError,
     QuiverSyntaxError,
-    Quiver,
     compact_key,
     is_isomorphic,
     make_bound_quiver,
-    opposite,
     parse,
     serialize,
     validate,

@@ -20,7 +20,6 @@ from .orbit import (
     _enumerate_cached,
     normalize,
     orbit,
-    theorem_key_table,
     verify_completeness,
     verify_lemma_tables,
     verify_minimality,
@@ -220,7 +219,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_orbit(args) -> int:
     bq = _read_quiver(args.file)
-    res = orbit(bq, args.max_states, theorem_key_table(len(bq.vertices)))
+    res = orbit(bq, args.max_states)
     for key in sorted(res.component):
         print("state %s" % core.compact_key(res.representatives[key]))
     for _key, sp in res.canonical_hits:

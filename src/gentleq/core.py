@@ -7,14 +7,15 @@ composite "second, then first"; composability means
 ``source(first) == target(second)``.
 
 This module holds the data model, the line-oriented text format, the
-gentleness/finiteness validator, the opposite quiver, and isomorphism
-testing via canonical labeling.  Everything is immutable and every operation
-is a pure function.  Names live at the edges: the validator, connectivity
-and the canonical kernel read a bound quiver on indices, ``_integer(bq)`` =
-``(n, ends, rels)``, and names are attached only to what they return.  A
-bound quiver computes its index arrays, its ``validate`` result per flag and
-its canonical code once, on first use, and keeps them in a memo that is not
-part of ``==``, ``hash``, ``repr`` or its pickled state.
+gentleness/finiteness validator, and isomorphism testing via canonical
+labeling.  Everything is immutable and every operation is a pure function.
+Names live at the edges: the validator, connectivity and the canonical
+kernel read a bound quiver on indices, ``_integer(bq)`` = ``(n, ends,
+rels)``, and names are attached only to what they return.  A bound quiver
+is checked and put on indices in one pass when it is made; it computes its
+``validate`` result per flag and its canonical code once, on first use, and
+keeps them in a memo that is not part of ``==``, ``hash``, ``repr`` or its
+pickled state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import re
 from dataclasses import dataclass, field
 
 __all__ = [
-    "Quiver",
     "BoundQuiver",
     "Violation",
     "QuiverError",
@@ -34,7 +34,6 @@ __all__ = [
     "serialize",
     "validate",
     "require_valid",
-    "opposite",
     "is_isomorphic",
 ]
 
@@ -71,77 +70,69 @@ def _check_id(token: str, what: str) -> None:
         raise ValueError("invalid %s identifier %r" % (what, token))
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """Vertices plus arrows ``(arrow id, source, target)``."""
-
-    vertices: tuple[str, ...]
-    arrows: tuple[tuple[str, str, str], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for v in self.vertices:
-            _check_id(v, "vertex")
-            if v in seen:
-                raise ValueError("duplicate vertex id %r" % v)
-            seen.add(v)
-        vset = seen
-        seen = set()
-        for a, s, t in self.arrows:
-            _check_id(a, "arrow")
-            if a in seen:
-                raise ValueError("duplicate arrow id %r" % a)
-            seen.add(a)
-            if s not in vset or t not in vset:
-                raise ValueError("arrow %r references unknown vertex" % a)
-
-
 class _Memo:
-    """What a bound quiver computes about itself once: ``_integer``, the
+    """What a bound quiver computes about itself once it is used: the
     ``validate`` result per ``require_connected`` flag and the canonical
     code."""
 
-    __slots__ = ("ints", "violations", "code")
+    __slots__ = ("violations", "code")
 
-    def __init__(self, ints=None, code=None):
-        self.ints = ints
+    def __init__(self, code=None):
         self.violations: dict[bool, tuple] = {}
         self.code = code
 
 
 @dataclass(frozen=True)
 class BoundQuiver:
-    """A quiver together with length-two monomial relations."""
+    """Vertices, arrows ``(arrow id, source, target)`` and length-two
+    monomial relations ``(first arrow, second arrow)``.
 
-    quiver: Quiver
+    Making one checks the vertices, then the arrows, then the name, then the
+    relations, and keeps ``_integer`` of what it checked.
+    """
+
+    vertices: tuple[str, ...]
+    arrows: tuple[tuple[str, str, str], ...]
     relations: frozenset[tuple[str, str]]
     name: str = field(default="q", compare=False)
+    _ints: tuple = field(default=None, init=False, repr=False, compare=False)
     _memo: _Memo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        vpos: dict[str, int] = {}
+        for v in self.vertices:
+            _check_id(v, "vertex")
+            if v in vpos:
+                raise ValueError("duplicate vertex id %r" % v)
+            vpos[v] = len(vpos)
+        apos: dict[str, int] = {}
+        ends = []
+        for a, s, t in self.arrows:
+            _check_id(a, "arrow")
+            if a in apos:
+                raise ValueError("duplicate arrow id %r" % a)
+            if s not in vpos or t not in vpos:
+                raise ValueError("arrow %r references unknown vertex" % a)
+            apos[a] = len(ends)
+            ends.append((vpos[s], vpos[t]))
         _check_id(self.name, "quiver name")
-        idx = {a: (s, t) for a, s, t in self.quiver.arrows}
+        rels = []
         for first, second in self.relations:
-            if first not in idx or second not in idx:
+            if first not in apos or second not in apos:
                 raise ValueError("relation references unknown arrow (%s, %s)" % (first, second))
-            if idx[first][0] != idx[second][1]:
+            f, s = apos[first], apos[second]
+            if ends[f][0] != ends[s][1]:
                 raise ValueError(
                     "relation (%s, %s) not composable: source(%s)=%s but target(%s)=%s"
-                    % (first, second, first, idx[first][0], second, idx[second][1])
+                    % (first, second, first, self.arrows[f][1], second, self.arrows[s][2])
                 )
+            rels.append((f, s))
+        object.__setattr__(self, "_ints", (len(vpos), tuple(ends), frozenset(rels)))
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_memo", None)  # an unpickled copy falls back to the class default
         return state
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self.quiver.vertices
-
-    @property
-    def arrows(self) -> tuple[tuple[str, str, str], ...]:
-        return self.quiver.arrows
 
 
 def _memo_of(bq: BoundQuiver) -> _Memo:
@@ -153,17 +144,11 @@ def _memo_of(bq: BoundQuiver) -> _Memo:
     return memo
 
 
-def _seeded(bq: BoundQuiver, ints: tuple, code: tuple | None = None) -> BoundQuiver:
-    """``bq`` with the ``_integer(bq)`` and, when given, the canonical code
-    that its maker already has in its memo."""
-    object.__setattr__(bq, "_memo", _Memo(ints, code))
-    return bq
-
-
 def make_bound_quiver(vertices, arrows, relations, name="q") -> BoundQuiver:
     """Convenience constructor from plain iterables."""
     return BoundQuiver(
-        Quiver(tuple(vertices), tuple((a, s, t) for a, s, t in arrows)),
+        tuple(vertices),
+        tuple((a, s, t) for a, s, t in arrows),
         frozenset((f, s) for f, s in relations),
         name,
     )
@@ -187,12 +172,9 @@ def parse(text: str) -> BoundQuiver:
     name = None
     ended = False
     vertices: list[str] = []
-    arrows: list[tuple[str, str, str]] = []
-    relations: list[tuple[str, str]] = []
-    vpos: dict[str, int] = {}  # vertex id -> position
-    apos: dict[str, int] = {}  # arrow id -> position
-    ends: list[tuple[int, int]] = []
-    rels: set[tuple[int, int]] = set()
+    vset: set[str] = set()
+    arrows: dict[str, tuple[str, str, str]] = {}  # id -> (id, source, target), in listed order
+    relations: set[tuple[str, str]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -218,9 +200,9 @@ def parse(text: str) -> BoundQuiver:
                 raise QuiverSyntaxError("'vertex' takes one id", lineno)
             if not _ID_RE.match(args[0]):
                 raise QuiverSyntaxError("invalid vertex id %r" % args[0], lineno)
-            if args[0] in vpos:
+            if args[0] in vset:
                 raise QuiverSyntaxError("duplicate vertex id %r" % args[0], lineno)
-            vpos[args[0]] = len(vertices)
+            vset.add(args[0])
             vertices.append(args[0])
         elif kw == "arrow":
             if len(args) != 3:
@@ -229,34 +211,30 @@ def parse(text: str) -> BoundQuiver:
             for tok in args:
                 if not _ID_RE.match(tok):
                     raise QuiverSyntaxError("invalid identifier %r" % tok, lineno)
-            if a in apos:
+            if a in arrows:
                 raise QuiverSyntaxError("duplicate arrow id %r" % a, lineno)
-            if s not in vpos:
+            if s not in vset:
                 raise QuiverSyntaxError("unknown source vertex %r" % s, lineno)
-            if t not in vpos:
+            if t not in vset:
                 raise QuiverSyntaxError("unknown target vertex %r" % t, lineno)
-            apos[a] = len(arrows)
-            arrows.append((a, s, t))
-            ends.append((vpos[s], vpos[t]))
+            arrows[a] = (a, s, t)
         elif kw == "rel":
             if len(args) != 2:
                 raise QuiverSyntaxError("'rel' takes two arrow ids", lineno)
             f, s2 = args
-            if f not in apos:
+            if f not in arrows:
                 raise QuiverSyntaxError("unknown arrow %r" % f, lineno)
-            if s2 not in apos:
+            if s2 not in arrows:
                 raise QuiverSyntaxError("unknown arrow %r" % s2, lineno)
-            pair = (apos[f], apos[s2])
-            if ends[pair[0]][0] != ends[pair[1]][1]:
+            if arrows[f][1] != arrows[s2][2]:
                 raise QuiverSyntaxError(
                     "relation (%s, %s) not composable: target of %s is %s, source of %s is %s"
-                    % (f, s2, s2, arrows[pair[1]][2], f, arrows[pair[0]][1]),
+                    % (f, s2, s2, arrows[s2][2], f, arrows[f][1]),
                     lineno,
                 )
-            if pair in rels:
+            if (f, s2) in relations:
                 raise QuiverSyntaxError("duplicate relation (%s, %s)" % (f, s2), lineno)
-            rels.add(pair)
-            relations.append((f, s2))
+            relations.add((f, s2))
         elif kw == "end":
             if args:
                 raise QuiverSyntaxError("'end' takes no arguments", lineno)
@@ -268,8 +246,7 @@ def parse(text: str) -> BoundQuiver:
         raise QuiverSyntaxError("missing 'quiver <name>' header")
     if not ended:
         raise QuiverSyntaxError("missing 'end'")
-    bq = BoundQuiver(Quiver(tuple(vertices), tuple(arrows)), frozenset(relations), name)
-    return _seeded(bq, (len(vertices), tuple(ends), frozenset(rels)))
+    return BoundQuiver(tuple(vertices), tuple(arrows.values()), frozenset(relations), name)
 
 
 def serialize(bq: BoundQuiver) -> str:
@@ -463,19 +440,6 @@ def _arcs_connected(n: int, arcs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# structure
-
-
-def opposite(bq: BoundQuiver) -> BoundQuiver:
-    """Reverse every arrow and swap every relation pair."""
-    return BoundQuiver(
-        Quiver(bq.vertices, tuple((a, t, s) for a, s, t in bq.arrows)),
-        frozenset((s, f) for f, s in bq.relations),
-        bq.name,
-    )
-
-
-# ---------------------------------------------------------------------------
 # canonical labeling
 
 
@@ -585,20 +549,9 @@ def _code(n: int, ends, rels) -> tuple:
 def _integer(bq: BoundQuiver) -> tuple:
     """``bq`` on indices: ``(n, ends, rels)`` over its vertex and arrow order,
     with ``ends`` the tuple of the ``(source, target)`` of each arrow and
-    ``rels`` the frozenset of ``(first, second)`` arrow positions; computed
-    once per quiver object."""
-    memo = _memo_of(bq)
-    if memo.ints is None:
-        memo.ints = _index(bq)
-    return memo.ints
-
-
-def _index(bq: BoundQuiver) -> tuple:
-    """``_integer(bq)``, built from the names."""
-    pos = {v: i for i, v in enumerate(bq.vertices)}
-    aidx = {a: k for k, (a, _s, _t) in enumerate(bq.arrows)}
-    return (len(pos), tuple([(pos[s], pos[t]) for _a, s, t in bq.arrows]),
-            frozenset([(aidx[f], aidx[s]) for f, s in bq.relations]))
+    ``rels`` the frozenset of ``(first, second)`` arrow positions; built
+    when ``bq`` is made."""
+    return bq._ints
 
 
 def _decode(code: tuple) -> tuple:
@@ -620,18 +573,19 @@ def _canonical_code(bq: BoundQuiver) -> tuple:
 def _form(code: tuple) -> BoundQuiver:
     """The canonical form a code stands for, on ``v<i>`` / ``a<k>`` names.
 
-    The form is its own canonical labeling, so its memo starts with ``code``
-    and with the index arrays ``_decode(code)``.
+    The form is its own canonical labeling, so its memo starts with ``code``.
     """
     n, ends, rels = _decode(code)
     vn = tuple([_name("v", i) for i in range(n)])
     an = [_name("a", k) for k in range(len(ends))]
     form = BoundQuiver(
-        Quiver(vn, tuple([(an[k], vn[s], vn[t]) for k, (s, t) in enumerate(ends)])),
+        vn,
+        tuple([(an[k], vn[s], vn[t]) for k, (s, t) in enumerate(ends)]),
         frozenset([(an[f], an[s]) for f, s in rels]),
         "c",
     )
-    return _seeded(form, (n, tuple(ends), frozenset(rels)), code)
+    object.__setattr__(form, "_memo", _Memo(code))
+    return form
 
 
 def _compact(code: tuple) -> str:

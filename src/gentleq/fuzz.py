@@ -7,6 +7,7 @@ isomorphism, with the slide's stated one-shot rewrite.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .core import BoundQuiver, is_isomorphic, make_bound_quiver, validate
@@ -21,12 +22,17 @@ from .moves import (
 from .orbit import Report, SizeClass, enumerate_classes
 
 
-def _decorate(vertices, arrows, vertex, fresh, mode):
-    """Attach one pendant arrow at ``vertex``; the caller decides whether it
-    joins a relation."""
-    w = fresh()
+def _fresh_names():
+    """The names n1, n2, ... for the pendant vertices and arrows of one case."""
+    return ("n%d" % i for i in itertools.count(1))
+
+
+def _decorate(vertices, arrows, vertex, names, mode):
+    """Attach one pendant arrow at ``vertex``, named from ``names``; the
+    caller decides whether it joins a relation."""
+    w = next(names)
     vertices.append(w)
-    aid = fresh()
+    aid = next(names)
     if mode == "out":
         arrows.append((aid, vertex, w))
     else:
@@ -35,26 +41,21 @@ def _decorate(vertices, arrows, vertex, fresh, mode):
 
 
 def _synth_basic(rng: random.Random) -> tuple[BoundQuiver, tuple[str, str]]:
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return "n%d" % counter[0]
-
+    names = _fresh_names()
     vertices = ["u", "x", "y", "v"]
     arrows = [("a1", "x", "u"), ("a2", "y", "x"), ("a3", "v", "y")]
     relations = [("a1", "a2")]
     # the short pattern constrains only the middle vertex; decorate elsewhere
     if rng.random() < 0.5:
-        aid = _decorate(vertices, arrows, "u", fresh, "out")
+        aid = _decorate(vertices, arrows, "u", names, "out")
         if rng.random() < 0.5:
             relations.append((aid, "a1"))
     if rng.random() < 0.5:
-        aid = _decorate(vertices, arrows, "v", fresh, "in")
+        aid = _decorate(vertices, arrows, "v", names, "in")
         if rng.random() < 0.5:
             relations.append(("a3", aid))
     if rng.random() < 0.3:
-        aid = _decorate(vertices, arrows, "x", fresh, "out")
+        aid = _decorate(vertices, arrows, "x", names, "out")
         relations.append((aid, "a2"))
     return make_bound_quiver(vertices, arrows, relations), ("a1", "a2")
 
@@ -69,12 +70,7 @@ def _synth_closed(rng: random.Random) -> tuple[BoundQuiver, tuple[str, str]]:
 
 
 def _synth_long(rng: random.Random) -> tuple[BoundQuiver, tuple[str, str]]:
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return "n%d" % counter[0]
-
+    names = _fresh_names()
     n = rng.randint(1, 3)
     vertices = ["u", "x", "v"] + ["y%d" % i for i in range(n + 1)]
     arrows = [("a1", "x", "u"), ("a2", "y%d" % n, "x"), ("a3", "v", "y0")]
@@ -82,23 +78,18 @@ def _synth_long(rng: random.Random) -> tuple[BoundQuiver, tuple[str, str]]:
         arrows.append(("b%d" % i, "y%d" % i, "y%d" % (i - 1)))
     relations = [("a1", "a2")]
     if rng.random() < 0.5:
-        aid = _decorate(vertices, arrows, "u", fresh, "out")
+        aid = _decorate(vertices, arrows, "u", names, "out")
         if rng.random() < 0.5:
             relations.append((aid, "a1"))
     if rng.random() < 0.5:
-        aid = _decorate(vertices, arrows, "v", fresh, "in")
+        aid = _decorate(vertices, arrows, "v", names, "in")
         if rng.random() < 0.5:
             relations.append(("a3", aid))
     return make_bound_quiver(vertices, arrows, relations), ("a1", "a2")
 
 
 def _synth_block(rng: random.Random) -> tuple[BoundQuiver, str]:
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return "n%d" % counter[0]
-
+    names = _fresh_names()
     n = rng.randint(2, 4)
     vertices = ["y"] + ["x%d" % i for i in range(n + 1)]
     arrows = [("b", "y", "x0")]
@@ -106,10 +97,10 @@ def _synth_block(rng: random.Random) -> tuple[BoundQuiver, str]:
         arrows.append(("a%d" % i, "x%d" % i, "x%d" % (i - 1)))
     relations = [("a%d" % i, "a%d" % (i + 1)) for i in range(1, n)]
     if rng.random() < 0.5:
-        _decorate(vertices, arrows, "y", fresh, "in")
+        _decorate(vertices, arrows, "y", names, "in")
     if rng.random() < 0.5:
         # a relation here would break the slide's end condition; keep it free
-        _decorate(vertices, arrows, "x%d" % n, fresh, "in")
+        _decorate(vertices, arrows, "x%d" % n, names, "in")
     return make_bound_quiver(vertices, arrows, relations), "b"
 
 

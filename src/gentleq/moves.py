@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .core import (
     BoundQuiver,
-    Quiver,
     QuiverError,
     require_valid,
     validate,
@@ -255,7 +254,8 @@ def _named(bq: BoundQuiver, ends, rels) -> BoundQuiver:
     vs = bq.vertices
     ids = [a for a, _s, _t in bq.arrows]
     return BoundQuiver(
-        Quiver(vs, tuple([(ids[k], vs[s], vs[t]) for k, (s, t) in enumerate(ends)])),
+        vs,
+        tuple([(ids[k], vs[s], vs[t]) for k, (s, t) in enumerate(ends)]),
         frozenset([(ids[f], ids[s]) for f, s in rels]),
         bq.name,
     )

@@ -275,15 +275,15 @@ def _moves(n: int, q: _Ints):
         yield mv, ends, rels
 
 
-def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES,
-          hit_table: dict | None = None) -> OrbitResult:
+def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> OrbitResult:
     """Breadth-first closure of the class of ``bq`` under all moves.
 
     The states are canonical codes, each level walked in the order
     ``serialize`` sorts their forms.  Every applicable move is an edge
     ``(key, move, key)``, with the move named on the canonical form, also
-    when its output is a new state beyond ``max_states``.  Keys and forms are
-    made only for the result.
+    when its output is a new state beyond ``max_states``.  The canonical hits
+    are the states that ``theorem_key_table`` lists, with their specs.  Keys
+    and forms are made only for the result.
     """
     require_valid(bq)
     n = len(bq.vertices)
@@ -315,7 +315,7 @@ def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES,
                     states.append(out)
                     nxt.append(out)
         frontier = nxt
-    table = hit_table or {}
+    table = theorem_key_table(n)
     hits = sorted([(key(c), table[c]) for c in states if c in table],
                   key=lambda kv: (kv[1], kv[0]))
     return OrbitResult(frozenset([key(c) for c in states]), {key(c): forms[c] for c in states},

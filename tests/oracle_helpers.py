@@ -15,9 +15,7 @@ from gentleq.core import (
     _canonical_code,
     _form,
     _integer,
-    Quiver,
     make_bound_quiver,
-    opposite,
     parse,
     require_valid,
     serialize,
@@ -63,11 +61,31 @@ def canonical_key(bq: BoundQuiver) -> str:
     return serialize(canonical_form(bq))
 
 
+def opposite(bq: BoundQuiver) -> BoundQuiver:
+    """Reverse every arrow and swap every relation pair."""
+    return BoundQuiver(
+        bq.vertices,
+        tuple((a, t, s) for a, s, t in bq.arrows),
+        frozenset((s, f) for f, s in bq.relations),
+        bq.name,
+    )
+
+
+def oracle_index(bq: BoundQuiver) -> tuple:
+    """``_integer(bq)`` rebuilt from the names of a quiver already made: the
+    vertex positions of each arrow's ends and the arrow positions of each
+    relation."""
+    pos = {v: i for i, v in enumerate(bq.vertices)}
+    aidx = {a: k for k, (a, _s, _t) in enumerate(bq.arrows)}
+    return (len(pos), tuple([(pos[s], pos[t]) for _a, s, t in bq.arrows]),
+            frozenset([(aidx[f], aidx[s]) for f, s in bq.relations]))
+
+
 class _Index:
     """Name-keyed lookup tables of a quiver: the ends of each arrow and the
     arrows out of and into each vertex, in listed order."""
 
-    def __init__(self, q: Quiver):
+    def __init__(self, q: BoundQuiver):
         self.src_of = {a: s for a, s, t in q.arrows}
         self.tgt_of = {a: t for a, s, t in q.arrows}
         self.out_of = {v: [] for v in q.vertices}
@@ -81,7 +99,7 @@ def oracle_validate(bq: BoundQuiver, require_connected: bool = False) -> tuple[V
     """``validate`` on names, as it stood before the integer one: G1 by
     vertex, G3 and G4 by arrow id, FIN by a colored depth-first search over
     the arrow graph, CONN by ``oracle_connected``."""
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     out: list[Violation] = []
     for v in bq.vertices:
         if len(idx.out_of[v]) > 2:
@@ -322,7 +340,7 @@ def naive_enumerate(n: int, a: int, two_cycle: bool):
         ]
         for mask in range(1 << len(composable)):
             rels = [composable[k] for k in range(len(composable)) if mask >> k & 1]
-            bq = BoundQuiver(bq0.quiver, frozenset(rels))
+            bq = BoundQuiver(bq0.vertices, bq0.arrows, frozenset(rels))
             if validate(bq, require_connected=True):
                 continue
             if two_cycle and len(bq.arrows) != len(bq.vertices) + 1:
@@ -369,7 +387,7 @@ def oracle_junction_choices(bq: BoundQuiver):
     """Per vertex with arrows in and out, every relation set among its
     through-pairs that leaves each arrow at most one free and at most one
     related continuation there, found by trying all subsets."""
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     all_choices = []
     for v in bq.vertices:
         outs, ins = idx.out_of[v], idx.into[v]
@@ -478,7 +496,7 @@ def oracle_canonical_form(bq: BoundQuiver) -> BoundQuiver:
                 best = cand
                 best_assignment = (order, tuple(flat))
     if best is None:  # no vertices
-        return BoundQuiver(Quiver((), ()), frozenset(), "c")
+        return BoundQuiver((), (), frozenset(), "c")
     order, flat = best_assignment
     pos = {v: i for i, v in enumerate(order)}
     apos = {a: i for i, a in enumerate(flat)}
@@ -489,7 +507,7 @@ def oracle_canonical_form(bq: BoundQuiver) -> BoundQuiver:
     )
     new_verts = tuple("v%d" % i for i in range(len(order)))
     new_rels = frozenset(("a%d" % apos[f], "a%d" % apos[s]) for f, s in bq.relations)
-    return BoundQuiver(Quiver(new_verts, new_arrows), new_rels, "c")
+    return BoundQuiver(new_verts, new_arrows, new_rels, "c")
 
 
 @functools.lru_cache(maxsize=None)
@@ -695,7 +713,7 @@ def oracle_pairings(bq: BoundQuiver) -> list[PairCycle]:
     permitted, forbidden, _cycles = named_threads(bq)
     permitted = sorted(permitted, key=_thread_key)
     forbidden = sorted(forbidden, key=_thread_key)
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     src, tgt, start_arrow, end_arrow = {}, {}, {}, {}
     for t in permitted + forbidden:
         if t.trivial:
@@ -790,7 +808,7 @@ def oracle_threads(bq: BoundQuiver):
     -epsilon(b) or -sigma(g))``, where ``or`` falls back when the arrow is
     missing; at an isolated vertex ``(1, -1)`` and ``(-1, 1)``.
     """
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     rels = bq.relations
     free_succ, rel_succ = {}, {}
     free_pred, rel_pred = set(), set()
@@ -853,7 +871,7 @@ def oracle_characteristic_sequences(bq: BoundQuiver) -> tuple:
     """``named_sequences`` of a valid quiver by the forced walk on names, as
     it stood before the integer walk."""
     permitted, forbidden, cycles = oracle_threads(bq)
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     starts = {(s, sg): (t, e, ep) for t, s, e, sg, ep in permitted}
     ends = {(e, ep): (t, s, sg) for t, s, e, sg, ep in forbidden}
     incomplete = PairingIncomplete(
@@ -949,7 +967,7 @@ def _oracle_normalize_key(key: str, max_states: int):
 
 def _oracle_rebuild(bq: BoundQuiver, new_src, new_tgt, new_relations) -> BoundQuiver:
     arrows = tuple((a, new_src[a], new_tgt[a]) for a, _s, _t in bq.arrows)
-    return BoundQuiver(Quiver(bq.vertices, arrows), frozenset(new_relations), bq.name)
+    return BoundQuiver(bq.vertices, arrows, frozenset(new_relations), bq.name)
 
 
 def _oracle_loop_at(idx, x):
@@ -958,7 +976,7 @@ def _oracle_loop_at(idx, x):
 
 def oracle_gen_apr_precondition(bq: BoundQuiver, x: str) -> str | None:
     """None when gen-apr-reflect applies at ``x``, otherwise the violated condition."""
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     if x not in idx.out_of:
         return "unknown vertex %r" % x
     loops = _oracle_loop_at(idx, x)
@@ -986,7 +1004,7 @@ def _oracle_redirect_target(bq: BoundQuiver, idx, x):
 
 
 def oracle_gen_apr_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     loops = _oracle_loop_at(idx, x)
     new_tgt_of = _oracle_redirect_target(bq, idx, x)
     new_src = {}
@@ -1032,7 +1050,7 @@ def oracle_gen_apr_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
 def oracle_hw_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
     if len(bq.vertices) == 1:
         return bq
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     pred = {}
     for a in idx.src_of:
         frees = [b for b in idx.into[idx.src_of[a]] if (a, b) not in bq.relations]
@@ -1068,7 +1086,7 @@ def oracle_hw_reflect(bq: BoundQuiver, x: str) -> BoundQuiver:
 
 def oracle_not_applicable_reason(bq: BoundQuiver, move: Move) -> str | None:
     """None when ``move`` applies to ``bq``, otherwise why not."""
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     kind, x = move.kind, move.vertex
     if kind is MoveKind.OPPOSITE:
         return None
@@ -1085,7 +1103,7 @@ def oracle_not_applicable_reason(bq: BoundQuiver, move: Move) -> str | None:
 
 def oracle_generator_images(bq: BoundQuiver) -> tuple[list[BoundQuiver], BoundQuiver]:
     """The outputs of the generating moves on ``bq``: (reflections, opposite)."""
-    idx = _Index(bq.quiver)
+    idx = _Index(bq)
     reflections = []
     for v in sorted(bq.vertices):
         if oracle_gen_apr_precondition(bq, v) is None:

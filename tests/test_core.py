@@ -22,7 +22,6 @@ from gentleq.core import (
     compact_key,
     is_isomorphic,
     make_bound_quiver,
-    opposite,
     parse,
     require_valid,
     serialize,
@@ -51,7 +50,9 @@ from oracle_helpers import (
     oracle_connected,
     oracle_fin_fails,
     oracle_generator_images,
+    oracle_index,
     oracle_validate,
+    opposite,
     random_relabel,
 )
 
@@ -105,6 +106,49 @@ class TestIdentifierCheck:
             with pytest.raises(ValueError) as err:
                 build()
             assert str(err.value) == message
+
+
+class TestConstructor:
+    """One pass checks the vertices (id, then duplicate), the arrows (id,
+    duplicate, unknown end), the name and the relations (unknown arrow,
+    composability), and reports the first fault in that order."""
+
+    @pytest.mark.parametrize("vertices, arrows, relations, name, message", [
+        (["b-d"], [], [], "q!", "invalid vertex identifier 'b-d'"),
+        (["x", "x"], [("a l", "x", "x")], [], "q", "duplicate vertex id 'x'"),
+        (["x", "x", "b-d"], [], [], "q", "duplicate vertex id 'x'"),
+        (["b-d", "x", "x"], [], [], "q", "invalid vertex identifier 'b-d'"),
+        (["x", "b-d"], [("a", "x", "y")], [("a", "a")], "q", "invalid vertex identifier 'b-d'"),
+        (["x", "x"], [("a", "x", "z")], [], "q", "duplicate vertex id 'x'"),
+        (["x"], [("a l", "x", "z")], [], "q", "invalid arrow identifier 'a l'"),
+        (["x", "y"], [("a", "x", "y"), ("a", "x", "y")], [("a", "a")], "q",
+         "duplicate arrow id 'a'"),
+        (["x", "y"], [("a", "x", "y"), ("a", "y", "x")], [("a", "zz")], "q",
+         "duplicate arrow id 'a'"),
+        (["x"], [("a", "x", "z"), ("a l", "x", "x")], [], "q",
+         "arrow 'a' references unknown vertex"),
+        (["x"], [("a", "x", "z")], [], "q!", "arrow 'a' references unknown vertex"),
+        (["x"], [], [("a", "b")], "q!", "invalid quiver name identifier 'q!'"),
+        (["x", "y"], [("a", "x", "y"), ("b", "x", "y")], [("a", "b")], "q!",
+         "invalid quiver name identifier 'q!'"),
+        (["x", "y"], [("a", "x", "y")], [("a", "c")], "q",
+         "relation references unknown arrow (a, c)"),
+        (["x", "y"], [("a", "x", "y"), ("b", "x", "y")], [("a", "b")], "q",
+         "relation (a, b) not composable: source(a)=x but target(b)=y"),
+    ])
+    def test_first_fault_wins(self, vertices, arrows, relations, name, message):
+        with pytest.raises(ValueError) as err:
+            make_bound_quiver(vertices, arrows, relations, name)
+        assert str(err.value) == message
+
+    def test_index_matches_oracle(self):
+        built = [build_family(sp) for sp in theorem_list(8)]
+        pool = small_classes() + list(random_bound_quivers()) + built
+        assert len(pool) == 982 + 3000 + len(built)
+        for bq in pool:
+            for q in (bq, opposite(bq)):
+                for r in (q, parse(serialize(q)), _form(_canonical_code(q))):
+                    assert _integer(r) == oracle_index(r), serialize(q)
 
 
 class TestParse:
@@ -254,7 +298,7 @@ class TestIntegerValidity:
                 _n, ends, _none = _decode(shape)
                 for combo in itertools.product(*_junction_choices(n, ends)):
                     rels = {pair for choice in combo for pair in choice}
-                    cand = BoundQuiver(form.quiver, frozenset(
+                    cand = BoundQuiver(form.vertices, form.arrows, frozenset(
                         (names[f], names[s]) for f, s in rels))
                     violations = _witnesses(cand, False)
                     assert violations == oracle_validate(cand), serialize(cand)
@@ -399,10 +443,7 @@ class TestClassifyArrows:
             classes, _ = oracle_classify_arrows(bq)
             for a, _s, _t in bq.arrows:
                 rest_arrows = [x for x in bq.arrows if x[0] != a]
-                rest = BoundQuiver(
-                    bq.quiver.__class__(bq.vertices, tuple(rest_arrows)),
-                    frozenset(),
-                )
+                rest = BoundQuiver(bq.vertices, tuple(rest_arrows), frozenset())
                 if oracle_connected(rest):
                     assert classes[a] == ArrowClass.CYCLE
                 else:
@@ -567,7 +608,7 @@ class TestKernelAgainstOracle:
 
 def fresh(bq):
     """An equal bound quiver with an empty memo."""
-    return BoundQuiver(bq.quiver, bq.relations, bq.name)
+    return BoundQuiver(bq.vertices, bq.arrows, bq.relations, bq.name)
 
 
 def small_classes():
@@ -576,8 +617,9 @@ def small_classes():
 
 
 class TestQuiverMemo:
-    """Each bound quiver computes ``_integer``, ``validate`` per flag and its
-    canonical code once; the memo changes no result and no identity."""
+    """Each bound quiver builds ``_integer`` when it is made and computes
+    ``validate`` per flag and its canonical code once; the memo changes no
+    result and no identity."""
 
     @staticmethod
     def outcome(f, bq):
@@ -610,17 +652,12 @@ class TestQuiverMemo:
             self.check(bq)
 
     def test_seeds_equal_computed(self):
-        # parse seeds the index it reads off its tables, _form the index and
-        # the code it is drawn from
+        # _form seeds the code it is drawn from
         for bq in small_classes() + list(random_bound_quivers(count=300)):
             for q in (bq, opposite(bq)):
-                text = serialize(q)
-                parsed = parse(text)
-                assert parsed._memo.ints == gentleq.core._index(parsed), text
                 code = _canonical_code(fresh(q))
                 form = _form(code)
-                assert form._memo.ints == gentleq.core._index(form), text
-                assert form._memo.code == _code(*gentleq.core._index(form)) == code, text
+                assert form._memo.code == _code(*oracle_index(form)) == code, serialize(q)
 
     def test_decode_round_trip(self):
         for n in range(1, 6):
@@ -636,19 +673,22 @@ class TestQuiverMemo:
         compact_key(used)
         assert used._memo.code is not None and blank._memo is None
         assert used == blank and hash(used) == hash(blank)
-        assert repr(used) == repr(blank) and "_memo" not in repr(used)
+        assert repr(used) == repr(blank)
+        assert "_memo" not in repr(used) and "_ints" not in repr(used)
         assert serialize(used) == serialize(blank)
         assert pickle.dumps(used) == pickle.dumps(blank)
         back = pickle.loads(pickle.dumps(used))
-        assert back == used and back._memo is None
+        assert back == used and back._memo is None and _integer(back) == _integer(used)
         assert validate(back, True) == () and compact_key(back) == compact_key(used)
         renamed = dataclasses.replace(used, name="z")
         assert renamed == used and renamed._memo is None
-        with pytest.raises(ValueError):
-            dataclasses.replace(used, _memo=None)
+        assert _integer(renamed) == _integer(used)
+        for private in ("_memo", "_ints"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(used, **{private: None})
 
     def test_query_computes_each_fact_once(self, monkeypatch):
-        counts = dict.fromkeys(["_index", "_code", "_valid", "_arcs_connected", "_witnesses"], 0)
+        counts = dict.fromkeys(["_code", "_valid", "_arcs_connected", "_witnesses"], 0)
         for name in counts:
             real = getattr(gentleq.core, name)
 
@@ -657,18 +697,24 @@ class TestQuiverMemo:
                 return _real(*args)
 
             monkeypatch.setattr(gentleq.core, name, counted)
+        made = []
+        real_init = BoundQuiver.__post_init__
+        monkeypatch.setattr(BoundQuiver, "__post_init__",
+                            lambda bq: made.append(bq) or real_init(bq))
         text = serialize(build_family(spec("L1", 1, 2, 0, 1, 0)))
-        for bq, indexed in ((parse(text), 0), (build_family(spec("L2", 1, 1, 1, 0, 0)), 1)):
+        for bq in (parse(text), build_family(spec("L2", 1, 1, 1, 0, 0))):
             counts.update(dict.fromkeys(counts, 0))
+            made.clear()
             for _ in range(2):
                 assert validate(bq) == ()
                 phi(bq)
                 cartan_matrix(bq)
                 normalize(bq)
                 recognize(bq)
-            # parse seeds the index; the connected check reuses the plain verdict
-            assert counts == {"_index": indexed, "_code": 1, "_valid": 1,
-                              "_arcs_connected": 1, "_witnesses": 0}
+            # the index was built with the quiver, and no quiver is made
+            # again; the connected check reuses the plain verdict
+            assert made == []
+            assert counts == {"_code": 1, "_valid": 1, "_arcs_connected": 1, "_witnesses": 0}
 
     def test_one_witness_walk_per_flag(self, monkeypatch):
         calls = []

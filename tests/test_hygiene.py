@@ -29,13 +29,34 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-def names_read(tree: ast.AST) -> set[str]:
-    """The names and attribute names that ``tree`` reads."""
+def module_names(tree: ast.AST) -> set[str]:
+    """The names that the import statements of ``tree`` bind to modules:
+    ``import x.y``, ``import x as y`` and ``from . import x``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def off_module(node: ast.expr, modules: set[str]) -> bool:
+    """Whether ``node`` is one of ``modules`` or an attribute chain on one."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in modules
+
+
+def names_read(tree: ast.AST, modules: set[str] | None = None) -> set[str]:
+    """The names and attribute names that ``tree`` reads; with ``modules``,
+    only the attributes read off a module (``core.parse``, ``g.phi``,
+    ``gentleq.cli.dispatch``)."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             read.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and (modules is None or off_module(node.value, modules)):
             read.add(node.attr)
     return read
 
@@ -71,19 +92,23 @@ def unreached_public_names(sources: dict[str, str], roots: set[str]) -> list[str
     that no top-level definition reached from ``roots`` reads.
 
     The walk starts from ``roots``, every definition of ``cli.py`` and every
-    ``verify_*`` definition, and follows the names each definition reads; a
-    name defined in two modules follows both definitions.
+    ``verify_*`` definition, and follows the names each definition reads; an
+    attribute counts only when it is read off a module, so ``q.opposite()``
+    does not reach a function ``opposite``.  A name defined in two modules
+    follows both definitions.
     """
     reads: dict[str, set[str]] = {}
     public, todo = set(), set(roots)
     for path, source in sources.items():
-        for stmt in ast.parse(source).body:
+        tree = ast.parse(source)
+        modules = module_names(tree)
+        for stmt in tree.body:
             names = defined_names(stmt)
             if names == ["__all__"]:
                 public.update(ast.literal_eval(stmt.value))
                 continue
             for name in names:
-                reads.setdefault(name, set()).update(names_read(stmt))
+                reads.setdefault(name, set()).update(names_read(stmt, modules))
                 if path == "cli.py" or name.startswith("verify_"):
                     todo.add(name)
     reached = set()
@@ -203,13 +228,15 @@ def test_unread_public_method_is_caught():
 
 def test_unreached_public_name_is_caught():
     sources = {
-        "cli.py": "def _cmd_run(args):\n    return core.run(args)\n",
+        "cli.py": "from . import core\ndef _cmd_run(args):\n    return core.run(args)\n",
         "core.py": (
             '__all__ = ["run", "helper", "LIMIT", "verify_all", "check", "walk", "orphan",'
-            ' "stale"]\n'
+            ' "stale", "flip"]\n'
             "LIMIT = 3\n"
             "def run(args):\n    return helper(args, LIMIT)\n"
-            "def helper(args, limit):\n    return args[:limit]\n"
+            # a reached method call of the same name does not reach flip
+            "def helper(args, limit):\n    return args.flip()[:limit]\n"
+            "def flip(bq):\n    return bq\n"
             "def verify_all():\n    return check([])\n"
             "def check(args):\n    return not args\n"
             "def walk(bq):\n    return bq\n"
@@ -217,5 +244,5 @@ def test_unreached_public_name_is_caught():
             "def stale():\n    return 0\n"
         ),
     }
-    assert unreached_public_names(sources, {"walk"}) == ["orphan", "stale"]
-    assert unreached_public_names(sources, set()) == ["orphan", "stale", "walk"]
+    assert unreached_public_names(sources, {"walk"}) == ["flip", "orphan", "stale"]
+    assert unreached_public_names(sources, set()) == ["flip", "orphan", "stale", "walk"]

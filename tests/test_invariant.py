@@ -4,7 +4,7 @@ import pytest
 
 import gentleq.core
 import gentleq.families
-from gentleq.core import InvalidQuiverError, _integer, make_bound_quiver, opposite
+from gentleq.core import InvalidQuiverError, _integer, make_bound_quiver
 from gentleq.families import build_family, phi_formula, spec, theorem_list
 from gentleq.invariant import (
     DEGENERATE,
@@ -25,6 +25,7 @@ from oracle_helpers import (
     named_cycles,
     named_sequences,
     named_threads,
+    opposite,
     oracle_cartan,
     oracle_characteristic_sequences,
     oracle_euler_data,

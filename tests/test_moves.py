@@ -9,7 +9,6 @@ from gentleq.core import (
     _canonical_code,
     is_isomorphic,
     make_bound_quiver,
-    opposite,
     serialize,
     validate,
 )
@@ -33,6 +32,7 @@ from gentleq.moves import (
 
 from oracle_helpers import (
     canonical_key,
+    opposite,
     oracle_apply_move,
     oracle_gen_apr_precondition,
     oracle_gen_apr_reflect,

@@ -8,7 +8,6 @@ from gentleq.core import (
     _canonical_code,
     _decode,
     _form,
-    opposite,
     parse,
     serialize,
 )
@@ -42,6 +41,7 @@ from gentleq.orbit import (
 from oracle_helpers import (
     canonical_key,
     naive_enumerate,
+    opposite,
     oracle_enumerate,
     oracle_junction_choices,
     oracle_normalize,
@@ -200,7 +200,7 @@ class TestOrbit:
 
     def test_hits_recorded(self):
         bq = build_family(spec("L0", 1, 0))
-        res = orbit(bq, hit_table=theorem_key_table(2))
+        res = orbit(bq)
         assert (canonical_key(bq), spec("L0", 1, 0)) in res.canonical_hits
 
     def test_edges_replay(self):
@@ -440,14 +440,14 @@ class TestOrbitAgainstOracle:
         _assignment, members, _family, _complete = _orbit_partition(n)
         for member in members.values():
             rep = _form(member[0])
-            self.check(orbit(rep, DEFAULT_MAX_STATES, theorem_key_table(n)),
+            self.check(orbit(rep, DEFAULT_MAX_STATES),
                        oracle_orbit_of_key(serialize(rep), DEFAULT_MAX_STATES))
 
     @pytest.mark.parametrize("max_states", [1, 4])
     def test_capped_orbits(self, two_cycle_classes, max_states):
         for n in (2, 3):
             for bq in two_cycle_classes(n):
-                self.check(orbit(bq, max_states, theorem_key_table(n)),
+                self.check(orbit(bq, max_states),
                            oracle_orbit(bq, max_states, theorem_key_table(n)))
 
     def test_theorem_list(self):
@@ -459,11 +459,11 @@ class TestOrbitAgainstOracle:
             bq = build_family(sp)
             n = len(bq.vertices)
             for q in (bq, opposite(bq)):
-                self.check(orbit(q, 4, theorem_key_table(n)),
+                self.check(orbit(q, 4),
                            oracle_orbit(q, 4, theorem_key_table(n)))
             if sp in five[::8]:
                 key = min(canonical_key(bq), canonical_key(opposite(bq)))
-                self.check(orbit(parse(key), DEFAULT_MAX_STATES, theorem_key_table(n)),
+                self.check(orbit(parse(key), DEFAULT_MAX_STATES),
                            oracle_orbit_of_key(key, DEFAULT_MAX_STATES))
 
 
