@@ -9,10 +9,10 @@ composite "second, then first"; composability means
 This module holds the data model, the line-oriented text format, the
 gentleness/finiteness validator, and isomorphism testing via canonical
 labeling.  Everything is immutable and every operation is a pure function.
-Names live at the edges: the validator, connectivity and the canonical
-kernel read a bound quiver on indices, ``_integer(bq)`` = ``(n, ends,
-rels)``, and names are attached only to what they return.  A bound quiver
-is checked and put on indices in one pass when it is made; it computes its
+Names live at the edges: the package reads a bound quiver on indices, as
+one record ``_Ints`` of arrow ends, relations and the arrows out of and into
+each vertex, and attaches names only to what it returns.  A bound quiver is
+checked and put on its record in one pass when it is made; it computes its
 ``validate`` result per flag and its canonical code once, on first use, and
 keeps them in a memo that is not part of ``==``, ``hash``, ``repr`` or its
 pickled state.
@@ -70,6 +70,40 @@ def _check_id(token: str, what: str) -> None:
         raise ValueError("invalid %s identifier %r" % (what, token))
 
 
+class _Ints:
+    """A bound quiver on indices: vertex count ``n``, the ``(source, target)``
+    of each arrow, the relations as ``(first, second)`` arrow positions, the
+    arrows out of and into each vertex (unless given as ``adjacency``) and,
+    once asked for, the opposite quiver's record."""
+
+    __slots__ = ("n", "ends", "rels", "outs", "ins", "_op")
+
+    def __init__(self, n: int, ends, rels, adjacency=None):
+        self.n, self.ends, self.rels = n, ends, rels
+        if adjacency is None:
+            outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
+            for k, (s, t) in enumerate(ends):
+                outs[s].append(k)
+                ins[t].append(k)
+            adjacency = outs, ins
+        self.outs, self.ins = adjacency
+        self._op = None
+
+    def opposite(self) -> "_Ints":
+        if self._op is None:
+            # reversing every arrow swaps the arrows out of and into a vertex
+            self._op = _Ints(self.n, *_reverse(self.ends, self.rels), (self.ins, self.outs))
+        return self._op
+
+    def __reduce__(self):
+        return _Ints, (self.n, self.ends, self.rels)
+
+
+def _reverse(ends, rels):
+    """The ``(ends, rels)`` of the opposite quiver."""
+    return [(t, s) for s, t in ends], {(s, f) for f, s in rels}
+
+
 class _Memo:
     """What a bound quiver computes about itself once it is used: the
     ``validate`` result per ``require_connected`` flag and the canonical
@@ -88,14 +122,14 @@ class BoundQuiver:
     monomial relations ``(first arrow, second arrow)``.
 
     Making one checks the vertices, then the arrows, then the name, then the
-    relations, and keeps ``_integer`` of what it checked.
+    relations, and keeps what it checked as its record ``_ints``.
     """
 
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]
     relations: frozenset[tuple[str, str]]
     name: str = field(default="q", compare=False)
-    _ints: tuple = field(default=None, init=False, repr=False, compare=False)
+    _ints: _Ints | None = field(default=None, init=False, repr=False, compare=False)
     _memo: _Memo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -127,7 +161,7 @@ class BoundQuiver:
                     % (first, second, first, self.arrows[f][1], second, self.arrows[s][2])
                 )
             rels.append((f, s))
-        object.__setattr__(self, "_ints", (len(vpos), tuple(ends), frozenset(rels)))
+        object.__setattr__(self, "_ints", _Ints(len(vpos), tuple(ends), frozenset(rels)))
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -317,10 +351,10 @@ def validate(bq: BoundQuiver, require_connected: bool = False) -> tuple[Violatio
     """
     verdicts = _memo_of(bq).violations
     if require_connected not in verdicts:
-        n, ends, rels = _integer(bq)
+        q = bq._ints
         # the connected check reuses a plain verdict already found
-        valid = verdicts[False] == () if False in verdicts else _valid(n, ends, rels)
-        if valid and (not require_connected or _arcs_connected(n, ends)):
+        valid = verdicts[False] == () if False in verdicts else _valid(q)
+        if valid and (not require_connected or _arcs_connected(q.n, q.ends)):
             verdicts[require_connected] = ()
         else:
             verdicts[require_connected] = _witnesses(bq, require_connected)
@@ -329,8 +363,8 @@ def validate(bq: BoundQuiver, require_connected: bool = False) -> tuple[Violatio
 
 def _witnesses(bq: BoundQuiver, require_connected: bool) -> tuple[Violation, ...]:
     """The named violations of ``validate``, in its order."""
-    n, ends, rels = _integer(bq)
-    outs, ins = _adjacency(n, ends)
+    q = bq._ints
+    ends, rels, outs, ins = q.ends, q.rels, q.outs, q.ins
     ids = [a for a, _s, _t in bq.arrows]
     out: list[Violation] = []
     for v, o, i in zip(bq.vertices, outs, ins):
@@ -355,7 +389,7 @@ def _witnesses(bq: BoundQuiver, require_connected: bool) -> tuple[Violation, ...
     cycle = _first_cycle(succ, order)
     if cycle is not None:
         out.append(Violation("FIN", "relation-avoiding cycle %s" % ",".join([ids[a] for a in cycle])))
-    if require_connected and not _arcs_connected(n, ends):
+    if require_connected and not _arcs_connected(q.n, ends):
         out.append(Violation("CONN", "underlying graph is disconnected"))
     return tuple(out)
 
@@ -366,26 +400,15 @@ def require_valid(bq: BoundQuiver, require_connected: bool = False) -> None:
         raise InvalidQuiverError(violations)
 
 
-def _adjacency(n: int, ends) -> tuple[list[list[int]], list[list[int]]]:
-    """The arrow positions out of and into each of the vertices 0..n-1."""
-    outs: list[list[int]] = [[] for _ in range(n)]
-    ins: list[list[int]] = [[] for _ in range(n)]
-    for k, (s, t) in enumerate(ends):
-        outs[s].append(k)
-        ins[t].append(k)
-    return outs, ins
-
-
-def _valid(n: int, ends, rels) -> bool:
+def _valid(q: _Ints) -> bool:
     """Whether a bound quiver on indices meets G1, G3, G4 and FIN.
 
-    ``ends`` lists the ``(source, target)`` of each arrow and ``rels`` is the
-    set of ``(first, second)`` arrow positions of the relations.  This is
-    ``not validate(...)`` without its witnesses, for the quivers the package
-    builds for itself.
+    This is ``not validate(...)`` without its witnesses, for the quivers the
+    package builds for itself.
     """
+    ends, rels = q.ends, q.rels
     succ = [-1] * len(ends)  # the relation-free successor of each arrow
-    for o, i in zip(*_adjacency(n, ends)):
+    for o, i in zip(q.outs, q.ins):
         if len(o) > 2 or len(i) > 2:
             return False
         # G3 and G4: of two arrows on one side of the vertex, each arrow on
@@ -546,19 +569,11 @@ def _code(n: int, ends, rels) -> tuple:
     return (n, tuple(best[0]), tuple(best[1]))
 
 
-def _integer(bq: BoundQuiver) -> tuple:
-    """``bq`` on indices: ``(n, ends, rels)`` over its vertex and arrow order,
-    with ``ends`` the tuple of the ``(source, target)`` of each arrow and
-    ``rels`` the frozenset of ``(first, second)`` arrow positions; built
-    when ``bq`` is made."""
-    return bq._ints
-
-
-def _decode(code: tuple) -> tuple:
-    """The ``(n, ends, rels)`` of the canonical form a code stands for."""
+def _decode(code: tuple) -> _Ints:
+    """The record of the canonical form a code stands for."""
     n, base, rels = code
     m = len(base)
-    return n, [divmod(c, n) for c in base], {divmod(c, m) for c in rels}
+    return _Ints(n, [divmod(c, n) for c in base], {divmod(c, m) for c in rels})
 
 
 def _canonical_code(bq: BoundQuiver) -> tuple:
@@ -566,7 +581,8 @@ def _canonical_code(bq: BoundQuiver) -> tuple:
     ``_code``; computed once per quiver object."""
     memo = _memo_of(bq)
     if memo.code is None:
-        memo.code = _code(*_integer(bq))
+        q = bq._ints
+        memo.code = _code(q.n, q.ends, q.rels)
     return memo.code
 
 
@@ -575,13 +591,14 @@ def _form(code: tuple) -> BoundQuiver:
 
     The form is its own canonical labeling, so its memo starts with ``code``.
     """
-    n, ends, rels = _decode(code)
+    n, base, rels = code
+    m = len(base)
     vn = tuple([_name("v", i) for i in range(n)])
-    an = [_name("a", k) for k in range(len(ends))]
+    an = [_name("a", k) for k in range(m)]
     form = BoundQuiver(
         vn,
-        tuple([(an[k], vn[s], vn[t]) for k, (s, t) in enumerate(ends)]),
-        frozenset([(an[f], an[s]) for f, s in rels]),
+        tuple([(an[k], vn[c // n], vn[c % n]) for k, c in enumerate(base)]),
+        frozenset([(an[c // m], an[c % m]) for c in rels]),
         "c",
     )
     object.__setattr__(form, "_memo", _Memo(code))

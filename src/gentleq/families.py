@@ -21,6 +21,7 @@ from .core import (
     _arcs_connected,
     _canonical_code,
     _code,
+    _Ints,
     _valid,
     make_bound_quiver,
     require_valid,
@@ -367,32 +368,34 @@ _BUILDERS = {
 }
 
 
-def _family(sp: FamilySpec) -> _Builder:
-    """The builder of a family instance, once its quiver is checked: valid,
-    connected, with two independent cycles."""
+def _family(sp: FamilySpec, named: bool):
+    """A family instance, once its quiver is checked: valid, connected, with
+    two independent cycles.  With ``named`` it is the bound quiver named
+    after its tag, otherwise its record on indices; both list the vertices
+    and arrows in the order the recipe adds them."""
     check_spec(sp)
     b = _BUILDERS[sp.tag](*sp.params)
-    n, ends, rels = len(b.vertices), b.ends, b.rels
-    if not (_valid(n, ends, rels) and _arcs_connected(n, ends)):
+    out = b.named(sp.tag) if named else _Ints(len(b.vertices), b.ends, b.rels)
+    q = out._ints if named else out
+    if not (_valid(q) and _arcs_connected(q.n, q.ends)):
         raise AssertionError("%s built an invalid quiver: %s"
                              % (sp, validate(b.named(sp.tag), require_connected=True)))
-    assert len(ends) == n + 1, "families are two-cycle"
+    assert len(q.ends) == q.n + 1, "families are two-cycle"
     if sp.tag in ("G1", "G2") and sp.params[3] == 0:
         # the three double-arrow shapes coincide when the extra chain vanishes
-        assert _code(n, ends, rels) == _code(*_family_ints(spec("G0", *sp.params[:3])))
-    return b
+        g0 = _family_ints(spec("G0", *sp.params[:3]))
+        assert _code(q.n, q.ends, q.rels) == _code(g0.n, g0.ends, g0.rels)
+    return out
 
 
-def _family_ints(sp: FamilySpec) -> tuple:
-    """The checked quiver of a family instance on indices: ``(n, ends,
-    rels)`` over the vertices and arrows in the order the recipe adds them."""
-    b = _family(sp)
-    return len(b.vertices), b.ends, b.rels
+def _family_ints(sp: FamilySpec) -> _Ints:
+    """The checked record of a family instance."""
+    return _family(sp, False)
 
 
 def build_family(sp: FamilySpec) -> BoundQuiver:
     """Build the bound quiver for a family instance (validated)."""
-    return _family(sp).named(sp.tag)
+    return _family(sp, True)
 
 
 def family_size(sp: FamilySpec) -> int:
@@ -448,7 +451,8 @@ def _recognize_table(n: int, a: int, r: int) -> dict[tuple, FamilySpec]:
         return table
     for tag in FAMILY_TAGS:
         for sp in _specs(tag, n, r):
-            code = _code(*_family_ints(sp))
+            q = _family_ints(sp)
+            code = _code(q.n, q.ends, q.rels)
             if code not in table or sp < table[code]:
                 table[code] = sp
     return table
@@ -514,17 +518,16 @@ def theorem_list(max_vertices: int) -> list[FamilySpec]:
     for n in range(2, max_vertices + 1):
         for p1, p2, p3, p4 in _compositions(n + 1, (1, 1, 0, 0)):
             for r1 in range(0, p1):
-                if p2 + p3 < 2 or p4 + r1 < 1:
-                    continue
-                if p3 > p4 or (p3 == p4 and p2 > r1):
-                    out.append(spec("L1", p1, p2, p3, p4, r1))
+                params = (p1, p2, p3, p4, r1)
+                if (_failed_inequality("L1", params) is None
+                        and (p3 > p4 or (p3 == p4 and p2 > r1))):
+                    out.append(FamilySpec("L1", params))
         for p1, p2, p3 in _compositions(n + 1, (1, 1, 0)):
             if p1 < p2:
                 continue
             for r1 in range(0, p1):
                 for r2 in range(0, p2):
-                    if p3 + r1 + r2 < 1:
-                        continue
-                    if p1 > p2 or r1 >= r2:
-                        out.append(spec("L2", p1, p2, p3, r1, r2))
+                    params = (p1, p2, p3, r1, r2)
+                    if _failed_inequality("L2", params) is None and (p1 > p2 or r1 >= r2):
+                        out.append(FamilySpec("L2", params))
     return sorted(set(out))

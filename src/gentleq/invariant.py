@@ -29,8 +29,7 @@ from .core import (
     BoundQuiver,
     QuiverError,
     require_valid,
-    _adjacency,
-    _integer,
+    _Ints,
 )
 
 __all__ = [
@@ -86,15 +85,15 @@ class Phi:
         return "{" + ", ".join("(%d,%d):%d" % (n, m, c) for (n, m), c in self.entries) + "}"
 
 
-def _threads(n: int, ends, rels):
+def _threads(q: _Ints):
     """Permitted threads, forbidden threads and relation cycles, in one pass.
 
-    The bound quiver is given on indices, as ``core._integer`` gives it, and
-    must already be valid.  Each thread comes as ``(arrows, start vertex,
-    end vertex, sigma, epsilon)`` with the signs of the forbidden walk, where
-    ``arrows`` lists its arrow positions in traversal order and is empty for
-    a trivial thread; the relation cycles are tuples of arrow positions
-    starting at their least position, in increasing order.
+    The bound quiver is given as its record on indices and must already be
+    valid.  Each thread comes as ``(arrows, start vertex, end vertex, sigma,
+    epsilon)`` with the signs of the forbidden walk, where ``arrows`` lists
+    its arrow positions in traversal order and is empty for a trivial
+    thread; the relation cycles are tuples of arrow positions starting at
+    their least position, in increasing order.
 
     Arrow signs: the in-arrows of a vertex get epsilon +1 and -1; an
     out-arrow gets sigma = -epsilon of the in-arrow it composes with outside
@@ -106,7 +105,7 @@ def _threads(n: int, ends, rels):
     -epsilon(b) or -sigma(g))``, where ``or`` falls back when the arrow is
     missing; at an isolated vertex ``(1, -1)`` and ``(-1, 1)``.
     """
-    outs, ins = _adjacency(n, ends)
+    ends, rels, outs, ins = q.ends, q.rels, q.outs, q.ins
     m = len(ends)
     free_succ, rel_succ = [-1] * m, [-1] * m
     free_pred, rel_pred = [False] * m, [False] * m
@@ -166,7 +165,7 @@ def _threads(n: int, ends, rels):
     return permitted, forbidden, cycles
 
 
-def _walk(n: int, ends, rels):
+def _walk(q: _Ints):
     """The characteristic sequences of a valid bound quiver on indices:
     ``(alternations, cycles)``.
 
@@ -178,14 +177,14 @@ def _walk(n: int, ends, rels):
     permitted thread in the order of ``_threads``, and the cycles come in
     that order.  The relation cycles are as ``_threads`` gives them.
     """
-    permitted, forbidden, cycles = _threads(n, ends, rels)
+    permitted, forbidden, cycles = _threads(q)
     starts = {(t[1], t[3]): t for t in permitted}
     stops = {(t[2], t[4]): t for t in forbidden}
     incomplete = PairingIncomplete(
         "no complete pairing of %d permitted and %d forbidden threads"
         % (len(permitted), len(forbidden))
     )
-    if ends and len({v for e in ends for v in e}) < n:
+    if q.ends and len({v for e in q.ends for v in e}) < q.n:
         raise incomplete  # an isolated vertex would pair only with itself
     alternations = []
     try:
@@ -211,13 +210,13 @@ def _walk(n: int, ends, rels):
 def phi(bq: BoundQuiver) -> Phi:
     """Multiset of the types of all characteristic sequences."""
     require_valid(bq)
-    return _phi(*_integer(bq))
+    return _phi(bq._ints)
 
 
-def _phi(n: int, ends, rels) -> Phi:
+def _phi(q: _Ints) -> Phi:
     """``phi`` of a bound quiver on indices that its maker has already
     validated."""
-    alternations, cycles = _walk(n, ends, rels)
+    alternations, cycles = _walk(q)
     return Phi.from_types([(len(a), sum([len(f[0]) for _p, f in a])) for a in alternations]
                           + [(0, len(c)) for c in cycles])
 
@@ -228,7 +227,7 @@ def degeneracy_class(bq: BoundQuiver) -> str:
     # connected, so the cycle rank is arrows - vertices + 1
     if len(bq.arrows) - len(bq.vertices) + 1 != 2:
         raise QuiverError("degeneracy split applies to two-cycle quivers only")
-    total = _phi(*_integer(bq)).total
+    total = _phi(bq._ints).total
     if total == 3:
         return NONDEGENERATE
     if total == 1:
@@ -250,19 +249,17 @@ def cartan_matrix(bq: BoundQuiver):
     path included on the diagonal).
     """
     require_valid(bq)
-    n, ends, rels = _integer(bq)
+    q = bq._ints
+    n, ends = q.n, q.ends
     order = tuple(sorted(bq.vertices))
     row_of = {v: i for i, v in enumerate(order)}
     row = [row_of[v] for v in bq.vertices]
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    outs, _ins = _adjacency(n, ends)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     # a valid quiver gives each arrow at most one relation-free successor
     succ = [-1] * len(ends)
     for a, (_s, t) in enumerate(ends):
-        for b in outs[t]:
-            if (b, a) not in rels:
+        for b in q.outs[t]:
+            if (b, a) not in q.rels:
                 succ[a] = b
     for a, (s, _t) in enumerate(ends):
         cur = a

@@ -6,8 +6,8 @@ maximal-path flavor), their three duals at sources, and passing to the
 opposite quiver.  The duals are realized by conjugating the primal rewrite
 with ``opposite`` so there is a single source of truth per formula.  Each
 rewrite is an integer kernel over vertex and arrow indices: the orbit
-closure runs it on canonical codes, and the named moves index the quiver,
-run the same kernel and rebuild with the original ids.
+closure runs it on canonical codes, and the named moves run the same kernel
+on the quiver's own record and rebuild with the original ids.
 
 On top of the primitives sit two macros that slide a relation (or a block of
 chained relations) along free arrows; each macro replays a fixed composite of
@@ -27,10 +27,9 @@ from .core import (
     QuiverError,
     require_valid,
     validate,
-    _adjacency,
     _code,
-    _decode,
-    _integer,
+    _Ints,
+    _reverse,
     _valid,
 )
 
@@ -107,29 +106,6 @@ class Move:
 
 # ---------------------------------------------------------------------------
 # the integer kernel: one source of truth for every move formula
-
-
-class _Ints:
-    """A bound quiver on indices: the ``(source, target)`` of each arrow, the
-    relations as a set of ``(first, second)`` arrow positions, and the arrows
-    out of and into each vertex."""
-
-    __slots__ = ("n", "ends", "rels", "outs", "ins", "_op")
-
-    def __init__(self, n: int, ends, rels):
-        self.n, self.ends, self.rels = n, ends, rels
-        self.outs, self.ins = _adjacency(n, ends)
-        self._op = None
-
-    def opposite(self) -> "_Ints":
-        if self._op is None:
-            self._op = _Ints(self.n, *_reverse(self.ends, self.rels))
-        return self._op
-
-
-def _reverse(ends, rels):
-    """The ``(ends, rels)`` of the opposite quiver."""
-    return [(t, s) for s, t in ends], {(s, f) for f, s in rels}
 
 
 def _gen_apr_blocker(q: _Ints, x: int) -> int | None:
@@ -225,8 +201,8 @@ def _image(q: _Ints, kind: MoveKind, x: int | None):
     return _reverse(*_image(q.opposite(), _DUAL[kind], x))
 
 
-def _generator_codes(code: tuple) -> tuple[list[tuple], tuple]:
-    """The codes of the generating moves' outputs on ``code``: (reflections,
+def _generator_codes(q: _Ints) -> tuple[list[tuple], tuple]:
+    """The codes of the generating moves' outputs on ``q``: (reflections,
     opposite).
 
     The reflections are ``gen-apr-reflect`` at every vertex meeting its
@@ -234,15 +210,13 @@ def _generator_codes(code: tuple) -> tuple[list[tuple], tuple]:
     validation; ``gentleq.orbit`` says why these moves reach every move's
     output.
     """
-    n = code[0]
-    q = _Ints(*_decode(code))
     reflections = []
-    for x in range(n):
+    for x in range(q.n):
         if _gen_apr_blocker(q, x) is None:
-            reflections.append(_code(n, *_gen_apr(q, x)))
+            reflections.append(_code(q.n, *_gen_apr(q, x)))
         if not q.outs[x]:
-            reflections.append(_code(n, *_hw(q, x)))
-    return reflections, _code(n, *_reverse(q.ends, q.rels))
+            reflections.append(_code(q.n, *_hw(q, x)))
+    return reflections, _code(q.n, *_reverse(q.ends, q.rels))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +277,7 @@ def applicable_moves(bq: BoundQuiver) -> list[Move]:
     require_valid(bq)
     vs = bq.vertices
     order = sorted(range(len(vs)), key=vs.__getitem__)
-    out = [Move(kind, vs[x]) for kind, x in _applicable_pairs(_Ints(*_integer(bq)), order)]
+    out = [Move(kind, vs[x]) for kind, x in _applicable_pairs(bq._ints, order)]
     out.append(Move(MoveKind.OPPOSITE))
     return out
 
@@ -311,21 +285,20 @@ def applicable_moves(bq: BoundQuiver) -> list[Move]:
 def _replay(bq: BoundQuiver, moves):
     """Apply ``moves`` in turn to ``bq``; returns the result and ``moves``.
 
-    The steps run on indices: each checks that its move applies and that its
-    output is valid, and only the result is redrawn with the original ids.
-    A move keeps every vertex and arrow at its position, so the names of
-    ``bq`` serve every step's messages.
+    The steps run on records: each checks that its move applies and that
+    its output is valid, and only the result is redrawn with the original
+    ids.  A move keeps every vertex and arrow at its position, so the names
+    of ``bq`` serve every step's messages.
     """
-    q, pos = _Ints(*_integer(bq)), {v: i for i, v in enumerate(bq.vertices)}
+    q, pos = bq._ints, {v: i for i, v in enumerate(bq.vertices)}
     for mv in moves:
         reason = _not_applicable_reason(bq, q, pos, mv)
         if reason is not None:
             raise MoveNotApplicable("%s: %s" % (mv, reason))
-        ends, rels = _image(q, mv.kind, pos.get(mv.vertex))
-        if not _valid(q.n, ends, rels):
+        q = _Ints(q.n, *_image(q, mv.kind, pos.get(mv.vertex)))
+        if not _valid(q):
             raise AssertionError("%s produced an invalid quiver: %s"
-                                 % (mv, validate(_named(bq, ends, rels))))
-        q = _Ints(q.n, ends, rels)
+                                 % (mv, validate(_named(bq, q.ends, q.rels))))
     return _named(bq, q.ends, q.rels), moves
 
 
@@ -444,7 +417,7 @@ def shift_relation(bq: BoundQuiver, rel, direction: ShiftDirection):
     shape around the relation does not allow the slide.
     """
     require_valid(bq)
-    q = _Ints(*_integer(bq))
+    q = bq._ints
     if direction is ShiftDirection.RIGHT:
         return _replay(bq, _match_shift_right(bq, q, rel).moves)
     plan = _match_shift_right(bq, q.opposite(), (rel[1], rel[0]))
@@ -454,7 +427,7 @@ def shift_relation(bq: BoundQuiver, rel, direction: ShiftDirection):
 def shift_relation_direct(bq: BoundQuiver, rel, direction: ShiftDirection) -> BoundQuiver:
     """The slide's one-shot rewrite, bypassing the primitives (test oracle)."""
     require_valid(bq)
-    q = _Ints(*_integer(bq))
+    q = bq._ints
     if direction is ShiftDirection.RIGHT:
         plan = _match_shift_right(bq, q, rel)
         return _named(bq, plan.ends, plan.rels)
@@ -515,10 +488,10 @@ def shift_relation_block(bq: BoundQuiver, beta: str):
 
     Returns ``(quiver, moves)`` like ``shift_relation``."""
     require_valid(bq)
-    return _replay(bq, _match_block(bq, _Ints(*_integer(bq)), beta).moves)
+    return _replay(bq, _match_block(bq, bq._ints, beta).moves)
 
 
 def shift_relation_block_direct(bq: BoundQuiver, beta: str) -> BoundQuiver:
     require_valid(bq)
-    plan = _match_block(bq, _Ints(*_integer(bq)), beta)
+    plan = _match_block(bq, bq._ints, beta)
     return _named(bq, plan.ends, plan.rels)

@@ -33,13 +33,13 @@ from dataclasses import dataclass
 from .core import (
     BoundQuiver,
     QuiverError,
-    _adjacency,
     _arcs_connected,
     _canonical_code,
     _code,
     _compact,
     _decode,
     _form,
+    _Ints,
     _name,
     _serial_key,
     _valid,
@@ -49,6 +49,7 @@ from .core import (
 )
 from .families import (
     FamilySpec,
+    _failed_inequality,
     _family_ints,
     _phi_closed_form,
     _specs,
@@ -64,8 +65,6 @@ from .moves import (
     _applicable_pairs,
     _generator_codes,
     _image,
-    _Ints,
-    _reverse,
 )
 
 __all__ = [
@@ -164,9 +163,9 @@ def _arc_multisets(n: int, a: int):
     yield from rec(0, a)
 
 
-def _junction_choices(n: int, ends):
+def _junction_choices(shape: _Ints):
     """Per vertex with arrows in and out, the relation sets gentleness allows,
-    as ``(first, second)`` arrow positions on the arcs ``ends``.
+    as ``(first, second)`` arrow positions on the arcs of ``shape``.
 
     With one arrow in and one out the pair is related or not.  Otherwise
     every arrow on the smaller side is related to its own arrow on the other
@@ -174,7 +173,7 @@ def _junction_choices(n: int, ends):
     continuation through the vertex, as gentleness asks.
     """
     all_choices = []
-    for outs, ins in zip(*_adjacency(n, ends)):
+    for outs, ins in zip(shape.outs, shape.ins):
         if not outs or not ins:
             continue
         if len(outs) == len(ins) == 1:
@@ -205,17 +204,17 @@ def _classes_of_shapes(shapes) -> tuple[tuple, ...]:
     """The code of every class of valid relation sets on the shape codes,
     sorted as ``serialize`` sorts their forms."""
     codes = set()
-    for shape in shapes:
-        n, ends, _none = _decode(shape)
-        for combo in itertools.product(*_junction_choices(n, ends)):
+    for code in shapes:
+        shape = _decode(code)
+        for combo in itertools.product(*_junction_choices(shape)):
             rels = set(itertools.chain.from_iterable(combo))
-            if _valid(n, ends, rels):
-                codes.add(_code(n, ends, rels))
+            # every relation set of a shape has the shape's arrows at each vertex
+            if _valid(_Ints(shape.n, shape.ends, rels, (shape.outs, shape.ins))):
+                codes.add(_code(shape.n, shape.ends, rels))
     return tuple(sorted(codes, key=_serial_key))
 
 
-def enumerate_classes(size: SizeClass, two_cycle: bool = False,
-                      vertex_bound: int = DEFAULT_VERTEX_BOUND) -> list[BoundQuiver]:
+def enumerate_classes(size: SizeClass, two_cycle: bool = False) -> list[BoundQuiver]:
     """One canonical representative per class of connected valid bound quivers.
 
     With ``two_cycle`` the arrow count must exceed the vertex count by one
@@ -227,14 +226,14 @@ def enumerate_classes(size: SizeClass, two_cycle: bool = False,
     labeling (sort its vertices).  Each shape then takes every admissible
     relation set.
     """
-    return [_form(c) for c in _enumerate_cached(_bounded(size, vertex_bound), two_cycle)]
+    return [_form(c) for c in _enumerate_cached(_bounded(size), two_cycle)]
 
 
-def _bounded(size: SizeClass, vertex_bound: int = DEFAULT_VERTEX_BOUND) -> SizeClass:
-    """``size``, once its vertex count is checked against ``vertex_bound``."""
-    if size.vertices > vertex_bound:
+def _bounded(size: SizeClass) -> SizeClass:
+    """``size``, once its vertex count is checked against the bound."""
+    if size.vertices > DEFAULT_VERTEX_BOUND:
         raise BoundExceeded(
-            "vertex count %d exceeds the bound %d" % (size.vertices, vertex_bound))
+            "vertex count %d exceeds the bound %d" % (size.vertices, DEFAULT_VERTEX_BOUND))
     return size
 
 
@@ -261,18 +260,18 @@ class OrbitResult:
     complete: bool
 
 
-def _moves(n: int, q: _Ints):
+def _moves(q: _Ints):
     """Each move that applies to the canonical form of ``q``, in the order
-    ``applicable_moves`` lists them there, with its output ``(ends, rels)``;
-    an invalid output raises AssertionError."""
-    order = sorted(range(n), key=lambda x: _name("v", x))
+    ``applicable_moves`` lists them there, with the record of its output; an
+    invalid output raises AssertionError."""
+    order = sorted(range(q.n), key=lambda x: _name("v", x))
     for kind, x in _applicable_pairs(q, order) + [(MoveKind.OPPOSITE, None)]:
-        ends, rels = _image(q, kind, x)
+        out = _Ints(q.n, *_image(q, kind, x))
         mv = Move(kind, None if x is None else _name("v", x))
-        if not _valid(n, ends, rels):
+        if not _valid(out):
             raise AssertionError("%s produced an invalid quiver: %s"
-                                 % (mv, validate(_form(_code(n, ends, rels)))))
-        yield mv, ends, rels
+                                 % (mv, validate(_form(_code(q.n, out.ends, out.rels)))))
+        yield mv, out
 
 
 def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> OrbitResult:
@@ -304,8 +303,8 @@ def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> OrbitResult:
     while frontier:
         nxt = []
         for code in sorted(frontier, key=_serial_key):
-            for mv, ends, rels in _moves(n, _Ints(*_decode(code))):
-                out = _code(n, ends, rels)
+            for mv, image in _moves(_decode(code)):
+                out = _code(n, image.ends, image.rels)
                 edges.append((key(code), mv, key(out)))
                 if out not in seen:
                     if len(states) >= max_states:
@@ -331,10 +330,16 @@ def theorem_key_table(n: int):
     for sp in theorem_list(n):
         if family_size(sp) != n:
             continue
-        code = _code(*_family_ints(sp))
+        code = _family_code(sp)
         assert code not in table, "canonical-list specs are pairwise nonisomorphic"
         table[code] = sp
     return table
+
+
+def _family_code(sp: FamilySpec) -> tuple:
+    """The canonical code of a family instance."""
+    q = _family_ints(sp)
+    return _code(q.n, q.ends, q.rels)
 
 
 def _check_inverse_edges(edges, op) -> None:
@@ -360,8 +365,9 @@ def _reach(start: tuple, max_states: int):
     The states are canonical codes throughout; no quiver is named.  Returns
     ``(states, complete)``: the codes reached, in breadth-first order from
     ``start``, and whether the orbit has at most ``max_states`` states.  Each
-    new state passes the integer validity check once; a complete closure also
-    checks that its reflection edges come in inverse pairs.
+    new state passes the integer validity check on the record its moves run
+    on, before they run; a complete closure also checks that its reflection
+    edges come in inverse pairs.
     """
     states = [start]  # the breadth-first queue: it grows while it is walked
     index = {start: 0}
@@ -369,16 +375,17 @@ def _reach(start: tuple, max_states: int):
     op = []
     complete = True
     for i, code in enumerate(states):
-        reflections, opp = _generator_codes(code)
+        q = _decode(code)
+        if i and not _valid(q):
+            raise AssertionError("a generating move produced an invalid quiver: %s"
+                                 % (validate(_form(code)),))
+        reflections, opp = _generator_codes(q)
         for pos, out in enumerate(reflections + [opp]):
             j = index.get(out)
             if j is None:
                 if len(states) >= max_states:
                     complete = False
                     continue
-                if not _valid(*_decode(out)):
-                    raise AssertionError("a generating move produced an invalid quiver: %s"
-                                         % (validate(_form(out)),))
                 j = index[out] = len(states)
                 states.append(out)
             if pos < len(reflections):
@@ -549,7 +556,7 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4,
         n = family_size(sp)
         assignment, _members, _family, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        oid = assignment[_code(*_family_ints(sp))]
+        oid = assignment[_family_code(sp)]
         if (n, oid) in seen:
             orbit_failures.append("orbit collision: %s and %s" % (seen[(n, oid)], sp))
         else:
@@ -578,20 +585,22 @@ def _closed_form_specs(bound: int):
             for p3 in range(0, bound - p1 - p2 + 1):
                 for p4 in range(0, bound - p1 - p2 - p3 + 1):
                     for r1 in range(0, min(p1, bound - p1 - p2 - p3 - p4 + 1)):
-                        if p2 + p3 >= 2 and p4 + r1 >= 1:
-                            yield spec("L1", p1, p2, p3, p4, r1)
+                        params = (p1, p2, p3, p4, r1)
+                        if _failed_inequality("L1", params) is None:
+                            yield FamilySpec("L1", params)
     for p1 in range(1, bound + 1):
         for p2 in range(1, bound - p1 + 1):
             for p3 in range(0, bound - p1 - p2 + 1):
                 for r1 in range(0, min(p1, bound - p1 - p2 - p3 + 1)):
                     for r2 in range(0, min(p2, bound - p1 - p2 - p3 - r1 + 1)):
-                        if p3 + r1 + r2 >= 1:
-                            yield spec("L2", p1, p2, p3, r1, r2)
+                        params = (p1, p2, p3, r1, r2)
+                        if _failed_inequality("L2", params) is None:
+                            yield FamilySpec("L2", params)
 
 
 def check_closed_form(sp: FamilySpec) -> str | None:
     """Worker: closed form versus computed invariant for one spec."""
-    got = _phi(*_family_ints(sp))  # checks the spec
+    got = _phi(_family_ints(sp))  # checks the spec
     want = _phi_closed_form(sp)
     if want != got:
         return "%s: computed %s, formula %s" % (sp, got, want)
@@ -619,8 +628,8 @@ class _Check:
 def _phi_pair_failures(pairs):
     out = []
     for left, right in pairs:
-        pl = _phi(*_family_ints(left))
-        pr = _phi(*_family_ints(right))
+        pl = _phi(_family_ints(left))
+        pr = _phi(_family_ints(right))
         if pl != pr:
             out.append("phi(%s)=%s differs from phi(%s)=%s" % (left, pl, right, pr))
     return out
@@ -653,13 +662,12 @@ def _move_sweep(sweep_vertices: int, max_states: int):
         assignment, _members, family, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
         for code in _enumerate_cached(SizeClass(n, n + 1), True):
-            q = _Ints(*_decode(code))
+            q = _decode(code)
             n_classes += 1
-            base_phi = _phi(n, q.ends, q.rels)
-            op = _reverse(q.ends, q.rels)
-            if not _valid(n, *op):
+            base_phi = _phi(q)
+            if not _valid(q.opposite()):
                 raise AssertionError("the opposite of %s is invalid" % _compact(code))
-            if _phi(n, *op) != base_phi:
+            if _phi(q.opposite()) != base_phi:
                 op_fails.append("phi changes under opposite for %s" % _compact(code))
             total = base_phi.total
             fam = family[assignment[code]]
@@ -668,11 +676,11 @@ def _move_sweep(sweep_vertices: int, max_states: int):
             elif fam is not None and (total == 1) != (fam.tag in ("L0", "L0p")):
                 degen_fails.append(
                     "phi total %d but family %s for %s" % (total, fam, _compact(code)))
-            for mv, ends, rels in _moves(n, q):
+            for mv, image in _moves(q):
                 n_moves += 1
-                if len(ends) != n + 1:
+                if len(image.ends) != n + 1:
                     move_fails.append("%s changed the size class" % mv)
-                elif _phi(n, ends, rels) != base_phi:
+                elif _phi(image) != base_phi:
                     move_fails.append("%s on %s changed phi" % (mv, _compact(code)))
     checks = [_Check("move-invariance", n_moves, tuple(move_fails)),
               _Check("phi-under-opposite", n_classes, tuple(op_fails)),
@@ -735,12 +743,12 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
                                     ("five-parameter-close", [], close_pairs)):
         # isomorphic identities, then equal phi and a shared orbit for each pair
         fails = ["%s is not isomorphic to %s" % (left, right) for left, right in identities
-                 if _code(*_family_ints(left)) != _code(*_family_ints(right))]
+                 if _family_code(left) != _family_code(right)]
         fails += _phi_pair_failures(pairs)
         for left, right in pairs:
             assignment, _m, _f, complete = _orbit_partition(family_size(left), max_states)
             limited = limited or not complete
-            if assignment[_code(*_family_ints(left))] != assignment[_code(*_family_ints(right))]:
+            if assignment[_family_code(left)] != assignment[_family_code(right)]:
                 fails.append("%s and %s are not in the same orbit" % (left, right))
         checks.append(_Check(name, len(identities) + len(pairs), tuple(fails)))
 
@@ -752,8 +760,9 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
         opp_count += 1
         assignment, _m, _f, complete = _orbit_partition(n, max_states)
         limited = limited or not complete
-        n, ends, rels = _family_ints(sp)
-        if assignment[_code(n, ends, rels)] != assignment[_code(n, *_reverse(ends, rels))]:
+        q = _family_ints(sp)
+        op = q.opposite()
+        if assignment[_code(q.n, q.ends, q.rels)] != assignment[_code(op.n, op.ends, op.rels)]:
             opp_fails.append("%s and its opposite are in different orbits" % sp)
     checks.append(_Check("opposite-in-orbit", opp_count, tuple(opp_fails)))
 

@@ -14,7 +14,6 @@ from gentleq.core import (
     Violation,
     _canonical_code,
     _form,
-    _integer,
     make_bound_quiver,
     parse,
     require_valid,
@@ -71,14 +70,27 @@ def opposite(bq: BoundQuiver) -> BoundQuiver:
     )
 
 
+def record_fields(q) -> tuple:
+    """``(n, ends, rels)`` of a record on indices, as a tuple and a frozenset."""
+    return q.n, tuple(q.ends), frozenset(q.rels)
+
+
 def oracle_index(bq: BoundQuiver) -> tuple:
-    """``_integer(bq)`` rebuilt from the names of a quiver already made: the
-    vertex positions of each arrow's ends and the arrow positions of each
-    relation."""
+    """``record_fields(bq._ints)`` rebuilt from the names of a quiver already
+    made: the vertex positions of each arrow's ends and the arrow positions
+    of each relation."""
     pos = {v: i for i, v in enumerate(bq.vertices)}
     aidx = {a: k for k, (a, _s, _t) in enumerate(bq.arrows)}
     return (len(pos), tuple([(pos[s], pos[t]) for _a, s, t in bq.arrows]),
             frozenset([(aidx[f], aidx[s]) for f, s in bq.relations]))
+
+
+def oracle_adjacency(bq: BoundQuiver) -> tuple:
+    """The ``(outs, ins)`` of ``bq._ints`` rebuilt from the names: for each
+    vertex in listed order, the positions of the arrows that leave it and of
+    those that enter it, in listed order."""
+    return ([[k for k, (_a, s, _t) in enumerate(bq.arrows) if s == v] for v in bq.vertices],
+            [[k for k, (_a, _s, t) in enumerate(bq.arrows) if t == v] for v in bq.vertices])
 
 
 class _Index:
@@ -543,11 +555,11 @@ def _oracle_spec_box(max_vertices: int) -> dict:
         for params in _tuples_up_to(_PARAM_COUNT[tag], 2 * max_vertices + 2):
             sp = FamilySpec(tag, params)
             try:
-                n, _ends, rels = _family_ints(sp)
+                q = _family_ints(sp)
             except ConstraintViolation:
                 continue
-            if n <= max_vertices:
-                out.setdefault((tag, n, len(rels)), []).append(sp)
+            if q.n <= max_vertices:
+                out.setdefault((tag, q.n, len(q.rels)), []).append(sp)
     return {key: sorted(specs) for key, specs in out.items()}
 
 
@@ -676,7 +688,7 @@ def named_threads(bq: BoundQuiver):
     """``_threads`` of a valid quiver, named: the permitted threads, the
     forbidden threads and the relation cycles, each as a frozenset."""
     require_valid(bq)
-    permitted, forbidden, cycles = _threads(*_integer(bq))
+    permitted, forbidden, cycles = _threads(bq._ints)
     thread = thread_namer(bq)
     return (frozenset(map(thread, permitted)), frozenset(map(thread, forbidden)),
             frozenset(named_cycles(bq, cycles)))
@@ -687,7 +699,7 @@ def named_sequences(bq: BoundQuiver) -> tuple:
     rotated to start at its least permitted thread and in that order, then
     the relation cycles."""
     require_valid(bq)
-    alternations, cycles = _walk(*_integer(bq))
+    alternations, cycles = _walk(bq._ints)
     thread = thread_namer(bq)
     pair_cycles = []
     for alternation in alternations:

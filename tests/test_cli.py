@@ -299,11 +299,11 @@ class TestVerifyCommands:
     def test_lemmas_reports_phi_change(self, monkeypatch):
         # every move lands on the first class at (2, 3); the other two classes
         # have a different phi, so their moves must be reported, not raised
-        from gentleq.core import _integer, compact_key
+        from gentleq.core import compact_key
 
         orbit = importlib.import_module("gentleq.orbit")
         target = orbit.enumerate_classes(orbit.SizeClass(2, 3), two_cycle=True)[0]
-        _n, ends, rels = _integer(target)
+        ends, rels = target._ints.ends, target._ints.rels
         monkeypatch.setattr(orbit, "_image", lambda q, kind, x: (list(ends), set(rels)))
         code, out, err = run_cli([
             "verify", "lemmas", "--bound", "4", "--orbit-vertices", "2",

@@ -12,7 +12,7 @@ from gentleq.core import (
     _code,
     _decode,
     _form,
-    _integer,
+    _Ints,
     _serial_key,
     _valid,
     _witnesses,
@@ -29,6 +29,7 @@ from gentleq.core import (
 )
 from gentleq.families import build_family, family_size, recognize, spec, theorem_list
 from gentleq.invariant import cartan_matrix, phi
+from gentleq.moves import Move, MoveKind, _replay, applicable_moves, apply_move
 from gentleq.orbit import (
     SizeClass,
     _enumerate_cached,
@@ -49,11 +50,13 @@ from oracle_helpers import (
     oracle_classify_arrows,
     oracle_connected,
     oracle_fin_fails,
+    oracle_adjacency,
     oracle_generator_images,
     oracle_index,
     oracle_validate,
     opposite,
     random_relabel,
+    record_fields,
 )
 
 L0_TEXT = """\
@@ -142,13 +145,19 @@ class TestConstructor:
         assert str(err.value) == message
 
     def test_index_matches_oracle(self):
+        # the record each quiver is made with, and the opposite record it
+        # derives, against the names
         built = [build_family(sp) for sp in theorem_list(8)]
         pool = small_classes() + list(random_bound_quivers()) + built
         assert len(pool) == 982 + 3000 + len(built)
         for bq in pool:
             for q in (bq, opposite(bq)):
                 for r in (q, parse(serialize(q)), _form(_canonical_code(q))):
-                    assert _integer(r) == oracle_index(r), serialize(q)
+                    assert record_fields(r._ints) == oracle_index(r), serialize(q)
+                    assert (r._ints.outs, r._ints.ins) == oracle_adjacency(r), serialize(q)
+            op = bq._ints.opposite()
+            assert record_fields(op) == oracle_index(opposite(bq)), serialize(bq)
+            assert (op.outs, op.ins) == oracle_adjacency(opposite(bq)), serialize(bq)
 
 
 class TestParse:
@@ -295,15 +304,15 @@ class TestIntegerValidity:
             for shape in _shapes(n, a):
                 form = _form(shape)
                 names = [k for k, _s, _t in form.arrows]
-                _n, ends, _none = _decode(shape)
-                for combo in itertools.product(*_junction_choices(n, ends)):
+                q = _decode(shape)
+                for combo in itertools.product(*_junction_choices(q)):
                     rels = {pair for choice in combo for pair in choice}
                     cand = BoundQuiver(form.vertices, form.arrows, frozenset(
                         (names[f], names[s]) for f, s in rels))
                     violations = _witnesses(cand, False)
                     assert violations == oracle_validate(cand), serialize(cand)
                     want = not violations
-                    assert _valid(n, ends, rels) == want, serialize(cand)
+                    assert _valid(_Ints(n, q.ends, rels)) == want, serialize(cand)
                     assert validate(cand) == violations, serialize(cand)
                     kept += want
                     rejected += not want
@@ -313,7 +322,7 @@ class TestIntegerValidity:
         seen = set()
         for bq in random_bound_quivers():
             bad = _witnesses(bq, False)
-            assert _valid(*_integer(bq)) == (not bad), serialize(bq)
+            assert _valid(bq._ints) == (not bad), serialize(bq)
             assert validate(bq) == bad, serialize(bq)
             seen.update(v.condition for v in bad)
             seen.add("ok" if not bad else "bad")
@@ -373,7 +382,7 @@ class TestConnectivity:
     def test_matches_oracle(self, vertices, arrows):
         bq = make_bound_quiver(vertices, arrows, [])
         want = oracle_connected(bq)
-        assert _arcs_connected(*_integer(bq)[:2]) == want
+        assert _arcs_connected(bq._ints.n, bq._ints.ends) == want
 
 
 class TestSerialKey:
@@ -617,9 +626,9 @@ def small_classes():
 
 
 class TestQuiverMemo:
-    """Each bound quiver builds ``_integer`` when it is made and computes
-    ``validate`` per flag and its canonical code once; the memo changes no
-    result and no identity."""
+    """Each bound quiver builds its record ``_ints`` when it is made and
+    computes ``validate`` per flag and its canonical code once; the record and
+    the memo change no result and no identity."""
 
     @staticmethod
     def outcome(f, bq):
@@ -663,7 +672,8 @@ class TestQuiverMemo:
         for n in range(1, 6):
             for a in range(2 * n + 1) if n < 5 else (n, n + 1):
                 for code in _enumerate_cached(SizeClass(n, a), False):
-                    assert _code(*_decode(code)) == code
+                    q = _decode(code)
+                    assert _code(q.n, q.ends, q.rels) == code
 
     def test_identity_ignores_memo(self):
         bq = build_family(spec("L1", 1, 2, 0, 1, 0))
@@ -671,6 +681,8 @@ class TestQuiverMemo:
         blank = fresh(used)
         validate(used, True)
         compact_key(used)
+        applicable_moves(used)  # makes the opposite record
+        assert used._ints._op is not None and blank._ints._op is None
         assert used._memo.code is not None and blank._memo is None
         assert used == blank and hash(used) == hash(blank)
         assert repr(used) == repr(blank)
@@ -678,11 +690,13 @@ class TestQuiverMemo:
         assert serialize(used) == serialize(blank)
         assert pickle.dumps(used) == pickle.dumps(blank)
         back = pickle.loads(pickle.dumps(used))
-        assert back == used and back._memo is None and _integer(back) == _integer(used)
+        assert back == used and back._memo is None
+        assert record_fields(back._ints) == record_fields(used._ints)
+        assert (back._ints.outs, back._ints.ins) == (used._ints.outs, used._ints.ins)
         assert validate(back, True) == () and compact_key(back) == compact_key(used)
         renamed = dataclasses.replace(used, name="z")
         assert renamed == used and renamed._memo is None
-        assert _integer(renamed) == _integer(used)
+        assert record_fields(renamed._ints) == record_fields(used._ints)
         for private in ("_memo", "_ints"):
             with pytest.raises(ValueError):
                 dataclasses.replace(used, **{private: None})
@@ -715,6 +729,48 @@ class TestQuiverMemo:
             # again; the connected check reuses the plain verdict
             assert made == []
             assert counts == {"_code": 1, "_valid": 1, "_arcs_connected": 1, "_witnesses": 0}
+
+    @staticmethod
+    def count_adjacency_builds(monkeypatch) -> list:
+        """Record each record made from then on that builds its own out/in
+        lists (an opposite record reuses its quiver's)."""
+        built = []
+        real = _Ints.__init__
+
+        def counted(q, n, ends, rels, adjacency=None):
+            if adjacency is None:
+                built.append(n)
+            real(q, n, ends, rels, adjacency)
+
+        monkeypatch.setattr(_Ints, "__init__", counted)
+        return built
+
+    def test_one_record_per_quiver(self, monkeypatch):
+        text = serialize(build_family(spec("L1", 1, 2, 0, 1, 0)))
+        built = self.count_adjacency_builds(monkeypatch)
+        bq = parse(text)
+        assert len(built) == 1
+        for _ in range(2):
+            assert validate(bq) == validate(bq, True) == ()
+            phi(bq)
+            cartan_matrix(bq)
+        assert len(built) == 1
+
+    def test_one_record_per_replayed_step(self, monkeypatch):
+        quivers = enumerate_classes(SizeClass(3, 4), two_cycle=True)
+        built = self.count_adjacency_builds(monkeypatch)
+        kinds = set()
+        for bq in quivers:
+            for mv in applicable_moves(bq):
+                kinds.add(mv.kind)
+                built.clear()
+                apply_move(bq, mv)
+                # the step's record and the output quiver's own
+                assert len(built) == 2, (mv, serialize(bq))
+            built.clear()
+            _replay(bq, (Move(MoveKind.OPPOSITE),) * 3)
+            assert len(built) == 3 + 1
+        assert kinds == set(MoveKind)
 
     def test_one_witness_walk_per_flag(self, monkeypatch):
         calls = []

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gentleq.core import _integer, is_isomorphic, validate
+from gentleq.core import is_isomorphic, validate
 from gentleq.families import (
     FAMILY_TAGS,
     _PARAM_COUNT,
@@ -22,7 +22,14 @@ from gentleq.families import (
 from gentleq.invariant import Phi, phi
 from gentleq.orbit import _closed_form_specs
 
-from oracle_helpers import canonical_key, cycle_rank, oracle_recognize, oracle_specs, random_relabel
+from oracle_helpers import (
+    canonical_key,
+    cycle_rank,
+    oracle_recognize,
+    oracle_specs,
+    random_relabel,
+    record_fields,
+)
 import random
 
 
@@ -153,8 +160,7 @@ class TestFamilyInts:
         specs = set(theorem_list(8)) | set(_closed_form_specs(10)) | set(specs_up_to(8))
         assert {sp.tag for sp in specs} == set(FAMILY_TAGS)
         for sp in sorted(specs):
-            n, ends, rels = _family_ints(sp)
-            assert (n, tuple(ends), frozenset(rels)) == _integer(build_family(sp)), sp
+            assert record_fields(_family_ints(sp)) == record_fields(build_family(sp)._ints), sp
 
 
 class TestRecognize:

@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used there, every
-private top-level function or class is used somewhere in the package, every
-public name is reached from what the command, the verifiers, the README
+private top-level definition is used somewhere in the package, every
+top-level name is reached from what the command, the verifiers, the README
 library example and the benchmark call, and every public method of a public
 class is read by the package, the README library example or the benchmark."""
 
@@ -61,18 +61,19 @@ def names_read(tree: ast.AST, modules: set[str] | None = None) -> set[str]:
     return read
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unused_private_definitions(sources: list[str]) -> list[str]:
-    """The private top-level functions and classes of ``sources`` that no
-    code in them reads outside the definition itself."""
+    """The private top-level functions, classes and assignments of
+    ``sources`` that no code in them reads outside the definition itself."""
     defined, read = set(), set()
     for source in sources:
         for stmt in ast.parse(source).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = stmt.name
-                if owner.startswith("_") and not owner.startswith("__"):
-                    defined.add(owner)
-            read |= names_read(stmt) - {owner}
+            owners = set(defined_names(stmt))
+            defined.update(n for n in owners if n.startswith("_") and not is_dunder(n))
+            read |= names_read(stmt) - owners
     return sorted(defined - read)
 
 
@@ -87,8 +88,8 @@ def defined_names(stmt: ast.stmt) -> list[str]:
     return []
 
 
-def unreached_public_names(sources: dict[str, str], roots: set[str]) -> list[str]:
-    """The names in the ``__all__`` lists of ``sources`` (file name -> text)
+def unreached_names(sources: dict[str, str], roots: set[str]) -> list[str]:
+    """The top-level names of ``sources`` (file name -> text), dunders aside,
     that no top-level definition reached from ``roots`` reads.
 
     The walk starts from ``roots``, every definition of ``cli.py`` and every
@@ -98,16 +99,12 @@ def unreached_public_names(sources: dict[str, str], roots: set[str]) -> list[str
     follows both definitions.
     """
     reads: dict[str, set[str]] = {}
-    public, todo = set(), set(roots)
+    todo = set(roots)
     for path, source in sources.items():
         tree = ast.parse(source)
         modules = module_names(tree)
         for stmt in tree.body:
-            names = defined_names(stmt)
-            if names == ["__all__"]:
-                public.update(ast.literal_eval(stmt.value))
-                continue
-            for name in names:
+            for name in defined_names(stmt):
                 reads.setdefault(name, set()).update(names_read(stmt, modules))
                 if path == "cli.py" or name.startswith("verify_"):
                     todo.add(name)
@@ -116,7 +113,7 @@ def unreached_public_names(sources: dict[str, str], roots: set[str]) -> list[str
         name = todo.pop()
         reached.add(name)
         todo |= reads.get(name, set()) - reached
-    return sorted(public - reached)
+    return sorted(name for name in reads if name not in reached and not is_dunder(name))
 
 
 def unread_public_methods(sources: list[str], other_reads: set[str]) -> list[str]:
@@ -181,11 +178,14 @@ def test_unused_private_definition_is_caught():
     sources = [
         "def _walk(n):\n    return _walk(n - 1) if n else 0\n"
         "class _Plan:\n    pass\n"
-        "def _used():\n    return _Plan()\n",
+        "_LIMIT: int = 3\n"
+        "_stale = {}\n"
+        "__version__ = '1'\n"
+        "def _used():\n    return _Plan(), _LIMIT\n",
         "from .core import _used\n"
         "def run():\n    return core._used()\n",
     ]
-    assert unused_private_definitions(sources) == ["_walk"]
+    assert unused_private_definitions(sources) == ["_stale", "_walk"]
 
 
 def outside_reads() -> set[str]:
@@ -198,7 +198,7 @@ def outside_reads() -> set[str]:
 
 def test_every_public_name_is_reached():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert unreached_public_names(sources, outside_reads()) == []
+    assert unreached_names(sources, outside_reads()) == []
 
 
 def test_every_public_method_is_read():
@@ -230,9 +230,10 @@ def test_unreached_public_name_is_caught():
     sources = {
         "cli.py": "from . import core\ndef _cmd_run(args):\n    return core.run(args)\n",
         "core.py": (
-            '__all__ = ["run", "helper", "LIMIT", "verify_all", "check", "walk", "orphan",'
-            ' "stale", "flip"]\n'
+            '__all__ = ["run", "helper", "verify_all", "check", "walk", "orphan", "stale"]\n'
+            "__version__ = '1'\n"
             "LIMIT = 3\n"
+            "SPARE = 4\n"
             "def run(args):\n    return helper(args, LIMIT)\n"
             # a reached method call of the same name does not reach flip
             "def helper(args, limit):\n    return args.flip()[:limit]\n"
@@ -244,5 +245,6 @@ def test_unreached_public_name_is_caught():
             "def stale():\n    return 0\n"
         ),
     }
-    assert unreached_public_names(sources, {"walk"}) == ["flip", "orphan", "stale"]
-    assert unreached_public_names(sources, set()) == ["flip", "orphan", "stale", "walk"]
+    # names outside __all__ count too, dunders aside
+    assert unreached_names(sources, {"walk"}) == ["SPARE", "flip", "orphan", "stale"]
+    assert unreached_names(sources, set()) == ["SPARE", "flip", "orphan", "stale", "walk"]

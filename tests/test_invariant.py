@@ -4,7 +4,7 @@ import pytest
 
 import gentleq.core
 import gentleq.families
-from gentleq.core import InvalidQuiverError, _integer, make_bound_quiver
+from gentleq.core import InvalidQuiverError, make_bound_quiver
 from gentleq.families import build_family, phi_formula, spec, theorem_list
 from gentleq.invariant import (
     DEGENERATE,
@@ -198,8 +198,7 @@ class TestWalkAgainstSearch:
 
 def assert_integer_walk_matches_names(bq):
     """The integer threads and walk against the walk on names."""
-    ints = _integer(bq)
-    permitted, forbidden, cycles = _threads(*ints)
+    permitted, forbidden, cycles = _threads(bq._ints)
     want_permitted, want_forbidden, want_cycles = oracle_threads(bq)
     thread, vs = thread_namer(bq), bq.vertices
 
@@ -210,7 +209,7 @@ def assert_integer_walk_matches_names(bq):
     assert named(forbidden) == want_forbidden
     assert named_cycles(bq, cycles) == [ArrowCycle(c) for c in want_cycles]
     want = oracle_characteristic_sequences(bq)
-    assert _phi(*ints) == Phi.from_types(cs.type() for cs in want)
+    assert _phi(bq._ints) == Phi.from_types(cs.type() for cs in want)
     assert repr(named_sequences(bq)) == repr(want)
 
 
@@ -243,7 +242,7 @@ class TestIntegerWalk:
             with pytest.raises(PairingIncomplete):
                 oracle_characteristic_sequences(with_point)
             with pytest.raises(PairingIncomplete):
-                _phi(*_integer(with_point))
+                _phi(with_point._ints)
 
 
 class TestPhi:
@@ -298,7 +297,7 @@ class TestValidateOnce:
     def test_private_phi_skips_only_the_check(self, two_cycle_classes):
         for n in (2, 3, 4):
             for bq in two_cycle_classes(n):
-                assert _phi(*_integer(bq)) == phi(bq)
+                assert _phi(bq._ints) == phi(bq)
         bad = make_bound_quiver(["x"], [("al", "x", "x")], [])  # a free loop
         with pytest.raises(InvalidQuiverError):
             phi(bad)

@@ -129,9 +129,8 @@ class TestJunctionChoices:
             for code in _shapes(n, a):
                 shape = _form(code)
                 names = [k for k, _s, _t in shape.arrows]
-                _n, ends, _none = _decode(code)
                 got = [{frozenset((names[f], names[s]) for f, s in choice) for choice in c}
-                       for c in _junction_choices(n, ends)]
+                       for c in _junction_choices(_decode(code))]
                 want = [set(c) for c in oracle_junction_choices(shape)]
                 assert got == want, code
                 count += 1
@@ -374,7 +373,7 @@ class TestIntegerStates:
     def test_invalid_state_is_reported(self, monkeypatch):
         # a generating move that broke validity would stop the closure
         orbit_module = importlib.import_module("gentleq.orbit")
-        monkeypatch.setattr(orbit_module, "_valid", lambda n, ends, rels: False)
+        monkeypatch.setattr(orbit_module, "_valid", lambda q: False)
         start = _canonical_code(build_family(spec("L0", 3, 0)))
         with pytest.raises(AssertionError, match="produced an invalid quiver"):
             orbit_module._reach(start, 100)
