@@ -151,47 +151,72 @@ def _failed_inequality(tag: str, p: tuple[int, ...]) -> str | None:
 
 
 class _Builder:
-    """Accumulates vertices, arrows and relations for one family instance.
+    """Accumulates one family instance on indices: the ``(source, target)``
+    of each arrow, the arrows out of and into each vertex, and the relations
+    as ``(first, second)`` arrow positions, each in the order it was added.
 
-    Each vertex and arrow is recorded by name and by its index in the order
-    it was added; ``ends`` and ``rels`` hold the quiver on those indices.
+    Names are kept as runs ``(prefix, number, count)``: ``count`` names
+    ``prefix{number}``, ``prefix{number+1}``, ..., or the bare ``prefix``
+    when ``number`` is None.  Only ``named`` formats them.
     """
 
     def __init__(self):
-        self.vertices: dict[str, int] = {}
-        self.arrows: dict[str, int] = {}
+        self.vertex_names: list[tuple[str, int | None, int]] = []
+        self.arrow_names: list[tuple[str, int | None, int]] = []
         self.ends: list[tuple[int, int]] = []
+        self.outs: list[list[int]] = []
+        self.ins: list[list[int]] = []
         self.rels: set[tuple[int, int]] = set()
 
-    def vertex(self, v: str) -> str:
-        self.vertices.setdefault(v, len(self.vertices))
-        return v
+    def vertex(self, prefix: str, k: int | None = None) -> int:
+        self.vertex_names.append((prefix, k, 1))
+        self.outs.append([])
+        self.ins.append([])
+        return len(self.outs) - 1
 
-    def arrow(self, a: str, s: str, t: str) -> str:
-        assert a not in self.arrows, "duplicate arrow id %r" % a
-        vs = self.vertices
-        self.arrows[a] = len(self.ends)
-        self.ends.append((vs.setdefault(s, len(vs)), vs.setdefault(t, len(vs))))
+    def arrow(self, prefix: str, s: int, t: int, k: int | None = None) -> int:
+        a = len(self.ends)
+        self.arrow_names.append((prefix, k, 1))
+        self.ends.append((s, t))
+        self.outs[s].append(a)
+        self.ins[t].append(a)
         return a
 
-    def rel(self, first: str, second: str) -> None:
-        self.rels.add((self.arrows[first], self.arrows[second]))
+    def rel(self, first: int, second: int) -> None:
+        self.rels.add((first, second))
 
-    def path(self, prefix: str, length: int, start: str, end: str, base: int = 1) -> None:
+    def chain(self, arrows) -> None:
+        """Relate each arrow of ``arrows`` to the next."""
+        self.rels.update(zip(arrows, arrows[1:]))
+
+    def path(self, prefix: str, length: int, start: int, end: int, base: int = 1) -> range:
         """Arrows ``prefix{base}..prefix{base+length-1}``, numbered from the
-        ``end`` vertex backwards; interior vertices get upper-case names."""
+        ``end`` vertex backwards, in that order; the interior vertex at the
+        source of arrow ``prefix{k}`` is named ``PREFIX{k}``."""
         if length == 0:
             assert start == end, "a length-0 path needs identified endpoints"
-            return
-        inner = ["%s%d" % (prefix.upper(), base + k - 1) for k in range(1, length)]
-        names = [end] + inner + [start]
-        for k in range(1, length + 1):
-            self.arrow("%s%d" % (prefix, base + k - 1), names[k], names[k - 1])
+            return range(0)
+        v, a = len(self.outs), len(self.ends)
+        arrows = range(a, a + length)
+        # arrow a+i runs from vertex v+i (the last from start) to v+i-1 (the
+        # first to end), so interior vertex v+i leaves by a+i and enters by a+i+1
+        at = [end, *range(v, v + length - 1), start]
+        self.vertex_names.append((prefix.upper(), base, length - 1))
+        self.arrow_names.append((prefix, base, length))
+        self.ends += zip(at[1:], at)
+        self.outs += [[b] for b in arrows[:-1]]
+        self.ins += [[b] for b in arrows[1:]]
+        self.outs[start].append(arrows[-1])
+        self.ins[end].append(a)
+        return arrows
 
     def named(self, name: str) -> BoundQuiver:
         """The quiver with the recorded names, in the order they were added."""
-        vs = list(self.vertices)
-        ids = list(self.arrows)
+        def names(runs):
+            return [p if k is None else "%s%d" % (p, k + i)
+                    for p, k, count in runs for i in range(count)]
+
+        vs, ids = names(self.vertex_names), names(self.arrow_names)
         return make_bound_quiver(
             vs, [(a, vs[s], vs[t]) for a, (s, t) in zip(ids, self.ends)],
             [(ids[f], ids[s]) for f, s in self.rels], name)
@@ -199,32 +224,22 @@ class _Builder:
 
 def _build_l0(pp, r):
     b = _Builder()
-    for i in range(pp + 1):
-        b.vertex("w%d" % i)
-    for i in range(1, pp + 1):
-        b.arrow("a%d" % i, "w%d" % i, "w%d" % (i - 1))
-    b.arrow("b", "w0", "w%d" % pp)
-    b.arrow("c", "w0", "w%d" % pp)
-    b.rel("a%d" % pp, "b")
-    b.rel("c", "a1")
-    for i in range(1, r + 1):
-        b.rel("a%d" % i, "a%d" % (i + 1))
+    w = [b.vertex("w", i) for i in range(pp + 1)]
+    a = [b.arrow("a", w[i], w[i - 1], i) for i in range(1, pp + 1)]
+    b.rel(a[-1], b.arrow("b", w[0], w[pp]))
+    b.rel(b.arrow("c", w[0], w[pp]), a[0])
+    b.chain(a[:r + 1])
     return b
 
 
 def _build_l0p(pp, r):
     b = _Builder()
-    b.vertex("vl")
-    b.vertex("vb")
-    b.vertex("vc")
-    b.path("a", pp, "vb", "vl")
-    b.arrow("b", "vb", "vl")
-    b.arrow("c", "vc", "vb")
-    b.arrow("d", "vc", "vb")
-    b.rel("a%d" % pp, "c")
-    b.rel("b", "d")
-    for i in range(1, r + 1):
-        b.rel("a%d" % i, "a%d" % (i + 1))
+    vl, vb, vc = b.vertex("vl"), b.vertex("vb"), b.vertex("vc")
+    a = b.path("a", pp, vb, vl)
+    beta = b.arrow("b", vb, vl)
+    b.rel(a[-1], b.arrow("c", vc, vb))
+    b.rel(beta, b.arrow("d", vc, vb))
+    b.chain(a[:r + 1])
     return b
 
 
@@ -241,16 +256,14 @@ def _build_l1(p1, p2, p3, p4, r1):
         mid = left
     else:
         mid = b.vertex("vm")
-    b.path("a", p1, left, right)
-    b.path("b", p2, right, left)
+    a = b.path("a", p1, left, right)
+    beta = b.path("b", p2, right, left)
     b.path("d", p4, left, mid)
     b.path("g", p3, right, mid)
-    for i in range(p1 - r1, p1):
-        b.rel("a%d" % i, "a%d" % (i + 1))
-    b.rel("a%d" % p1, "b1")
-    b.rel("b%d" % p2, "a1")
-    for i in range(1, p2):
-        b.rel("b%d" % i, "b%d" % (i + 1))
+    b.chain(a[p1 - r1 - 1:])
+    b.rel(a[-1], beta[0])
+    b.rel(beta[-1], a[0])
+    b.chain(beta)
     return b
 
 
@@ -258,15 +271,13 @@ def _build_l2(p1, p2, p3, r1, r2):
     b = _Builder()
     va = b.vertex("va")
     vb = va if p3 == 0 else b.vertex("vb")
-    b.path("a", p1, va, va)
-    b.path("b", p2, vb, vb)
+    a = b.path("a", p1, va, va)
+    beta = b.path("b", p2, vb, vb)
     b.path("g", p3, vb, va)
-    b.rel("a%d" % p1, "a1")
-    for i in range(p1 - r1, p1):
-        b.rel("a%d" % i, "a%d" % (i + 1))
-    b.rel("b%d" % p2, "b1")
-    for i in range(p2 - r2, p2):
-        b.rel("b%d" % i, "b%d" % (i + 1))
+    b.rel(a[-1], a[0])
+    b.chain(a[p1 - r1 - 1:])
+    b.rel(beta[-1], beta[0])
+    b.chain(beta[p2 - r2 - 1:])
     return b
 
 
@@ -284,74 +295,58 @@ def _build_l2p_six(p1, p2, p3, p4, r1, r2):
     else:
         vb = b.vertex("vb")
         mid = b.vertex("vm")
-    b.path("a", p1, va, va)
-    b.path("b", p2, vb, vb)
+    a = b.path("a", p1, va, va)
+    beta = b.path("b", p2, vb, vb)
     b.path("g", p3, mid, va)
     b.path("d", p4, mid, vb)
-    b.rel("a%d" % p1, "a1")
-    for i in range(p1 - r1, p1):
-        b.rel("a%d" % i, "a%d" % (i + 1))
-    b.rel("b%d" % p2, "b1")
-    for i in range(p2 - r2, p2):
-        b.rel("b%d" % i, "b%d" % (i + 1))
+    b.rel(a[-1], a[0])
+    b.chain(a[p1 - r1 - 1:])
+    b.rel(beta[-1], beta[0])
+    b.chain(beta[p2 - r2 - 1:])
     return b
 
 
 def _build_l2p_five(p1, p2, p3, r1, r2):
     b = _Builder()
-    vl = b.vertex("vl")
-    vr = b.vertex("vr")
-    vbot = b.vertex("vb")
-    b.path("a", p1, vl, vr)
-    b.arrow("b", vr, vl)
-    b.path("g", p2, vr, vbot)
+    vl, vr, vbot = b.vertex("vl"), b.vertex("vr"), b.vertex("vb")
+    a = b.path("a", p1, vl, vr)
+    beta = b.arrow("b", vr, vl)
+    g = b.path("g", p2, vr, vbot)
     b.path("d", p3, vl, vbot)
-    for i in range(p1 - r1, p1):
-        b.rel("a%d" % i, "a%d" % (i + 1))
-    b.rel("a%d" % p1, "b")
-    b.rel("b", "a1")
-    for i in range(1, r2 + 1):
-        b.rel("g%d" % i, "g%d" % (i + 1))
+    b.chain(a[p1 - r1 - 1:])
+    b.rel(a[-1], beta)
+    b.rel(beta, a[0])
+    b.chain(g[:r2 + 1])
     return b
 
 
 def _build_g0(pp, q, r):
     b = _Builder()
     vx, vy, vz = b.vertex("vx"), b.vertex("vy"), b.vertex("vz")
-    b.path("a", pp, vy, vx)
-    b.arrow("a%d" % (pp + 1), vz, vy)
-    b.path("b", q, vy, vx)
-    b.arrow("b%d" % (q + 1), vz, vy)
-    for i in range(pp - r, pp + 1):
-        b.rel("a%d" % i, "a%d" % (i + 1))
-    b.rel("b%d" % q, "b%d" % (q + 1))
+    a = [*b.path("a", pp, vy, vx), b.arrow("a", vz, vy, pp + 1)]
+    beta = [*b.path("b", q, vy, vx), b.arrow("b", vz, vy, q + 1)]
+    b.chain(a[pp - r - 1:])
+    b.chain(beta[q - 1:])
     return b
 
 
 def _build_g1(pp, q, r, rp):
     b = _Builder()
     vx, vy, vz = b.vertex("vx"), b.vertex("vy"), b.vertex("vz")
-    b.path("a", pp, vy, vx)
-    b.path("a", rp + 1, vz, vy, base=pp + 1)
-    b.path("b", q, vy, vx)
-    b.arrow("b%d" % (q + 1), vz, vy)
-    for i in range(pp - r, pp + rp + 1):
-        b.rel("a%d" % i, "a%d" % (i + 1))
-    b.rel("b%d" % q, "b%d" % (q + 1))
+    a = [*b.path("a", pp, vy, vx), *b.path("a", rp + 1, vz, vy, base=pp + 1)]
+    beta = [*b.path("b", q, vy, vx), b.arrow("b", vz, vy, q + 1)]
+    b.chain(a[pp - r - 1:])
+    b.chain(beta[q - 1:])
     return b
 
 
 def _build_g2(pp, q, r, rp):
     b = _Builder()
     vx, vy, vz = b.vertex("vx"), b.vertex("vy"), b.vertex("vz")
-    b.path("a", pp, vy, vx)
-    b.arrow("a%d" % (pp + 1), vz, vy)
-    b.path("b", q, vy, vx)
-    b.path("b", rp + 1, vz, vy, base=q + 1)
-    for i in range(pp - r, pp + 1):
-        b.rel("a%d" % i, "a%d" % (i + 1))
-    for i in range(q, q + rp + 1):
-        b.rel("b%d" % i, "b%d" % (i + 1))
+    a = [*b.path("a", pp, vy, vx), b.arrow("a", vz, vy, pp + 1)]
+    beta = [*b.path("b", q, vy, vx), *b.path("b", rp + 1, vz, vy, base=q + 1)]
+    b.chain(a[pp - r - 1:])
+    b.chain(beta[q - 1:])
     return b
 
 
@@ -375,7 +370,7 @@ def _family(sp: FamilySpec, named: bool):
     and arrows in the order the recipe adds them."""
     check_spec(sp)
     b = _BUILDERS[sp.tag](*sp.params)
-    out = b.named(sp.tag) if named else _Ints(len(b.vertices), b.ends, b.rels)
+    out = b.named(sp.tag) if named else _Ints(len(b.outs), b.ends, b.rels, (b.outs, b.ins))
     q = out._ints if named else out
     if not (_valid(q) and _arcs_connected(q.n, q.ends)):
         raise AssertionError("%s built an invalid quiver: %s"

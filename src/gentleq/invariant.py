@@ -18,11 +18,16 @@ opposite sigma.  Each step is one lookup, so the walk is a permutation on the
 threads, and its cycles plus the pure relation cycles are the characteristic
 sequences.  The multiset of their types ``(n, m)`` is invariant under derived
 equivalence and is the workhorse used to separate equivalence classes.
+
+The walk runs on integers only.  A thread is stored as its start key, its end
+key and, if forbidden, its length, where the key of an end at vertex ``v``
+with sign ``s`` is ``2*v + (s > 0)``; the opposite sign flips the low bit, so
+each step is one list lookup, and the walk counts pairs and lengths without
+naming a thread.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -69,7 +74,9 @@ class Phi:
 
     @staticmethod
     def from_types(types) -> "Phi":
-        counts = Counter(types)
+        counts: dict[tuple[int, int], int] = {}
+        for t in types:
+            counts[t] = counts.get(t, 0) + 1
         return Phi(tuple(sorted(counts.items())))
 
     @property
@@ -85,15 +92,15 @@ class Phi:
         return "{" + ", ".join("(%d,%d):%d" % (n, m, c) for (n, m), c in self.entries) + "}"
 
 
-def _threads(q: _Ints):
-    """Permitted threads, forbidden threads and relation cycles, in one pass.
+def phi(bq: BoundQuiver) -> Phi:
+    """Multiset of the types of all characteristic sequences."""
+    require_valid(bq)
+    return _phi(bq._ints)
 
-    The bound quiver is given as its record on indices and must already be
-    valid.  Each thread comes as ``(arrows, start vertex, end vertex, sigma,
-    epsilon)`` with the signs of the forbidden walk, where ``arrows`` lists
-    its arrow positions in traversal order and is empty for a trivial
-    thread; the relation cycles are tuples of arrow positions starting at
-    their least position, in increasing order.
+
+def _phi(q: _Ints) -> Phi:
+    """``phi`` of a bound quiver on indices that its maker has already
+    validated, by the walk on integer thread keys.
 
     Arrow signs: the in-arrows of a vertex get epsilon +1 and -1; an
     out-arrow gets sigma = -epsilon of the in-arrow it composes with outside
@@ -109,116 +116,110 @@ def _threads(q: _Ints):
     m = len(ends)
     free_succ, rel_succ = [-1] * m, [-1] * m
     free_pred, rel_pred = [False] * m, [False] * m
-    eps, sig = [0] * m, [0] * m  # 0 until the sign is set
-    for into, out in zip(ins, outs):
-        for sign, a in zip((1, -1), into):
-            eps[a] = sign
-        for b in out:
-            for a in into:
-                if (b, a) in rels:
-                    rel_succ[a] = b
-                    rel_pred[b] = True
-                else:
-                    free_succ[a] = b
-                    free_pred[b] = True
-                    sig[b] = -eps[a]
-        for b, sibling in zip(out, out[::-1]):
-            if not sig[b]:
-                sig[b] = -sig[sibling] or 1
-
-    def chains(succ, has_pred):
-        found = []
-        for a in range(m):
-            if not has_pred[a]:
-                chain = [a]
-                while succ[chain[-1]] >= 0:
-                    chain.append(succ[chain[-1]])
-                last = chain[-1]
-                found.append((tuple(chain), ends[a][0], ends[last][1], sig[a], eps[last]))
-        return found
-
-    permitted = chains(free_succ, free_pred)
-    forbidden = chains(rel_succ, rel_pred)
-    seen = [False] * m
-    for t in forbidden:
-        for a in t[0]:
-            seen[a] = True
-    cycles = []
+    eps, sig = [-1] * m, [0] * m  # sigma 0 until it is set
+    for into in ins:
+        if into:
+            eps[into[0]] = 1
+    for b, a in rels:
+        rel_succ[a] = b
+        rel_pred[b] = True
+    for a, (_s, t) in enumerate(ends):
+        for b in outs[t]:
+            if rel_succ[a] != b:
+                free_succ[a] = b
+                free_pred[b] = True
+                sig[b] = -eps[a]
+    for b, (s, _t) in enumerate(ends):
+        if not sig[b]:
+            out = outs[s]
+            sig[b] = -sig[out[0] if out[-1] == b else out[-1]] or 1
+    # a thread from v with sign s starts at key 2*v + (s > 0), and one into
+    # v with sign e ends at key 2*v + (e > 0); flipping a sign flips bit 0
+    permitted = []  # (start key, end key) of each permitted thread
+    start_end = [-1] * (2 * q.n)  # start key -> end key of a permitted thread
+    stop_start = [-1] * (2 * q.n)  # end key -> start key of a forbidden thread
+    stop_len = [0] * (2 * q.n)  # end key -> length of that forbidden thread
+    n_forbidden = stops = 0
     for a in range(m):
-        if not seen[a]:
-            cyc = [a]
-            while rel_succ[cyc[-1]] != a:
-                cyc.append(rel_succ[cyc[-1]])
-            for b in cyc:
-                seen[b] = True
-            cycles.append(tuple(cyc))
+        if not free_pred[a]:
+            last = a
+            while free_succ[last] >= 0:
+                last = free_succ[last]
+            permitted.append((2 * ends[a][0] + (sig[a] > 0), 2 * ends[last][1] + (eps[last] > 0)))
+    on_thread = [False] * m
+    for a in range(m):
+        if not rel_pred[a]:
+            last, length = a, 1
+            on_thread[a] = True
+            while rel_succ[last] >= 0:
+                last = rel_succ[last]
+                on_thread[last] = True
+                length += 1
+            key = 2 * ends[last][1] + (eps[last] > 0)
+            stops += stop_start[key] < 0
+            stop_start[key], stop_len[key] = 2 * ends[a][0] + (sig[a] > 0), length
+            n_forbidden += 1
+    types = []
+    for a in range(m):
+        if not on_thread[a]:  # the arrows on no forbidden thread form relation cycles
+            length = 0
+            while not on_thread[a]:
+                on_thread[a] = True
+                a = rel_succ[a]
+                length += 1
+            types.append((0, length))
+    isolated = False
     for v, (into, out) in enumerate(zip(ins, outs)):
         if len(into) > 1 or len(out) > 1:
             continue
         g = sig[out[0]] if out else 0
         b = eps[into[0]] if into else 0
-        related = bool(into and out) and (out[0], into[0]) in rels
-        if not related:
-            permitted.append(((), v, v, -g or b or 1, -b or g or -1))
-        if related or not (into and out):
-            forbidden.append(((), v, v, -g or -b or -1, -b or -g or 1))
-    return permitted, forbidden, cycles
+        if g and b:  # one arrow in, one out: a trivial thread of one kind
+            if rel_succ[into[0]] != out[0]:
+                permitted.append((2 * v + (g < 0), 2 * v + (b < 0)))
+                continue
+        else:
+            isolated = isolated or not (g or b)
+            permitted.append((2 * v + ((-g or b or 1) > 0), 2 * v + ((-b or g or -1) > 0)))
+        key = 2 * v + ((-b or -g or 1) > 0)
+        stops += stop_start[key] < 0
+        stop_start[key], stop_len[key] = 2 * v + ((-g or -b or -1) > 0), 0
+        n_forbidden += 1
 
+    def incomplete():
+        return PairingIncomplete("no complete pairing of %d permitted and %d forbidden threads"
+                                 % (len(permitted), n_forbidden))
 
-def _walk(q: _Ints):
-    """The characteristic sequences of a valid bound quiver on indices:
-    ``(alternations, cycles)``.
-
-    The alternations are the cycles of the Avella-Alaminos–Geiss walk, each a
-    list of ``(permitted, forbidden)`` thread pairs: from a permitted thread
-    ``H`` to the forbidden thread ending at the end of ``H`` with the
-    opposite epsilon, then to the permitted thread starting at the start of
-    that one with the opposite sigma.  Each cycle starts at its first
-    permitted thread in the order of ``_threads``, and the cycles come in
-    that order.  The relation cycles are as ``_threads`` gives them.
-    """
-    permitted, forbidden, cycles = _threads(q)
-    starts = {(t[1], t[3]): t for t in permitted}
-    stops = {(t[2], t[4]): t for t in forbidden}
-    incomplete = PairingIncomplete(
-        "no complete pairing of %d permitted and %d forbidden threads"
-        % (len(permitted), len(forbidden))
-    )
-    if q.ends and len({v for e in q.ends for v in e}) < q.n:
-        raise incomplete  # an isolated vertex would pair only with itself
-    alternations = []
-    try:
-        for t in permitted:
-            first = (t[1], t[3])
-            if starts.pop(first, None) is None:
-                continue  # already on an earlier cycle
-            pairs = []
-            while True:
-                f = stops.pop((t[2], -t[4]))
-                pairs.append((t, f))
-                if (f[1], -f[3]) == first:
-                    break
-                t = starts.pop((f[1], -f[3]))
-            alternations.append(pairs)
-    except KeyError:
-        raise incomplete from None
+    if ends and isolated:
+        raise incomplete()  # an isolated vertex would pair only with itself
+    for first, end in permitted:
+        start_end[first] = end
+    # from a permitted thread to the forbidden thread ending where it ends
+    # with the opposite epsilon, then to the permitted thread starting where
+    # that one starts with the opposite sigma, until the walk closes
+    for first, end in permitted:
+        if start_end[first] < 0:
+            continue  # already on an earlier cycle
+        start_end[first] = -1
+        pairs = length = 0
+        while True:
+            start = stop_start[end ^ 1]
+            if start < 0:
+                raise incomplete()
+            stop_start[end ^ 1] = -1
+            stops -= 1
+            pairs += 1
+            length += stop_len[end ^ 1]
+            if start ^ 1 == first:
+                break
+            end = start_end[start ^ 1]
+            if end < 0:
+                raise incomplete()
+            start_end[start ^ 1] = -1
+        types.append((pairs, length))
     if stops:
-        raise incomplete
-    return alternations, cycles
-
-
-def phi(bq: BoundQuiver) -> Phi:
-    """Multiset of the types of all characteristic sequences."""
-    require_valid(bq)
-    return _phi(bq._ints)
-
-
-def _phi(q: _Ints) -> Phi:
-    """``phi`` of a bound quiver on indices that its maker has already
-    validated."""
-    alternations, cycles = _walk(q)
-    return Phi.from_types([(len(a), sum([len(f[0]) for _p, f in a])) for a in alternations]
-                          + [(0, len(c)) for c in cycles])
+        raise incomplete()
+    return Phi.from_types(types)
 
 
 def degeneracy_class(bq: BoundQuiver) -> str:

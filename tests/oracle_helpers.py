@@ -14,6 +14,7 @@ from gentleq.core import (
     Violation,
     _canonical_code,
     _form,
+    _Ints,
     make_bound_quiver,
     parse,
     require_valid,
@@ -32,8 +33,6 @@ from gentleq.invariant import (
     PairingIncomplete,
     _det_int,
     _euler,
-    _threads,
-    _walk,
     cartan_matrix,
 )
 from gentleq.moves import Move, MoveKind, applicable_moves
@@ -661,6 +660,128 @@ class ArrowCycle:
 
     def type(self) -> tuple[int, int]:
         return 0, len(self.arrows)
+
+
+def _threads(q: _Ints):
+    """Permitted threads, forbidden threads and relation cycles, in one pass.
+
+    The bound quiver is given as its record on indices and must already be
+    valid.  Each thread comes as ``(arrows, start vertex, end vertex, sigma,
+    epsilon)`` with the signs of the forbidden walk, where ``arrows`` lists
+    its arrow positions in traversal order and is empty for a trivial
+    thread; the relation cycles are tuples of arrow positions starting at
+    their least position, in increasing order.
+
+    Arrow signs: the in-arrows of a vertex get epsilon +1 and -1; an
+    out-arrow gets sigma = -epsilon of the in-arrow it composes with outside
+    the relations, else the opposite of its sibling's sigma, else +1.  A
+    thread carries sigma of its first and epsilon of its last arrow.  A
+    trivial thread at ``v`` takes its signs from the arrow ``g`` leaving and
+    the arrow ``b`` entering ``v``: permitted ``(-sigma(g) or epsilon(b),
+    -epsilon(b) or sigma(g))``, forbidden ``(-sigma(g) or -epsilon(b),
+    -epsilon(b) or -sigma(g))``, where ``or`` falls back when the arrow is
+    missing; at an isolated vertex ``(1, -1)`` and ``(-1, 1)``.
+    """
+    ends, rels, outs, ins = q.ends, q.rels, q.outs, q.ins
+    m = len(ends)
+    free_succ, rel_succ = [-1] * m, [-1] * m
+    free_pred, rel_pred = [False] * m, [False] * m
+    eps, sig = [0] * m, [0] * m  # 0 until the sign is set
+    for into, out in zip(ins, outs):
+        for sign, a in zip((1, -1), into):
+            eps[a] = sign
+        for b in out:
+            for a in into:
+                if (b, a) in rels:
+                    rel_succ[a] = b
+                    rel_pred[b] = True
+                else:
+                    free_succ[a] = b
+                    free_pred[b] = True
+                    sig[b] = -eps[a]
+        for b, sibling in zip(out, out[::-1]):
+            if not sig[b]:
+                sig[b] = -sig[sibling] or 1
+
+    def chains(succ, has_pred):
+        found = []
+        for a in range(m):
+            if not has_pred[a]:
+                chain = [a]
+                while succ[chain[-1]] >= 0:
+                    chain.append(succ[chain[-1]])
+                last = chain[-1]
+                found.append((tuple(chain), ends[a][0], ends[last][1], sig[a], eps[last]))
+        return found
+
+    permitted = chains(free_succ, free_pred)
+    forbidden = chains(rel_succ, rel_pred)
+    seen = [False] * m
+    for t in forbidden:
+        for a in t[0]:
+            seen[a] = True
+    cycles = []
+    for a in range(m):
+        if not seen[a]:
+            cyc = [a]
+            while rel_succ[cyc[-1]] != a:
+                cyc.append(rel_succ[cyc[-1]])
+            for b in cyc:
+                seen[b] = True
+            cycles.append(tuple(cyc))
+    for v, (into, out) in enumerate(zip(ins, outs)):
+        if len(into) > 1 or len(out) > 1:
+            continue
+        g = sig[out[0]] if out else 0
+        b = eps[into[0]] if into else 0
+        related = bool(into and out) and (out[0], into[0]) in rels
+        if not related:
+            permitted.append(((), v, v, -g or b or 1, -b or g or -1))
+        if related or not (into and out):
+            forbidden.append(((), v, v, -g or -b or -1, -b or -g or 1))
+    return permitted, forbidden, cycles
+
+
+def _walk(q: _Ints):
+    """The characteristic sequences of a valid bound quiver on indices:
+    ``(alternations, cycles)``.
+
+    The alternations are the cycles of the Avella-Alaminos–Geiss walk, each a
+    list of ``(permitted, forbidden)`` thread pairs: from a permitted thread
+    ``H`` to the forbidden thread ending at the end of ``H`` with the
+    opposite epsilon, then to the permitted thread starting at the start of
+    that one with the opposite sigma.  Each cycle starts at its first
+    permitted thread in the order of ``_threads``, and the cycles come in
+    that order.  The relation cycles are as ``_threads`` gives them.
+    """
+    permitted, forbidden, cycles = _threads(q)
+    starts = {(t[1], t[3]): t for t in permitted}
+    stops = {(t[2], t[4]): t for t in forbidden}
+    incomplete = PairingIncomplete(
+        "no complete pairing of %d permitted and %d forbidden threads"
+        % (len(permitted), len(forbidden))
+    )
+    if q.ends and len({v for e in q.ends for v in e}) < q.n:
+        raise incomplete  # an isolated vertex would pair only with itself
+    alternations = []
+    try:
+        for t in permitted:
+            first = (t[1], t[3])
+            if starts.pop(first, None) is None:
+                continue  # already on an earlier cycle
+            pairs = []
+            while True:
+                f = stops.pop((t[2], -t[4]))
+                pairs.append((t, f))
+                if (f[1], -f[3]) == first:
+                    break
+                t = starts.pop((f[1], -f[3]))
+            alternations.append(pairs)
+    except KeyError:
+        raise incomplete from None
+    if stops:
+        raise incomplete
+    return alternations, cycles
 
 
 def thread_namer(bq: BoundQuiver):

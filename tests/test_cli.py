@@ -60,6 +60,13 @@ class TestBasicCommands:
         assert code == 0
         assert out.splitlines() == phi_formula(sp).lines()
 
+    def test_phi_pairing_incomplete(self):
+        # an isolated vertex next to an arrow leaves the walk without a pairing
+        text = "quiver q\nvertex x\nvertex y\nvertex z\narrow a y z\nend\n"
+        code, out, err = run_cli(["phi", "-"], stdin=text)
+        assert (code, out) == (2, "")
+        assert err == "error: no complete pairing of 4 permitted and 4 forbidden threads\n"
+
     def test_validate_ok(self):
         code, out, _ = run_cli(["validate", "-"], stdin=L0_FILE)
         assert code == 0
@@ -215,6 +222,15 @@ class TestGoldenFiles:
     def test_frozen_output(self, args, name):
         _code, out, _err = run_cli(args)
         assert out == (GOLDEN / name).read_text()
+
+    def test_frozen_family_names(self):
+        # one spec per family, each running every path call of its recipe:
+        # the G1/G2 chains numbered from base, and a zero-length connector in
+        # L1, L2 and L2pSix
+        specs = ["L0 3 1", "L0p 3 1", "L1 2 2 0 1 1", "L2 2 1 0 1 0", "L2pSix 1 2 0 1 0 1",
+                 "L2pFive 2 3 1 1 1", "G0 2 1 1", "G1 2 1 1 2", "G2 2 2 1 1"]
+        out = "".join(run_cli(["family", "build"] + args.split())[1] for args in specs)
+        assert out == (GOLDEN / "family_build_nine.txt").read_text()
 
     def test_frozen_orbit(self):
         # the audit BFS behind `gentleq orbit`, edge count included

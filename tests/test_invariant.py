@@ -14,13 +14,13 @@ from gentleq.invariant import (
     cartan_matrix,
     degeneracy_class,
     _phi,
-    _threads,
     phi,
 )
 from gentleq.orbit import SizeClass, _closed_form_specs, enumerate_classes
 
 from oracle_helpers import (
     ArrowCycle,
+    _threads,
     euler_data,
     named_cycles,
     named_sequences,
@@ -160,6 +160,7 @@ def assert_walk_matches_search(bq):
     want = tuple(oracle_pairings(bq)) + tuple(
         sorted(named_threads(bq)[2], key=lambda c: c.arrows))
     assert named_sequences(bq) == want
+    assert _phi(bq._ints) == Phi.from_types(cs.type() for cs in want)
 
 
 class TestWalkAgainstSearch:
@@ -193,6 +194,8 @@ class TestWalkAgainstSearch:
                 oracle_pairings(with_point)
             with pytest.raises(PairingIncomplete):
                 named_sequences(with_point)
+            with pytest.raises(PairingIncomplete):
+                _phi(with_point._ints)
         assert_walk_matches_search(disjoint_union(point(), point()))
 
 
