@@ -130,7 +130,7 @@ def _phi(q: _Ints) -> Phi:
                 free_pred[b] = True
                 sig[b] = -eps[a]
     for b, (s, _t) in enumerate(ends):
-        if not sig[b]:
+        if not sig[b]:  # no free predecessor: the opposite of its sibling's
             out = outs[s]
             sig[b] = -sig[out[0] if out[-1] == b else out[-1]] or 1
     # a thread from v with sign s starts at key 2*v + (s > 0), and one into
@@ -139,7 +139,7 @@ def _phi(q: _Ints) -> Phi:
     start_end = [-1] * (2 * q.n)  # start key -> end key of a permitted thread
     stop_start = [-1] * (2 * q.n)  # end key -> start key of a forbidden thread
     stop_len = [0] * (2 * q.n)  # end key -> length of that forbidden thread
-    n_forbidden = stops = 0
+    n_forbidden = stops = 0  # stops: forbidden end keys not yet walked
     for a in range(m):
         if not free_pred[a]:
             last = a
