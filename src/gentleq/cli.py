@@ -9,7 +9,6 @@ unparsable input.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import core, families, fuzz, invariant, moves
@@ -18,6 +17,7 @@ from .orbit import (
     SizeClass,
     _bounded,
     _enumerate_cached,
+    _usable_cpus,
     normalize,
     orbit,
     verify_completeness,
@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--orbit-vertices", type=_at_least(2), default=5)
     v.add_argument("--sweep-vertices", type=_at_least(2), default=4)
     v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
-    v.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1)
+    v.add_argument("--jobs", type=_at_least(1), default=_usable_cpus())
 
     sp = sub.add_parser("fuzz-shift", help="seeded slide-macro cross-check")
     sp.add_argument("--seed", type=int, default=0)
@@ -210,7 +210,7 @@ def _cmd_enumerate(args) -> int:
     arrows = args.arrows
     if arrows is None:
         arrows = args.vertices + 1
-    codes = _enumerate_cached(_bounded(SizeClass(args.vertices, arrows)), args.two_cycle)
+    codes = _enumerate_cached(_bounded(SizeClass(args.vertices, arrows)), args.two_cycle, 1)
     for code in codes:
         print("class %s" % core._compact(code))
     print("count: %d" % len(codes))
@@ -238,10 +238,10 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.verify_command == "completeness":
-        report = verify_completeness(args.vertices, args.max_states)
+        report = verify_completeness(args.vertices, args.max_states, _usable_cpus())
     elif args.verify_command == "minimality":
         report = verify_minimality(
-            args.max_vertices, args.orbit_vertices, args.max_states)
+            args.max_vertices, args.orbit_vertices, args.max_states, _usable_cpus())
     else:
         report = verify_lemma_tables(
             args.bound, args.max_states, args.jobs, args.orbit_vertices,

@@ -614,6 +614,17 @@ def _compact(code: tuple) -> str:
     return "%d;%s;%s" % (n, arcs, pairs)
 
 
+@functools.lru_cache(maxsize=None)
+def _decimal_order(m: int) -> tuple[list[int], list[int]]:
+    """0..m-1 in the order of their decimal names, and the rank of each
+    number in that order."""
+    order = sorted(range(m), key=str)
+    rank = [0] * m
+    for r, k in enumerate(order):
+        rank[k] = r
+    return order, rank
+
+
 def _serial_key(code: tuple) -> tuple:
     """A sort key that orders the codes of one size as ``serialize`` orders
     their forms.
@@ -622,13 +633,16 @@ def _serial_key(code: tuple) -> tuple:
     the same names.  Arrow lines sort by the name ``a<k>``, so by k in
     decimal-string order, and then by the decimal names of the ends; relation
     lines sort by the decimal names of their arrows, and a relation list that
-    begins another sorts first in both orders (``end`` before ``rel``).
+    begins another sorts first in both orders (``end`` before ``rel``).  Each
+    decimal name is compared through its rank in ``_decimal_order``, and a
+    pair of ranks below ``r`` as the number ``first * r + second``.
     """
     n, base, rels = code
     m = len(base)
-    arcs = sorted([("%d" % k, "%d" % s, "%d" % t)
-                   for k, (s, t) in enumerate(divmod(c, n) for c in base)])
-    return arcs, sorted([("%d" % f, "%d" % s) for f, s in (divmod(c, m) for c in rels)])
+    vertex = _decimal_order(n)[1]
+    order, arrow = _decimal_order(m)
+    return ([vertex[base[k] // n] * n + vertex[base[k] % n] for k in order],
+            sorted([arrow[c // m] * m + arrow[c % m] for c in rels]))
 
 
 def compact_key(bq: BoundQuiver) -> str:

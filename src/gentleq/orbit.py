@@ -1,31 +1,40 @@
 """Exhaustive enumeration, move-orbit search, and the verification drivers.
 
 Enumeration lists every isomorphism class of connected valid bound quivers in
-a size class (optionally restricted to cycle rank two).  An orbit is the set
-of classes reachable by moves.  It is closed under three generating moves
-only: ``gen-apr-reflect`` where its preconditions hold, ``hw-reflect`` at
-sinks, and ``opposite``.  They suffice because ``apr-reflect`` is
-``gen-apr-reflect`` at a sink and every coreflection is ``opposite`` after
-the matching reflection after ``opposite``.  Sink reflections are undone by
-source coreflections (Auslander-Platzeck-Reiten), so reachability is
-symmetric and the orbits partition each enumerated class list; every closure
-checks that symmetry on its own edges rather than assuming it.  Enumeration
-and closure work on the canonical kernel's integer codes ``(n, base, rels)``:
-the moves, the validity check and the class keys all run on the code, and a
-named quiver or text is made only for what is printed or handed to a caller
-(enumerated classes, report anchors).  The verification drivers rest on that
-partition: completeness (every class reaches a canonical family), minimality
-(no two canonical representatives collide), and the table of small
-equivalence facts used throughout, which takes family instances and moves on
-indices too.  The audit closure ``orbit`` applies all seven moves to codes
-as well and records each edge, naming the moves and states only for its
-result.
+a size class (optionally restricted to cycle rank two).  It works one sorted
+degree sequence ``(out, in, loops)`` at a time: the arc matrices with those
+margins give the shapes, and each shape takes its relation sets.  A class has
+one sorted degree sequence, so the sequences are disjoint shares that
+``_pmap`` may hand to forked workers.
+
+An orbit is the set of classes reachable by moves.  It is closed under three
+generating moves only: ``gen-apr-reflect`` where its preconditions hold,
+``hw-reflect`` at sinks, and ``opposite``.  They suffice because
+``apr-reflect`` is ``gen-apr-reflect`` at a sink and every coreflection is
+``opposite`` after the matching reflection after ``opposite``.  Sink
+reflections are undone by source coreflections (Auslander-Platzeck-Reiten),
+so reachability is symmetric and the orbits partition each enumerated class
+list; every closure checks that symmetry on its own edges rather than
+assuming it.  Enumeration and closure work on the canonical kernel's integer
+codes ``(n, base, rels)``: the moves, the validity check and the class keys
+all run on the code, and a named quiver or text is made only for what is
+printed or handed to a caller (enumerated classes, report anchors).  The
+partition builds an edge table first, each class's validity check and the
+class indices of its generating moves' outputs, on ``jobs`` processes; the
+closures walk that table, so the result does not depend on ``jobs``.  The
+verification drivers rest on that partition: completeness (every class
+reaches a canonical family), minimality (no two canonical representatives
+collide), and the table of small equivalence facts used throughout, which
+takes family instances and moves on indices too.  The audit closure ``orbit``
+applies all seven moves to codes as well and records each edge, naming the
+moves and states only for its result.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import marshal
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -113,54 +122,54 @@ class SizeClass:
 # enumeration
 
 
-def _arc_multisets(n: int, a: int):
-    """Degree-bounded arc multisets on n labeled vertices, degree sorted.
+# the per-vertex degrees ``(out, in, loops)`` with at most two arrows out and
+# two in, loops counted in both, in increasing order
+_DEGREES = [(o, i, loops) for o in range(3) for i in range(3) for loops in range(min(o, i) + 1)]
 
-    Arcs ``(source, target)`` are chosen source row by source row, with at
-    most 2 out and 2 in per vertex.  Only multisets whose per-vertex
-    ``(out-degree, in-degree, loop count)`` is non-decreasing in the vertex
-    index are produced; a row whose out-degree completes below the previous
-    row's, or leaves too few arcs for the rows after it to match it, is
-    pruned at once.  No shape class is lost: listing any quiver's vertices
-    in that order gives a multiset produced here.
+
+def _degree_sequences(n: int, a: int) -> list[tuple]:
+    """The non-decreasing sequences of n vertex degrees from ``_DEGREES``
+    with a arrows out and a arrows in.
+
+    Every quiver of size (n, a) has exactly one of them, read off with its
+    vertices in degree order, so each sequence is an independent share of the
+    enumeration.
     """
-    cells = [(s, t) for s in range(n) for t in range(n)]
-    out_deg = [0] * n
-    in_deg = [0] * n
-    chosen: list[tuple[int, int]] = []
+    return [seq for seq in itertools.combinations_with_replacement(_DEGREES, n)
+            if sum([o for o, _i, _l in seq]) == a == sum([i for _o, i, _l in seq])]
 
-    def rec(idx: int, remaining: int):
-        if idx and idx % n == 0:
-            done = idx // n - 1
-            if done and out_deg[done] < out_deg[done - 1]:
-                return
-            if remaining < out_deg[done] * (n - 1 - done):
-                return
-        if remaining == 0:
-            loops = [0] * n
-            for s, t in chosen:
-                loops[s] += s == t
-            degrees = list(zip(out_deg, in_deg, loops))
-            if degrees == sorted(degrees):
-                yield tuple(chosen)
-            return
-        if idx == len(cells):
-            return
-        s, t = cells[idx]
-        if remaining > 2 - out_deg[s] + 2 * (n - 1 - s):
-            return
-        top = min(2, 2 - out_deg[s], 2 - in_deg[t], remaining)
-        for count in range(top, -1, -1):
-            out_deg[s] += count
-            in_deg[t] += count
-            chosen.extend([(s, t)] * count)
-            yield from rec(idx + 1, remaining - count)
-            for _ in range(count):
-                chosen.pop()
-            out_deg[s] -= count
-            in_deg[t] -= count
 
-    yield from rec(0, a)
+def _fill(seq):
+    """Every arc multiset on vertices 0..n-1 in which vertex ``v`` has the
+    degrees ``seq[v]``, as its ``(source, target)`` arcs in sorted order.
+
+    Source rows are filled in turn: the loops of a row sit on the diagonal
+    and its other one or two arcs go to the columns still short of their
+    in-degree.  A row that overfills a column, or leaves one that the rows
+    after it cannot complete at two arcs each, prunes the search.
+    """
+    n = len(seq)
+    need = [i - loops for _o, i, loops in seq]  # arcs still to end at each vertex
+    arcs: list[tuple[int, int]] = []
+
+    def rec(s: int):
+        if s == n:
+            yield tuple(arcs)
+            return
+        out, _in, loops = seq[s]
+        columns = [t for t in range(n) if t != s and need[t]]
+        for pick in itertools.combinations_with_replacement(columns, out - loops):
+            for t in pick:
+                need[t] -= 1
+            if all(0 <= need[c] <= 2 * (n - s - 1 - (c > s)) for c in range(n)):
+                size = len(arcs)
+                arcs.extend([(s, t) for t in sorted(pick + (s,) * loops)])
+                yield from rec(s + 1)
+                del arcs[size:]
+            for t in pick:
+                need[t] += 1
+
+    yield from rec(0)
 
 
 def _junction_choices(shape: _Ints):
@@ -187,17 +196,18 @@ def _junction_choices(shape: _Ints):
     return all_choices
 
 
-def _shapes(n: int, a: int) -> list[tuple]:
-    """Canonical codes of the connected relation-free quivers of size (n, a).
+def _shapes(seq) -> list[tuple]:
+    """Canonical codes of the connected relation-free quivers with the sorted
+    degree sequence ``seq``.
 
-    Only the degree-sorted labelings from ``_arc_multisets`` are
-    canonicalized.  Each class's canonical form is itself one of them:
-    ``_code`` lists vertices in degree order, because every color-refinement
-    round ranks by a signature that starts with the previous color, and a
-    shape has no junctions.
+    Only the labelings from ``_fill`` are canonicalized.  Each class's
+    canonical form is itself one of them: ``_code`` lists vertices in degree
+    order, because every color-refinement round ranks by a signature that
+    starts with the previous color, and a shape has no junctions.
     """
+    n = len(seq)
     return list(dict.fromkeys(
-        _code(n, arcs, ()) for arcs in _arc_multisets(n, a) if _arcs_connected(n, arcs)))
+        _code(n, arcs, ()) for arcs in _fill(seq) if _arcs_connected(n, arcs)))
 
 
 def _classes_of_shapes(shapes) -> tuple[tuple, ...]:
@@ -226,7 +236,7 @@ def enumerate_classes(size: SizeClass, two_cycle: bool = False) -> list[BoundQui
     labeling (sort its vertices).  Each shape then takes every admissible
     relation set.
     """
-    return [_form(c) for c in _enumerate_cached(_bounded(size), two_cycle)]
+    return [_form(c) for c in _enumerate_cached(_bounded(size), two_cycle, 1)]
 
 
 def _bounded(size: SizeClass) -> SizeClass:
@@ -238,13 +248,21 @@ def _bounded(size: SizeClass) -> SizeClass:
 
 
 @functools.lru_cache(maxsize=64)
-def _enumerate_cached(size: SizeClass, two_cycle: bool) -> tuple:
+def _enumerate_cached(size: SizeClass, two_cycle: bool, jobs: int) -> tuple:
     """The code of each class ``enumerate_classes`` lists, in its order; the
-    forms are built only where a caller needs them."""
+    forms are built only where a caller needs them.
+
+    The degree sequences are mapped to their classes on up to ``jobs``
+    processes.  No class has two sorted degree sequences, so the shares are
+    disjoint and the sorted result does not depend on ``jobs``.  Callers
+    pass all three arguments positionally, so that a size has one cache
+    entry per process count.
+    """
     n, a = size.vertices, size.arrows
     if two_cycle and a != n + 1:
         return ()
-    return _classes_of_shapes(_shapes(n, a))
+    shares = _pmap(lambda seq: _classes_of_shapes(_shapes(seq)), _degree_sequences(n, a), jobs)
+    return tuple(sorted(itertools.chain.from_iterable(shares), key=_serial_key))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +376,7 @@ def _check_inverse_edges(edges, op) -> None:
             raise AssertionError("reflection edge %d -> %d has no inverse" % (i, j))
 
 
-def _reach(start: tuple, max_states: int):
+def _reach(start, max_states: int, table=None):
     """Closure of the code ``start`` of a valid quiver under the generating
     moves.
 
@@ -367,20 +385,26 @@ def _reach(start: tuple, max_states: int):
     ``start``, and whether the orbit has at most ``max_states`` states.  Each
     new state passes the integer validity check on the record its moves run
     on, before they run; a complete closure also checks that its reflection
-    edges come in inverse pairs.
+    edges come in inverse pairs.  With ``table`` the states are class indices
+    instead, and ``table[i]`` lists the indices of the generating moves'
+    outputs on class ``i``, the opposite last.
     """
     states = [start]  # the breadth-first queue: it grows while it is walked
     index = {start: 0}
     edges = set()
     op = []
     complete = True
-    for i, code in enumerate(states):
-        q = _decode(code)
-        if i and not _valid(q):
-            raise AssertionError("a generating move produced an invalid quiver: %s"
-                                 % (validate(_form(code)),))
-        reflections, opp = _generator_codes(q)
-        for pos, out in enumerate(reflections + [opp]):
+    for i, state in enumerate(states):
+        if table is None:
+            q = _decode(state)
+            if i and not _valid(q):
+                raise AssertionError("a generating move produced an invalid quiver: %s"
+                                     % (validate(_form(state)),))
+            reflections, opp = _generator_codes(q)
+            outs = reflections + [opp]
+        else:
+            outs = table[state]
+        for pos, out in enumerate(outs):
             j = index.get(out)
             if j is None:
                 if len(states) >= max_states:
@@ -388,7 +412,7 @@ def _reach(start: tuple, max_states: int):
                     continue
                 j = index[out] = len(states)
                 states.append(out)
-            if pos < len(reflections):
+            if pos < len(outs) - 1:
                 edges.add((i, j))
             else:
                 op.append(j)
@@ -448,7 +472,7 @@ def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySp
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
+def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES, jobs: int = 1):
     """Partition of the two-cycle classes at size n into move orbits.
 
     Returns (code -> orbit index, orbit index -> member codes, orbit index ->
@@ -456,25 +480,43 @@ def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES):
     the order ``enumerate_classes`` lists them, so orbit indices follow the
     first-listed member of each orbit, and that member's code comes first in
     its member tuple.
+
+    The edge table, each class's validity check and the class indices of its
+    generating moves' outputs, is built first on up to ``jobs`` processes;
+    the closures then walk it.  An output that is no enumerated class raises
+    AssertionError.
     """
-    classes = _enumerate_cached(_bounded(SizeClass(n, n + 1)), True)
-    table = theorem_key_table(n)
-    class_codes = set(classes)
+    classes = _enumerate_cached(_bounded(SizeClass(n, n + 1)), True, jobs)
+    index = {code: i for i, code in enumerate(classes)}
+
+    def row(code):
+        q = _decode(code)
+        if not _valid(q):
+            raise AssertionError("a generating move produced an invalid quiver: %s"
+                                 % (validate(_form(code)),))
+        reflections, opp = _generator_codes(q)
+        try:
+            return tuple([index[c] for c in reflections + [opp]])
+        except KeyError:
+            raise AssertionError("orbit escaped the enumerated classes") from None
+
+    table = _pmap(row, classes, jobs)
+    theorem = theorem_key_table(n)
     assignment: dict[tuple, int] = {}
     members: dict[int, tuple] = {}
     family: dict[int, FamilySpec | None] = {}
     complete = True
-    for code in classes:
+    for i, code in enumerate(classes):
         if code in assignment:
             continue
-        states, reached_all = _reach(code, max_states)
+        states, reached_all = _reach(i, max_states, table)
         complete = complete and reached_all
         oid = len(members)
-        assert class_codes.issuperset(states), "orbit escaped the enumerated classes"
-        for c in states:
+        codes = tuple([classes[j] for j in states])
+        for c in codes:
             assignment[c] = oid
-        members[oid] = tuple(states)
-        family[oid] = min((table[c] for c in states if c in table), default=None)
+        members[oid] = codes
+        family[oid] = min((theorem[c] for c in codes if c in theorem), default=None)
     return assignment, members, family, complete
 
 
@@ -499,9 +541,10 @@ class Report:
         return 0 if self.passed else 1
 
 
-def verify_completeness(n: int, max_states: int = DEFAULT_MAX_STATES) -> Report:
-    """Every enumerated two-cycle class at size n normalizes to the lists."""
-    assignment, members, family, complete = _orbit_partition(n, max_states)
+def verify_completeness(n: int, max_states: int = DEFAULT_MAX_STATES, jobs: int = 1) -> Report:
+    """Every enumerated two-cycle class at size n normalizes to the lists;
+    the partition runs on up to ``jobs`` processes."""
+    assignment, members, family, complete = _orbit_partition(n, max_states, jobs)
     lines = []
     failures = []
     n_classes = len(assignment)
@@ -532,8 +575,9 @@ def _nondegenerate_specs(max_vertices: int) -> list[FamilySpec]:
 
 
 def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4,
-                      max_states: int = DEFAULT_MAX_STATES) -> Report:
-    """Nondegenerate canonical-list entries are pairwise inequivalent."""
+                      max_states: int = DEFAULT_MAX_STATES, jobs: int = 1) -> Report:
+    """Nondegenerate canonical-list entries are pairwise inequivalent; the
+    partitions run on up to ``jobs`` processes."""
     # fail before any work: the orbit checks would reach the bound only after
     # partitioning the smaller sizes
     largest = min(max_vertices, orbit_max_vertices)
@@ -554,7 +598,7 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4,
     seen: dict[tuple[int, int], FamilySpec] = {}
     for sp in orbit_specs:
         n = family_size(sp)
-        assignment, _members, _family, complete = _orbit_partition(n, max_states)
+        assignment, _members, _family, complete = _orbit_partition(n, max_states, jobs)
         limited = limited or not complete
         oid = assignment[_family_code(sp)]
         if (n, oid) in seen:
@@ -607,15 +651,79 @@ def check_closed_form(sp: FamilySpec) -> str | None:
     return None
 
 
-def _pmap(fn, items, jobs: int):
-    items = list(items)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(items) < 64:
-        return [fn(x) for x in items]
-    import multiprocessing
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 8)))
+
+def _pmap(fn, items, jobs: int) -> list:
+    """``[fn(x) for x in items]`` on up to ``jobs`` processes (at most the
+    usable CPUs).
+
+    Share ``k`` is ``items[k::jobs]``.  The parent computes share 0 and a
+    forked child each other share, which it sends back through a pipe with
+    ``marshal``: ``fn`` may be a closure, and its results must be
+    marshallable.  A child that fails has its share computed again in the
+    parent, so an exception surfaces with its serial type and text, and no
+    child outlives the call.  Runs serially for one job, fewer than 64
+    items, or where ``os.fork`` is missing.  The package starts no threads,
+    so a forked child holds no lock another thread took.
+    """
+    items = list(items)
+    jobs = min(jobs, _usable_cpus())
+    if jobs <= 1 or len(items) < 64 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    children = []  # (pid, pipe) of each child not yet reaped, by share
+    try:
+        for k in range(1, jobs):
+            children.append(_fork_share(fn, items[k::jobs]))
+        shares = [[fn(x) for x in items[::jobs]]]
+        for k in range(1, jobs):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            shares.append(marshal.loads(data) if status == 0 else [fn(x) for x in items[k::jobs]])
+    finally:
+        if children:  # an exception left them running
+            import signal  # only this failure path needs it; importing it costs about 30 KB
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    out = [None] * len(items)
+    for k, share in enumerate(shares):
+        out[k::jobs] = share
+    return out
+
+
+def _fork_share(fn, share: list):
+    """Fork a child that writes ``marshal.dumps([fn(x) for x in share])`` to
+    a pipe and exits with status 0, or exits with 1 at once if anything
+    fails; returns its pid and the read end of the pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps([fn(x) for x in share]))
+            status = 0
+        finally:
+            os._exit(status)  # no cleanup, flush or traceback of the parent's
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
 @dataclass(frozen=True)
@@ -644,12 +752,13 @@ def _sized_specs(tags, max_vertices: int) -> list[FamilySpec]:
                              for sp in _specs(tag, n, r))]
 
 
-def _move_sweep(sweep_vertices: int, max_states: int):
+def _move_sweep(sweep_vertices: int, max_states: int, jobs: int):
     """Every applicable move on every two-cycle class with 2 to
     ``sweep_vertices`` vertices keeps the size and ``phi``; ``phi`` is the
     same on the opposite and splits the classes by degeneracy.
 
-    Runs on the classes' codes: no key or named quiver is made.
+    Runs on the classes' codes: no key or named quiver is made; the
+    enumeration and partitions run on up to ``jobs`` processes.
     Returns the three checks and whether a partition hit the state cap.
     """
     move_fails = []
@@ -659,9 +768,9 @@ def _move_sweep(sweep_vertices: int, max_states: int):
     n_classes = 0
     limited = False
     for n in range(2, sweep_vertices + 1):
-        assignment, _members, family, complete = _orbit_partition(n, max_states)
+        assignment, _members, family, complete = _orbit_partition(n, max_states, jobs)
         limited = limited or not complete
-        for code in _enumerate_cached(SizeClass(n, n + 1), True):
+        for code in _enumerate_cached(SizeClass(n, n + 1), True, jobs):
             q = _decode(code)
             n_classes += 1
             base_phi = _phi(q)
@@ -695,7 +804,8 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
 
     ``bound`` caps the parameter sum of the closed-form sweep; the orbit
     checks run on instances with at most ``orbit_vertices`` vertices and the
-    enumerated move sweeps at ``sweep_vertices``.
+    enumerated move sweeps at ``sweep_vertices``.  The closed-form sweep,
+    the enumerations and the partitions run on up to ``jobs`` processes.
     """
     for vertices in (sweep_vertices, orbit_vertices):
         # fail before any work: the sweep and the orbit checks would reach
@@ -708,7 +818,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
     fails = tuple(f for f in results if f)
     checks.append(_Check("closed-form-sweep", len(results), fails))
 
-    sweep_checks, limited = _move_sweep(sweep_vertices, max_states)
+    sweep_checks, limited = _move_sweep(sweep_vertices, max_states, jobs)
     checks.extend(sweep_checks)
 
     flip_pairs, swap_pairs = [], []  # the mixed-cycle flip, the cycle swap
@@ -746,7 +856,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
                  if _family_code(left) != _family_code(right)]
         fails += _phi_pair_failures(pairs)
         for left, right in pairs:
-            assignment, _m, _f, complete = _orbit_partition(family_size(left), max_states)
+            assignment, _m, _f, complete = _orbit_partition(family_size(left), max_states, jobs)
             limited = limited or not complete
             if assignment[_family_code(left)] != assignment[_family_code(right)]:
                 fails.append("%s and %s are not in the same orbit" % (left, right))
@@ -758,7 +868,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
     for sp in theorem_list(orbit_vertices):
         n = family_size(sp)
         opp_count += 1
-        assignment, _m, _f, complete = _orbit_partition(n, max_states)
+        assignment, _m, _f, complete = _orbit_partition(n, max_states, jobs)
         limited = limited or not complete
         q = _family_ints(sp)
         op = q.opposite()

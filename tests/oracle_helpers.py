@@ -43,6 +43,8 @@ from gentleq.orbit import (
     SizeClass,
     StateLimitExceeded,
     _classes_of_shapes,
+    _degree_sequences,
+    _shapes,
     enumerate_classes,
     theorem_key_table,
 )
@@ -384,6 +386,62 @@ def oracle_shapes(n: int, a: int) -> dict[str, BoundQuiver]:
         form = canonical_form(bq)
         shapes.setdefault(serialize(form), form)
     return shapes
+
+
+def shapes_of_size(n: int, a: int) -> list[tuple]:
+    """The package's shape stage over every degree sequence of size (n, a)."""
+    return [code for seq in _degree_sequences(n, a) for code in _shapes(seq)]
+
+
+def _arc_multisets(n: int, a: int):
+    """Degree-bounded arc multisets on n labeled vertices, degree sorted: the
+    cell-by-cell search that the degree-sequence fill replaced.
+
+    Arcs ``(source, target)`` are chosen source row by source row, with at
+    most 2 out and 2 in per vertex.  Only multisets whose per-vertex
+    ``(out-degree, in-degree, loop count)`` is non-decreasing in the vertex
+    index are produced; a row whose out-degree completes below the previous
+    row's, or leaves too few arcs for the rows after it to match it, is
+    pruned at once.  No shape class is lost: listing any quiver's vertices
+    in that order gives a multiset produced here.
+    """
+    cells = [(s, t) for s in range(n) for t in range(n)]
+    out_deg = [0] * n
+    in_deg = [0] * n
+    chosen: list[tuple[int, int]] = []
+
+    def rec(idx: int, remaining: int):
+        if idx and idx % n == 0:
+            done = idx // n - 1
+            if done and out_deg[done] < out_deg[done - 1]:
+                return
+            if remaining < out_deg[done] * (n - 1 - done):
+                return
+        if remaining == 0:
+            loops = [0] * n
+            for s, t in chosen:
+                loops[s] += s == t
+            degrees = list(zip(out_deg, in_deg, loops))
+            if degrees == sorted(degrees):
+                yield tuple(chosen)
+            return
+        if idx == len(cells):
+            return
+        s, t = cells[idx]
+        if remaining > 2 - out_deg[s] + 2 * (n - 1 - s):
+            return
+        top = min(2, 2 - out_deg[s], 2 - in_deg[t], remaining)
+        for count in range(top, -1, -1):
+            out_deg[s] += count
+            in_deg[t] += count
+            chosen.extend([(s, t)] * count)
+            yield from rec(idx + 1, remaining - count)
+            for _ in range(count):
+                chosen.pop()
+            out_deg[s] -= count
+            in_deg[t] -= count
+
+    yield from rec(0, a)
 
 
 def oracle_enumerate(n: int, a: int, two_cycle: bool) -> tuple[BoundQuiver, ...]:

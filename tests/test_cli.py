@@ -393,27 +393,35 @@ class TestDeterminism:
         out2 = run_cli(args)[1]
         assert out1 == out2
 
-    def test_jobs_do_not_change_output(self, monkeypatch):
-        import multiprocessing
-
-        # bound 6 gives 95 closed-form specs, enough for _pmap to use a pool
-        pools = []
-        real = multiprocessing.Pool
-
-        def recording_pool(processes):
-            pools.append(processes)
-            return real(processes)
-
-        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+    def test_jobs_do_not_change_output(self, forks, usable_cpus):
+        # bound 6 gives 95 closed-form specs, enough for _pmap to fork
+        usable_cpus(2)
         base = ["verify", "lemmas", "--bound", "6", "--orbit-vertices", "2",
                 "--sweep-vertices", "2"]
         out1 = run_cli(base + ["--jobs", "1"])[1]
-        assert pools == []
+        assert forks == []
         out2 = run_cli(base + ["--jobs", "2"])[1]
-        assert pools == [2]
+        assert forks == [1]
         assert out1 == out2
         assert "check closed-form-sweep: PASS (95 instances)" in out1
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "completeness", "--vertices", "5"],
+        ["verify", "minimality", "--max-vertices", "6", "--orbit-vertices", "4"],
+    ])
+    def test_usable_cpus_do_not_change_output(self, forks, usable_cpus, args):
+        orbit = importlib.import_module("gentleq.orbit")
+        runs = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            orbit._orbit_partition.cache_clear()
+            orbit._enumerate_cached.cache_clear()
+            before = len(forks)
+            runs.append((run_cli(args), len(forks) - before))
+        (one, forks_one), (two, forks_two) = runs
+        assert one == two
+        assert one[0] == 0 and one[1].endswith("RESULT: PASS\n")
+        assert forks_one == 0 and forks_two > 0
 
     def test_round_trip_bit_exact(self):
         code, out, _ = run_cli(["apply", "--move", "opposite", "-"], stdin=L0_FILE)

@@ -34,7 +34,6 @@ from gentleq.orbit import (
     SizeClass,
     _enumerate_cached,
     _junction_choices,
-    _shapes,
     enumerate_classes,
     normalize,
 )
@@ -57,6 +56,7 @@ from oracle_helpers import (
     opposite,
     random_relabel,
     record_fields,
+    shapes_of_size,
 )
 
 L0_TEXT = """\
@@ -301,7 +301,7 @@ class TestIntegerValidity:
         sizes = [(n, a) for n in range(1, 5) for a in range(2 * n + 1)] + [(5, 6)]
         kept = rejected = 0
         for n, a in sizes:
-            for shape in _shapes(n, a):
+            for shape in shapes_of_size(n, a):
                 form = _form(shape)
                 names = [k for k, _s, _t in form.arrows]
                 q = _decode(shape)
@@ -391,8 +391,8 @@ class TestSerialKey:
         big = [_canonical_code(build_family(sp)) for sp in theorem_list(12)
                if family_size(sp) == 12]
         assert len(big) > 1
-        for codes in [big] + [[_canonical_code(c) for c in enumerate_classes(SizeClass(3, a))]
-                              for a in range(7)]:
+        for codes in [big] + [[_canonical_code(c) for c in enumerate_classes(SizeClass(n, a))]
+                              for n in (3, 4) for a in range(2 * n + 1)]:
             codes = sorted(codes)
             assert sorted(codes, key=_serial_key) == \
                 sorted(codes, key=lambda c: serialize(_form(c)))
@@ -671,7 +671,7 @@ class TestQuiverMemo:
     def test_decode_round_trip(self):
         for n in range(1, 6):
             for a in range(2 * n + 1) if n < 5 else (n, n + 1):
-                for code in _enumerate_cached(SizeClass(n, a), False):
+                for code in _enumerate_cached(SizeClass(n, a), False, 1):
                     q = _decode(code)
                     assert _code(q.n, q.ends, q.rels) == code
 

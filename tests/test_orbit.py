@@ -1,4 +1,5 @@
 import importlib
+import os
 import random
 
 import pytest
@@ -22,11 +23,13 @@ from gentleq.orbit import (
     _check_inverse_edges,
     _closed,
     _closed_form_specs,
+    _degree_sequences,
     _enumerate_cached,
+    _fill,
     _junction_choices,
     _orbit_partition,
     _pmap,
-    _shapes,
+    _usable_cpus,
     _sized_specs,
     check_closed_form,
     enumerate_classes,
@@ -39,6 +42,7 @@ from gentleq.orbit import (
 )
 
 from oracle_helpers import (
+    _arc_multisets,
     canonical_key,
     naive_enumerate,
     opposite,
@@ -51,6 +55,7 @@ from oracle_helpers import (
     oracle_shapes,
     oracle_specs,
     random_relabel,
+    shapes_of_size,
 )
 
 
@@ -112,12 +117,32 @@ class TestEnumeratorOracle:
 
     @pytest.mark.parametrize("n,a", ORACLE_SIZES)
     def test_matches_all_labelings(self, n, a):
-        assert sorted(_shapes(n, a)) == \
+        assert sorted(shapes_of_size(n, a)) == \
             sorted(_canonical_code(s) for s in oracle_shapes(n, a).values())
         for two_cycle in (False, True):
             got = [serialize(c) for c in enumerate_classes(SizeClass(n, a), two_cycle)]
             want = [serialize(c) for c in oracle_enumerate(n, a, two_cycle)]
             assert got == want
+
+
+FILL_SIZES = [(n, a) for n in range(1, 6) for a in range(2 * n + 1)] + [(6, 7)]
+
+
+class TestDegreeFill:
+    """The degree-sequence fill against the cell-by-cell search it replaced."""
+
+    @pytest.mark.parametrize("n,a", FILL_SIZES)
+    def test_matches_cell_search(self, n, a):
+        got = []
+        for seq in _degree_sequences(n, a):
+            assert list(seq) == sorted(seq)
+            for arcs in _fill(seq):
+                degrees = [[sum(s == v for s, _t in arcs), sum(t == v for _s, t in arcs),
+                            arcs.count((v, v))] for v in range(n)]
+                assert degrees == [list(d) for d in seq]
+                got.append(arcs)
+        assert len(set(got)) == len(got)
+        assert set(got) == set(_arc_multisets(n, a))
 
 
 class TestJunctionChoices:
@@ -126,7 +151,7 @@ class TestJunctionChoices:
         # every shape with n vertices at every arrow count, loops included
         count = 0
         for a in range(2 * n + 1):
-            for code in _shapes(n, a):
+            for code in shapes_of_size(n, a):
                 shape = _form(code)
                 names = [k for k, _s, _t in shape.arrows]
                 got = [{frozenset((names[f], names[s]) for f, s in choice) for choice in c}
@@ -138,29 +163,73 @@ class TestJunctionChoices:
 
 
 class TestPmap:
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        import multiprocessing
-
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return [fn(x) for x in items]
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
+    def test_forks_capped_at_usable_cpus(self, forks, usable_cpus):
+        usable_cpus(3)
         assert _pmap(abs, range(-100, 0), 1000) == list(range(100, 0, -1))
+        assert len(forks) == 2  # three processes: the parent and two children
         assert _pmap(abs, range(100), 2) == list(range(100))
-        assert sizes == [3, 2]
+        assert len(forks) == 3
+        assert _pmap(abs, range(100), 1) == list(range(100))
+        assert _pmap(abs, range(63), 3) == list(range(63))
+        assert len(forks) == 3
+
+    def test_results_in_item_order(self, usable_cpus):
+        usable_cpus(2)
+        parent = os.getpid()
+        got = _pmap(lambda x: (x * x, os.getpid()), range(200), 2)
+        assert [sq for sq, _pid in got] == [x * x for x in range(200)]
+        # share 0 is the parent's, share 1 a child's
+        assert {pid for _sq, pid in got[::2]} == {parent}
+        assert parent not in {pid for _sq, pid in got[1::2]}
+
+    @staticmethod
+    def fail_at(bad: int):
+        def fn(x):
+            if x == bad:
+                raise ValueError("item %d is bad" % x)
+            return x
+        return fn
+
+    def test_worker_exception_surfaces(self, forks, usable_cpus):
+        usable_cpus(2)
+        # item 65 is in share 1, the child's
+        with pytest.raises(ValueError, match=r"^item 65 is bad$"):
+            _pmap(self.fail_at(65), range(100), 2)
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_parent_exception_leaves_no_child(self, forks, usable_cpus):
+        usable_cpus(2)
+        # item 64 is in share 0, the parent's; the child is still writing
+        # its share of large results
+        def fn(x):
+            if x == 64:
+                raise ValueError("item 64 is bad")
+            return "x" * 10_000
+        with pytest.raises(ValueError, match=r"^item 64 is bad$"):
+            _pmap(fn, range(100), 2)
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_serial_without_fork(self, monkeypatch, usable_cpus):
+        usable_cpus(2)
+        monkeypatch.delattr(os, "fork")
+        parent = os.getpid()
+        assert _pmap(lambda x: (x, os.getpid()), range(100), 2) == \
+            [(x, parent) for x in range(100)]
+
+    def test_usable_cpus(self, monkeypatch, forks, usable_cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        usable_cpus(1)
+        assert _usable_cpus() == 1
+        assert _pmap(abs, range(100), 8) == list(range(100))
+        assert forks == []
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _usable_cpus() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
 
 
 class TestOrbit:
@@ -342,7 +411,7 @@ class TestIntegerStates:
         monkeypatch.setattr(core.BoundQuiver, "__post_init__", lambda self: built.append(1))
         for module in (core, importlib.import_module("gentleq.orbit")):
             monkeypatch.setattr(module, "validate", lambda *args: checked.append(1))
-        codes = _enumerate_cached.__wrapped__(SizeClass(4, 5), True)
+        codes = _enumerate_cached.__wrapped__(SizeClass(4, 5), True, 1)
         assignment, members, _family, complete = _orbit_partition.__wrapped__(4)
         assert (len(codes), len(assignment), len(members), complete) == (312, 312, 30, True)
         assert (built, checked) == ([], [])
@@ -364,7 +433,7 @@ class TestIntegerStates:
 
         monkeypatch.setattr(importlib.import_module("gentleq.moves"), "apply_move", no_named_move)
         assert not any(check_closed_form(sp) for sp in _closed_form_specs(8))
-        checks, limited = orbit_module._move_sweep(4, DEFAULT_MAX_STATES)
+        checks, limited = orbit_module._move_sweep(4, DEFAULT_MAX_STATES, 1)
         assert [(c.name, c.instances, c.failures) for c in checks] == [
             ("move-invariance", 2379, ()), ("phi-under-opposite", 353, ()),
             ("degeneracy-split", 353, ())]
