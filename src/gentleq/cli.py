@@ -106,16 +106,13 @@ def _build_parser() -> _Parser:
     ver = sp.add_subparsers(dest="verify_command", required=True)
     v = ver.add_parser("completeness")
     v.add_argument("--vertices", type=_at_least(1), required=True)
-    v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     v = ver.add_parser("minimality")
     v.add_argument("--max-vertices", type=_at_least(2), required=True)
     v.add_argument("--orbit-vertices", type=_at_least(2), default=4)
-    v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     v = ver.add_parser("lemmas")
     v.add_argument("--bound", type=_at_least(1), default=8)
     v.add_argument("--orbit-vertices", type=_at_least(2), default=5)
     v.add_argument("--sweep-vertices", type=_at_least(2), default=4)
-    v.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     v.add_argument("--jobs", type=_at_least(1), default=_usable_cpus())
 
     sp = sub.add_parser("fuzz-shift", help="seeded slide-macro cross-check")
@@ -238,14 +235,12 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.verify_command == "completeness":
-        report = verify_completeness(args.vertices, args.max_states, _usable_cpus())
+        report = verify_completeness(args.vertices, _usable_cpus())
     elif args.verify_command == "minimality":
-        report = verify_minimality(
-            args.max_vertices, args.orbit_vertices, args.max_states, _usable_cpus())
+        report = verify_minimality(args.max_vertices, args.orbit_vertices, _usable_cpus())
     else:
         report = verify_lemma_tables(
-            args.bound, args.max_states, args.jobs, args.orbit_vertices,
-            args.sweep_vertices)
+            args.bound, args.jobs, args.orbit_vertices, args.sweep_vertices)
     sys.stdout.write(report.render())
     return report.exit_code
 

@@ -21,7 +21,11 @@ all run on the code, and a named quiver or text is made only for what is
 printed or handed to a caller (enumerated classes, report anchors).  The
 partition builds an edge table first, each class's validity check and the
 class indices of its generating moves' outputs, on ``jobs`` processes; the
-closures walk that table, so the result does not depend on ``jobs``.  The
+closures walk that table, so the result does not depend on ``jobs``.  A
+closure on the table cannot leave the class list, so the partition caps no
+orbit; only ``orbit`` and ``normalize``, which close the orbit of one input,
+take ``max_states``.  Both the partition and ``normalize`` use ``_reach``,
+one breadth-first closure over a step function.  The
 verification drivers rest on that partition: completeness (every class
 reaches a canonical family), minimality (no two canonical representatives
 collide), and the table of small equivalence facts used throughout, which
@@ -211,8 +215,8 @@ def _shapes(seq) -> list[tuple]:
 
 
 def _classes_of_shapes(shapes) -> tuple[tuple, ...]:
-    """The code of every class of valid relation sets on the shape codes,
-    sorted as ``serialize`` sorts their forms."""
+    """The code of every class of valid relation sets on the shape codes, in
+    no particular order: ``_enumerate_cached`` sorts the merged shares."""
     codes = set()
     for code in shapes:
         shape = _decode(code)
@@ -221,7 +225,7 @@ def _classes_of_shapes(shapes) -> tuple[tuple, ...]:
             # every relation set of a shape has the shape's arrows at each vertex
             if _valid(_Ints(shape.n, shape.ends, rels, (shape.outs, shape.ins))):
                 codes.add(_code(shape.n, shape.ends, rels))
-    return tuple(sorted(codes, key=_serial_key))
+    return tuple(codes)
 
 
 def enumerate_classes(size: SizeClass, two_cycle: bool = False) -> list[BoundQuiver]:
@@ -376,18 +380,29 @@ def _check_inverse_edges(edges, op) -> None:
             raise AssertionError("reflection edge %d -> %d has no inverse" % (i, j))
 
 
-def _reach(start, max_states: int, table=None):
-    """Closure of the code ``start`` of a valid quiver under the generating
-    moves.
+def _step(code) -> list:
+    """The codes the generating moves reach from ``code``, the opposite last.
 
-    The states are canonical codes throughout; no quiver is named.  Returns
-    ``(states, complete)``: the codes reached, in breadth-first order from
-    ``start``, and whether the orbit has at most ``max_states`` states.  Each
-    new state passes the integer validity check on the record its moves run
-    on, before they run; a complete closure also checks that its reflection
-    edges come in inverse pairs.  With ``table`` the states are class indices
-    instead, and ``table[i]`` lists the indices of the generating moves'
-    outputs on class ``i``, the opposite last.
+    The integer validity check runs first, on the record the moves run on;
+    an invalid quiver raises AssertionError.
+    """
+    q = _decode(code)
+    if not _valid(q):
+        raise AssertionError("a generating move produced an invalid quiver: %s"
+                             % (validate(_form(code)),))
+    reflections, opp = _generator_codes(q)
+    return reflections + [opp]
+
+
+def _reach(start, step, max_states: int):
+    """Breadth-first closure of ``start`` under ``step``, which lists the
+    states the generating moves reach from a state, the opposite last.
+
+    Returns ``(states, complete)``: the states reached, in breadth-first
+    order from ``start``, and whether the orbit has at most ``max_states``
+    states.  A complete closure checks that its reflection edges come in
+    inverse pairs.  ``normalize`` steps on canonical codes with ``_step``;
+    the partition steps on class indices through its edge table.
     """
     states = [start]  # the breadth-first queue: it grows while it is walked
     index = {start: 0}
@@ -395,15 +410,7 @@ def _reach(start, max_states: int, table=None):
     op = []
     complete = True
     for i, state in enumerate(states):
-        if table is None:
-            q = _decode(state)
-            if i and not _valid(q):
-                raise AssertionError("a generating move produced an invalid quiver: %s"
-                                     % (validate(_form(state)),))
-            reflections, opp = _generator_codes(q)
-            outs = reflections + [opp]
-        else:
-            outs = table[state]
+        outs = step(state)
         for pos, out in enumerate(outs):
             j = index.get(out)
             if j is None:
@@ -453,7 +460,7 @@ def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySp
     start = _canonical_code(bq)
     answer = _closed.get(start)
     if answer is None:
-        states, complete = _reach(start, max_states)
+        states, complete = _reach(start, _step, max_states)
         if not complete:
             raise StateLimitExceeded("orbit exceeded %d states" % max_states)
         table = theorem_key_table(len(bq.vertices))
@@ -472,31 +479,26 @@ def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySp
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES, jobs: int = 1):
+def _orbit_partition(n: int, jobs: int = 1):
     """Partition of the two-cycle classes at size n into move orbits.
 
     Returns (code -> orbit index, orbit index -> member codes, orbit index ->
-    least canonical hit or None, complete flag).  The classes are walked in
-    the order ``enumerate_classes`` lists them, so orbit indices follow the
+    least canonical hit or None).  The classes are walked in the order
+    ``enumerate_classes`` lists them, so orbit indices follow the
     first-listed member of each orbit, and that member's code comes first in
     its member tuple.
 
-    The edge table, each class's validity check and the class indices of its
-    generating moves' outputs, is built first on up to ``jobs`` processes;
-    the closures then walk it.  An output that is no enumerated class raises
-    AssertionError.
+    The edge table, each class's ``_step`` with its outputs as class
+    indices, is built first on up to ``jobs`` processes; the closures then
+    walk it.  An output that is no enumerated class raises AssertionError,
+    so no closure can exceed the class count, and every closure is complete.
     """
     classes = _enumerate_cached(_bounded(SizeClass(n, n + 1)), True, jobs)
     index = {code: i for i, code in enumerate(classes)}
 
     def row(code):
-        q = _decode(code)
-        if not _valid(q):
-            raise AssertionError("a generating move produced an invalid quiver: %s"
-                                 % (validate(_form(code)),))
-        reflections, opp = _generator_codes(q)
         try:
-            return tuple([index[c] for c in reflections + [opp]])
+            return tuple([index[c] for c in _step(code)])
         except KeyError:
             raise AssertionError("orbit escaped the enumerated classes") from None
 
@@ -505,19 +507,17 @@ def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES, jobs: int = 1
     assignment: dict[tuple, int] = {}
     members: dict[int, tuple] = {}
     family: dict[int, FamilySpec | None] = {}
-    complete = True
     for i, code in enumerate(classes):
         if code in assignment:
             continue
-        states, reached_all = _reach(i, max_states, table)
-        complete = complete and reached_all
+        states, _complete = _reach(i, table.__getitem__, len(classes))
         oid = len(members)
         codes = tuple([classes[j] for j in states])
         for c in codes:
             assignment[c] = oid
         members[oid] = codes
         family[oid] = min((theorem[c] for c in codes if c in theorem), default=None)
-    return assignment, members, family, complete
+    return assignment, members, family
 
 
 # ---------------------------------------------------------------------------
@@ -528,23 +528,20 @@ def _orbit_partition(n: int, max_states: int = DEFAULT_MAX_STATES, jobs: int = 1
 class Report:
     lines: tuple[str, ...]
     passed: bool
-    limited: bool = False
 
     def render(self) -> str:
-        tail = ["RESULT: %s" % ("PASS" if self.passed and not self.limited else "FAIL")]
+        tail = ["RESULT: %s" % ("PASS" if self.passed else "FAIL")]
         return "\n".join(list(self.lines) + tail) + "\n"
 
     @property
     def exit_code(self) -> int:
-        if self.limited:
-            return 2
         return 0 if self.passed else 1
 
 
-def verify_completeness(n: int, max_states: int = DEFAULT_MAX_STATES, jobs: int = 1) -> Report:
+def verify_completeness(n: int, jobs: int = 1) -> Report:
     """Every enumerated two-cycle class at size n normalizes to the lists;
     the partition runs on up to ``jobs`` processes."""
-    assignment, members, family, complete = _orbit_partition(n, max_states, jobs)
+    assignment, members, family = _orbit_partition(n, jobs)
     lines = []
     failures = []
     n_classes = len(assignment)
@@ -567,15 +564,14 @@ def verify_completeness(n: int, max_states: int = DEFAULT_MAX_STATES, jobs: int 
         failures.append("family tallies do not partition the class count")
     lines.append("failures: %d" % len(failures))
     lines.extend("failure: %s" % f for f in failures)
-    return Report(tuple(lines), passed=not failures, limited=not complete)
+    return Report(tuple(lines), passed=not failures)
 
 
 def _nondegenerate_specs(max_vertices: int) -> list[FamilySpec]:
     return [sp for sp in theorem_list(max_vertices) if sp.tag in ("L1", "L2")]
 
 
-def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4,
-                      max_states: int = DEFAULT_MAX_STATES, jobs: int = 1) -> Report:
+def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4, jobs: int = 1) -> Report:
     """Nondegenerate canonical-list entries are pairwise inequivalent; the
     partitions run on up to ``jobs`` processes."""
     # fail before any work: the orbit checks would reach the bound only after
@@ -594,12 +590,10 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4,
                  % ("FAIL" if phi_failures else "PASS", len(specs), max_vertices))
     orbit_specs = [sp for sp in specs if family_size(sp) <= orbit_max_vertices]
     orbit_failures = []
-    limited = False
     seen: dict[tuple[int, int], FamilySpec] = {}
     for sp in orbit_specs:
         n = family_size(sp)
-        assignment, _members, _family, complete = _orbit_partition(n, max_states, jobs)
-        limited = limited or not complete
+        assignment, _members, _family = _orbit_partition(n, jobs)
         oid = assignment[_family_code(sp)]
         if (n, oid) in seen:
             orbit_failures.append("orbit collision: %s and %s" % (seen[(n, oid)], sp))
@@ -611,7 +605,7 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4,
     failures = phi_failures + orbit_failures
     lines.append("failures: %d" % len(failures))
     lines.extend("failure: %s" % f for f in failures)
-    return Report(tuple(lines), passed=not failures, limited=limited)
+    return Report(tuple(lines), passed=not failures)
 
 
 # ---------------------------------------------------------------------------
@@ -752,24 +746,21 @@ def _sized_specs(tags, max_vertices: int) -> list[FamilySpec]:
                              for sp in _specs(tag, n, r))]
 
 
-def _move_sweep(sweep_vertices: int, max_states: int, jobs: int):
+def _move_sweep(sweep_vertices: int, jobs: int) -> list[_Check]:
     """Every applicable move on every two-cycle class with 2 to
     ``sweep_vertices`` vertices keeps the size and ``phi``; ``phi`` is the
     same on the opposite and splits the classes by degeneracy.
 
     Runs on the classes' codes: no key or named quiver is made; the
     enumeration and partitions run on up to ``jobs`` processes.
-    Returns the three checks and whether a partition hit the state cap.
     """
     move_fails = []
     op_fails = []
     degen_fails = []
     n_moves = 0
     n_classes = 0
-    limited = False
     for n in range(2, sweep_vertices + 1):
-        assignment, _members, family, complete = _orbit_partition(n, max_states, jobs)
-        limited = limited or not complete
+        assignment, _members, family = _orbit_partition(n, jobs)
         for code in _enumerate_cached(SizeClass(n, n + 1), True, jobs):
             q = _decode(code)
             n_classes += 1
@@ -791,14 +782,12 @@ def _move_sweep(sweep_vertices: int, max_states: int, jobs: int):
                     move_fails.append("%s changed the size class" % mv)
                 elif _phi(image) != base_phi:
                     move_fails.append("%s on %s changed phi" % (mv, _compact(code)))
-    checks = [_Check("move-invariance", n_moves, tuple(move_fails)),
-              _Check("phi-under-opposite", n_classes, tuple(op_fails)),
-              _Check("degeneracy-split", n_classes, tuple(degen_fails))]
-    return checks, limited
+    return [_Check("move-invariance", n_moves, tuple(move_fails)),
+            _Check("phi-under-opposite", n_classes, tuple(op_fails)),
+            _Check("degeneracy-split", n_classes, tuple(degen_fails))]
 
 
-def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
-                        jobs: int = 1, orbit_vertices: int = 5,
+def verify_lemma_tables(bound: int = 8, jobs: int = 1, orbit_vertices: int = 5,
                         sweep_vertices: int = 4) -> Report:
     """The closed-form sweep plus every small equivalence fact.
 
@@ -818,8 +807,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
     fails = tuple(f for f in results if f)
     checks.append(_Check("closed-form-sweep", len(results), fails))
 
-    sweep_checks, limited = _move_sweep(sweep_vertices, max_states, jobs)
-    checks.extend(sweep_checks)
+    checks.extend(_move_sweep(sweep_vertices, jobs))
 
     flip_pairs, swap_pairs = [], []  # the mixed-cycle flip, the cycle swap
     for sp in theorem_list(orbit_vertices):
@@ -856,8 +844,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
                  if _family_code(left) != _family_code(right)]
         fails += _phi_pair_failures(pairs)
         for left, right in pairs:
-            assignment, _m, _f, complete = _orbit_partition(family_size(left), max_states, jobs)
-            limited = limited or not complete
+            assignment, _m, _f = _orbit_partition(family_size(left), jobs)
             if assignment[_family_code(left)] != assignment[_family_code(right)]:
                 fails.append("%s and %s are not in the same orbit" % (left, right))
         checks.append(_Check(name, len(identities) + len(pairs), tuple(fails)))
@@ -868,8 +855,7 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
     for sp in theorem_list(orbit_vertices):
         n = family_size(sp)
         opp_count += 1
-        assignment, _m, _f, complete = _orbit_partition(n, max_states, jobs)
-        limited = limited or not complete
+        assignment, _m, _f = _orbit_partition(n, jobs)
         q = _family_ints(sp)
         op = q.opposite()
         if assignment[_code(q.n, q.ends, q.rels)] != assignment[_code(op.n, op.ends, op.rels)]:
@@ -905,4 +891,4 @@ def verify_lemma_tables(bound: int = 8, max_states: int = DEFAULT_MAX_STATES,
         all_fail.extend("failure[%s]: %s" % (ch.name, f) for f in ch.failures)
     lines.append("failures: %d" % len(all_fail))
     lines.extend(all_fail)
-    return Report(tuple(lines), passed=not all_fail, limited=limited)
+    return Report(tuple(lines), passed=not all_fail)

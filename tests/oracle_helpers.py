@@ -15,6 +15,7 @@ from gentleq.core import (
     _canonical_code,
     _form,
     _Ints,
+    _serial_key,
     make_bound_quiver,
     parse,
     require_valid,
@@ -449,7 +450,7 @@ def oracle_enumerate(n: int, a: int, two_cycle: bool) -> tuple[BoundQuiver, ...]
     if two_cycle and a != n + 1:
         return ()
     shapes = [_canonical_code(s) for s in oracle_shapes(n, a).values()]
-    return tuple(_form(code) for code in _classes_of_shapes(shapes))
+    return tuple(_form(code) for code in sorted(_classes_of_shapes(shapes), key=_serial_key))
 
 
 def oracle_junction_choices(bq: BoundQuiver):

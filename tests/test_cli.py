@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import os
@@ -223,6 +224,15 @@ class TestGoldenFiles:
         _code, out, _err = run_cli(args)
         assert out == (GOLDEN / name).read_text()
 
+    def test_completeness_n6_digest(self):
+        # the whole 232-line report, pinned by its SHA-256 digest
+        code, out, err = run_cli(["verify", "completeness", "--vertices", "6"])
+        assert (code, err) == (0, "")
+        assert out.startswith("classes: 20172\norbits: 114\n")
+        assert out.endswith("failures: 0\nRESULT: PASS\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c01d245ff1e8bd50311e4a34d4447de407998f51c49a4a9872b97f29644df6d6")
+
     def test_frozen_family_names(self):
         # one spec per family, each running every path call of its recipe:
         # the G1/G2 chains numbered from base, and a zero-length connector in
@@ -275,16 +285,13 @@ class TestOptionBounds:
         ["enumerate", "--vertices", "2", "--arrows", "-1"],
         ["verify", "minimality", "--max-vertices", "1"],
         ["verify", "lemmas", "--orbit-vertices", "1"],
-        ["verify", "completeness", "--vertices", "2", "--max-states", "0"],
-        ["verify", "minimality", "--max-vertices", "2", "--max-states", "0"],
-        ["verify", "lemmas", "--max-states", "0"],
+        ["verify", "lemmas", "--sweep-vertices", "1"],
+        ["verify", "lemmas", "--jobs", "0"],
+        ["fuzz-shift", "--count", "0"],
         ["orbit", "--max-states", "0", "-"],
         ["normalize", "--max-states", "0", "-"],
         ["verify", "minimality", "--max-vertices", "3", "--orbit-vertices", "-1"],
         ["verify", "lemmas", "--bound", "0"],
-        ["verify", "lemmas", "--sweep-vertices", "1"],
-        ["verify", "lemmas", "--jobs", "0"],
-        ["fuzz-shift", "--count", "0"],
     ])
     def test_out_of_range_is_usage_error(self, args):
         code, out, err = run_cli(args, stdin=L0_FILE)
@@ -292,6 +299,17 @@ class TestOptionBounds:
         assert out == ""
         assert err.startswith("usage error: argument --")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "completeness", "--vertices", "5"],
+        ["verify", "minimality", "--max-vertices", "2"],
+        ["verify", "lemmas"],
+    ])
+    def test_verify_takes_no_state_cap(self, args):
+        # the verifiers close orbits on a finite class list, so nothing caps them
+        code, out, err = run_cli(args + ["--max-states", "5"])
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: unrecognized arguments")
 
 
 class TestVerifyCommands:

@@ -103,6 +103,18 @@ class TestEnumerate:
         info = _enumerate_cached.cache_info()
         assert (info.currsize, info.hits) == (1, 1)
 
+    def test_one_serial_key_per_class(self, monkeypatch):
+        # the degree-sequence shares come back unsorted; the merged codes
+        # are sorted once
+        orbit_module = importlib.import_module("gentleq.orbit")
+        real = orbit_module._serial_key
+        calls = []
+        monkeypatch.setattr(orbit_module, "_serial_key",
+                            lambda code: calls.append(1) or real(code))
+        codes = _enumerate_cached.__wrapped__(SizeClass(5, 6), True, 1)
+        assert len(codes) == len(calls) == 2600
+        assert list(codes) == sorted(codes, key=real)
+
     def test_deterministic_order(self, two_cycle_classes):
         classes = two_cycle_classes(3)
         keys = [canonical_key(c) for c in classes]
@@ -331,7 +343,7 @@ class TestNormalizeMemo:
         orbit_module = importlib.import_module("gentleq.orbit")
         rng = random.Random(12)
         for n in (2, 3, 4):
-            assignment, members, _family, _complete = _orbit_partition(n)
+            assignment, members, _family = _orbit_partition(n)
             for bq in two_cycle_classes(n):
                 size = len(members[assignment[_canonical_code(bq)]])
                 caps = (0, 1, size - 1, size, DEFAULT_MAX_STATES)
@@ -412,8 +424,8 @@ class TestIntegerStates:
         for module in (core, importlib.import_module("gentleq.orbit")):
             monkeypatch.setattr(module, "validate", lambda *args: checked.append(1))
         codes = _enumerate_cached.__wrapped__(SizeClass(4, 5), True, 1)
-        assignment, members, _family, complete = _orbit_partition.__wrapped__(4)
-        assert (len(codes), len(assignment), len(members), complete) == (312, 312, 30, True)
+        assignment, members, _family = _orbit_partition.__wrapped__(4)
+        assert (len(codes), len(assignment), len(members)) == (312, 312, 30)
         assert (built, checked) == ([], [])
 
     def test_no_named_quiver_on_the_lemma_sweeps(self, monkeypatch):
@@ -433,11 +445,11 @@ class TestIntegerStates:
 
         monkeypatch.setattr(importlib.import_module("gentleq.moves"), "apply_move", no_named_move)
         assert not any(check_closed_form(sp) for sp in _closed_form_specs(8))
-        checks, limited = orbit_module._move_sweep(4, DEFAULT_MAX_STATES, 1)
+        checks = orbit_module._move_sweep(4, 1)
         assert [(c.name, c.instances, c.failures) for c in checks] == [
             ("move-invariance", 2379, ()), ("phi-under-opposite", 353, ()),
             ("degeneracy-split", 353, ())]
-        assert (limited, built, checked) == (False, [], [])
+        assert (built, checked) == ([], [])
 
     def test_invalid_state_is_reported(self, monkeypatch):
         # a generating move that broke validity would stop the closure
@@ -445,7 +457,7 @@ class TestIntegerStates:
         monkeypatch.setattr(orbit_module, "_valid", lambda q: False)
         start = _canonical_code(build_family(spec("L0", 3, 0)))
         with pytest.raises(AssertionError, match="produced an invalid quiver"):
-            orbit_module._reach(start, 100)
+            orbit_module._reach(start, orbit_module._step, 100)
 
 
 class TestGeneratorClosure:
@@ -453,12 +465,13 @@ class TestGeneratorClosure:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_partition_matches_all_moves(self, n):
-        assignment, members, family, complete = _orbit_partition(n)
+        assignment, members, family = _orbit_partition(n)
         # the member tuple lists the first-listed class first, then the
-        # rest in breadth-first order; the oracle keeps the first and a set
+        # rest in breadth-first order; the oracle keeps the first and a set,
+        # and its capped BFS reached every orbit completely
         assert all(len(set(m)) == len(m) for m in members.values())
         members = {oid: (m[0], frozenset(m)) for oid, m in members.items()}
-        assert (assignment, members, family, complete) == oracle_orbit_partition(n)
+        assert (assignment, members, family, True) == oracle_orbit_partition(n)
 
     def test_normalize_matches_all_moves(self):
         rng = random.Random(5)
@@ -483,6 +496,15 @@ class TestGeneratorClosure:
         with pytest.raises(AssertionError, match="not an involution"):
             _check_inverse_edges(set(), [1, 2, 0])
 
+    def test_every_partition_closure_checked(self, monkeypatch):
+        # no closure on the class table is capped, so every orbit checks
+        # its inverse edges
+        checked = []
+        monkeypatch.setattr(importlib.import_module("gentleq.orbit"), "_check_inverse_edges",
+                            lambda edges, op: checked.append(len(op)))
+        _assignment, members, _family = _orbit_partition.__wrapped__(4)
+        assert checked == [len(m) for m in members.values()]
+
     def test_every_complete_closure_checked(self, monkeypatch):
         checked = []
         monkeypatch.setattr(importlib.import_module("gentleq.orbit"), "_check_inverse_edges",
@@ -505,7 +527,7 @@ class TestOrbitAgainstOracle:
     def test_complete_orbits(self, n):
         # from the first-listed class of each orbit, the start of the oracle
         # partition's own BFS
-        _assignment, members, _family, _complete = _orbit_partition(n)
+        _assignment, members, _family = _orbit_partition(n)
         for member in members.values():
             rep = _form(member[0])
             self.check(orbit(rep, DEFAULT_MAX_STATES),
@@ -538,7 +560,7 @@ class TestOrbitAgainstOracle:
 class TestVerifyCompleteness:
     def test_n2(self):
         rep = verify_completeness(2)
-        assert rep.passed and not rep.limited
+        assert rep.passed and rep.exit_code == 0
         assert "classes: 3" in rep.lines
         assert rep.render().strip().endswith("RESULT: PASS")
 
