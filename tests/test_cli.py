@@ -285,13 +285,16 @@ class TestOptionBounds:
         ["enumerate", "--vertices", "2", "--arrows", "-1"],
         ["verify", "minimality", "--max-vertices", "1"],
         ["verify", "lemmas", "--orbit-vertices", "1"],
-        ["verify", "lemmas", "--sweep-vertices", "1"],
-        ["verify", "lemmas", "--jobs", "0"],
-        ["fuzz-shift", "--count", "0"],
+        ["verify", "completeness", "--vertices", "-1"],
+        ["verify", "minimality", "--max-vertices", "0"],
+        ["verify", "lemmas", "--bound", "-1"],
         ["orbit", "--max-states", "0", "-"],
         ["normalize", "--max-states", "0", "-"],
         ["verify", "minimality", "--max-vertices", "3", "--orbit-vertices", "-1"],
         ["verify", "lemmas", "--bound", "0"],
+        ["verify", "lemmas", "--sweep-vertices", "1"],
+        ["verify", "lemmas", "--jobs", "0"],
+        ["fuzz-shift", "--count", "0"],
     ])
     def test_out_of_range_is_usage_error(self, args):
         code, out, err = run_cli(args, stdin=L0_FILE)
