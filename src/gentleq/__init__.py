@@ -36,6 +36,7 @@ from .orbit import (
     verify_completeness,
     verify_lemma_tables,
     verify_minimality,
+    verify_slides,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import core, families, fuzz, invariant, moves
+from . import core, families, invariant, moves
 from .orbit import (
     DEFAULT_MAX_STATES,
     SizeClass,
@@ -23,6 +23,7 @@ from .orbit import (
     verify_completeness,
     verify_lemma_tables,
     verify_minimality,
+    verify_slides,
 )
 
 EX_USAGE = 64
@@ -114,10 +115,8 @@ def _build_parser() -> _Parser:
     v.add_argument("--orbit-vertices", type=_at_least(2), default=5)
     v.add_argument("--sweep-vertices", type=_at_least(2), default=4)
     v.add_argument("--jobs", type=_at_least(1), default=_usable_cpus())
-
-    sp = sub.add_parser("fuzz-shift", help="seeded slide-macro cross-check")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=_at_least(1), default=500)
+    v = ver.add_parser("slides")
+    v.add_argument("--vertices", type=_at_least(1), required=True)
     return p
 
 
@@ -238,15 +237,11 @@ def _cmd_verify(args) -> int:
         report = verify_completeness(args.vertices, _usable_cpus())
     elif args.verify_command == "minimality":
         report = verify_minimality(args.max_vertices, args.orbit_vertices, _usable_cpus())
+    elif args.verify_command == "slides":
+        report = verify_slides(args.vertices, _usable_cpus())
     else:
         report = verify_lemma_tables(
             args.bound, args.jobs, args.orbit_vertices, args.sweep_vertices)
-    sys.stdout.write(report.render())
-    return report.exit_code
-
-
-def _cmd_fuzz(args) -> int:
-    report = fuzz.fuzz_shift(args.seed, args.count)
     sys.stdout.write(report.render())
     return report.exit_code
 
@@ -263,7 +258,6 @@ _HANDLERS = {
     "orbit": _cmd_orbit,
     "normalize": _cmd_normalize,
     "verify": _cmd_verify,
-    "fuzz-shift": _cmd_fuzz,
 }
 
 

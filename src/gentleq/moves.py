@@ -425,7 +425,8 @@ def shift_relation(bq: BoundQuiver, rel, direction: ShiftDirection):
 
 
 def shift_relation_direct(bq: BoundQuiver, rel, direction: ShiftDirection) -> BoundQuiver:
-    """The slide's one-shot rewrite, bypassing the primitives (test oracle)."""
+    """The slide's one-shot rewrite, bypassing the primitives; ``verify
+    slides`` checks that ``shift_relation`` replays to it."""
     require_valid(bq)
     q = bq._ints
     if direction is ShiftDirection.RIGHT:

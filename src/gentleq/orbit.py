@@ -29,7 +29,10 @@ one breadth-first closure over a step function.  The
 verification drivers rest on that partition: completeness (every class
 reaches a canonical family), minimality (no two canonical representatives
 collide), and the table of small equivalence facts used throughout, which
-takes family instances and moves on indices too.  The audit closure ``orbit``
+takes family instances and moves on indices too.  The slide check needs no
+partition: on every connected valid class up to a vertex bound, at every
+arrow count, each relation slide and block slide that matches must replay
+move by move to exactly its one-shot rewrite.  The audit closure ``orbit``
 applies all seven moves to codes as well and records each edge, naming the
 moves and states only for its result.
 """
@@ -75,9 +78,16 @@ from .invariant import _phi
 from .moves import (
     Move,
     MoveKind,
+    MoveNotApplicable,
+    PatternMismatch,
+    ShiftDirection,
     _applicable_pairs,
     _generator_codes,
     _image,
+    shift_relation,
+    shift_relation_block,
+    shift_relation_block_direct,
+    shift_relation_direct,
 )
 
 __all__ = [
@@ -93,6 +103,7 @@ __all__ = [
     "theorem_key_table",
     "verify_completeness",
     "verify_minimality",
+    "verify_slides",
     "verify_lemma_tables",
 ]
 
@@ -604,6 +615,52 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4, jobs: int 
                     len(orbit_specs), orbit_max_vertices))
     failures = phi_failures + orbit_failures
     lines.append("failures: %d" % len(failures))
+    lines.extend("failure: %s" % f for f in failures)
+    return Report(tuple(lines), passed=not failures)
+
+
+def _slide_check(code) -> tuple:
+    """Worker: ``(relation slides, block slides, failures)`` on the form of
+    ``code``.  Every relation in both directions and every arrow as a block
+    anchor is tried, and each slide that matches must replay to exactly its
+    one-shot rewrite."""
+    bq = _form(code)
+    slides = [(0, "relation (%s, %s) %s" % (f, s, d.value), shift_relation,
+               shift_relation_direct, (bq, (f, s), d))
+              for f, s in sorted(bq.relations) for d in ShiftDirection]
+    slides += [(1, "block at %s" % beta, shift_relation_block, shift_relation_block_direct,
+                (bq, beta)) for beta, _s, _t in bq.arrows]
+    counts = [0, 0]
+    failures = []
+    for kind, label, replay, direct, args in slides:
+        try:
+            want = direct(*args)
+        except PatternMismatch:
+            continue
+        counts[kind] += 1
+        try:
+            if replay(*args)[0] != want:
+                failures.append("%s %s: the replay differs from the rewrite"
+                                % (_compact(code), label))
+        except MoveNotApplicable as exc:
+            failures.append("%s %s: the replay stops at %s" % (_compact(code), label, exc))
+    return counts[0], counts[1], tuple(failures)
+
+
+def verify_slides(max_vertices: int, jobs: int = 1) -> Report:
+    """Every relation slide and block slide that matches on a connected valid
+    class with at most ``max_vertices`` vertices, at every arrow count,
+    replays to its one-shot rewrite, compared with ``==``; the enumeration
+    and the checks run on up to ``jobs`` processes."""
+    _bounded(SizeClass(max_vertices, 0))  # fail before any work
+    codes = [code for n in range(1, max_vertices + 1) for a in range(2 * n + 1)
+             for code in _enumerate_cached(SizeClass(n, a), False, jobs)]
+    results = _pmap(_slide_check, codes, jobs)
+    failures = [f for _r, _b, fails in results for f in fails]
+    lines = ["classes: %d" % len(codes),
+             "relation-slides: %d" % sum([r for r, _b, _f in results]),
+             "block-slides: %d" % sum([b for _r, b, _f in results]),
+             "failures: %d" % len(failures)]
     lines.extend("failure: %s" % f for f in failures)
     return Report(tuple(lines), passed=not failures)
 

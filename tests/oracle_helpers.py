@@ -36,7 +36,15 @@ from gentleq.invariant import (
     _euler,
     cartan_matrix,
 )
-from gentleq.moves import Move, MoveKind, applicable_moves
+from gentleq.moves import (
+    Move,
+    MoveKind,
+    PatternMismatch,
+    ShiftDirection,
+    applicable_moves,
+    shift_relation_block_direct,
+    shift_relation_direct,
+)
 from gentleq.orbit import (
     DEFAULT_MAX_STATES,
     NoCanonicalHit,
@@ -1426,3 +1434,65 @@ def oracle_euler_data(bq: BoundQuiver):
             row.append(x.numerator)
         sym.append(row)
     return det_c, _det_int(sym)
+
+
+# the hand-built slide hosts: per family, its base quiver, its slide (a
+# relation slid right, or a block anchor) and its decoration sites; a site
+# hangs one pendant arrow, named n1, n2, ... in site order, at a vertex,
+# leaving it ("out") or entering it ("in"), and offers its choices: None (no
+# arrow), "" (a free arrow) or a relation with "*" for the pendant arrow
+_BASIC_SITES = (("u", "out", (None, "", ("*", "a1"))),
+                ("v", "in", (None, "", ("a3", "*"))),
+                ("x", "out", (None, ("*", "a2"))))
+
+
+def _slide_bases():
+    """``(family, vertices, arrows, relations, slide, sites)`` per base host."""
+    yield ("basic", ["u", "x", "y", "v"], [("a1", "x", "u"), ("a2", "y", "x"), ("a3", "v", "y")],
+           [("a1", "a2")], ("a1", "a2"), _BASIC_SITES)
+    yield ("closed", ["x", "y"], [("a1", "x", "y"), ("a2", "y", "x")], [("a1", "a2")],
+           ("a1", "a2"), ())
+    for n in (1, 2, 3):  # a free chain b_n .. b_1 from y_n to y_0
+        arrows = [("a1", "x", "u"), ("a2", "y%d" % n, "x"), ("a3", "v", "y0")]
+        arrows += [("b%d" % i, "y%d" % i, "y%d" % (i - 1)) for i in range(1, n + 1)]
+        yield ("long", ["u", "x", "v"] + ["y%d" % i for i in range(n + 1)], arrows,
+               [("a1", "a2")], ("a1", "a2"), _BASIC_SITES[:2])
+    for n in (2, 3, 4):  # a relation chain a_n .. a_1 from x_n to x_0
+        arrows = [("b", "y", "x0")]
+        arrows += [("a%d" % i, "x%d" % i, "x%d" % (i - 1)) for i in range(1, n + 1)]
+        yield ("block", ["y"] + ["x%d" % i for i in range(n + 1)], arrows,
+               [("a%d" % i, "a%d" % (i + 1)) for i in range(1, n)], "b",
+               (("y", "in", (None, "")), ("x%d" % n, "in", (None, ""))))
+
+
+def slide_hosts() -> tuple:
+    """Every valid host with a matching slide that the hand-built families
+    give, as ``(family, quiver, slide)``: 9 basic hosts, the closed
+    two-cycle, 27 long forms with free chains of 1-3 arrows and 12 block
+    hosts with relation chains of 2-4 arrows, 2 to 9 vertices.  A relation
+    slide goes right; a block slide is named by its anchor arrow."""
+    hosts = []
+    for family, vertices, arrows, relations, slide, sites in _slide_bases():
+        for picks in itertools.product(*[choices for _v, _m, choices in sites]):
+            vs, arr, rels = list(vertices), list(arrows), list(relations)
+            names = ("n%d" % i for i in itertools.count(1))
+            for (vertex, mode, _choices), pick in zip(sites, picks):
+                if pick is None:
+                    continue
+                w, aid = next(names), next(names)
+                vs.append(w)
+                arr.append((aid, vertex, w) if mode == "out" else (aid, w, vertex))
+                if pick:
+                    rels.append(tuple(aid if a == "*" else a for a in pick))
+            bq = make_bound_quiver(vs, arr, rels)
+            if validate(bq):
+                continue
+            try:
+                if family == "block":
+                    shift_relation_block_direct(bq, slide)
+                else:
+                    shift_relation_direct(bq, slide, ShiftDirection.RIGHT)
+            except PatternMismatch:
+                continue
+            hosts.append((family, bq, slide))
+    return tuple(hosts)

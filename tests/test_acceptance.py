@@ -7,14 +7,22 @@ lines; the whole module is also exercised by a plain ``pytest`` run.
 import io
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from gentleq.core import parse, serialize, validate
 from gentleq.families import build_family, spec
-from gentleq.fuzz import fuzz_shift
 from gentleq.invariant import Phi, cartan_matrix, phi
-from gentleq.moves import applicable_moves, apply_move
+from gentleq.moves import (
+    ShiftDirection,
+    applicable_moves,
+    apply_move,
+    shift_relation,
+    shift_relation_block,
+    shift_relation_block_direct,
+    shift_relation_direct,
+)
 from gentleq.orbit import (
     SizeClass,
     check_closed_form,
@@ -23,9 +31,10 @@ from gentleq.orbit import (
     verify_completeness,
     verify_lemma_tables,
     verify_minimality,
+    verify_slides,
 )
 
-from oracle_helpers import canonical_key, naive_enumerate, oracle_cartan
+from oracle_helpers import canonical_key, naive_enumerate, oracle_cartan, slide_hosts
 
 
 def report(criterion, name, ok, detail=""):
@@ -126,9 +135,30 @@ def test_c07_equivalence_lemmas(lemma_report):
 
 
 def test_c08_shift_fuzz():
-    rep = fuzz_shift(seed=20240817, count=500)
-    report("08", "shift-macro-fuzz", rep.passed,
-           next(l for l in rep.lines if l.startswith("patterns:")))
+    # every slide that matches on a class with at most 5 vertices, compared
+    # with ==; then the hand-built hosts, which reach 9 vertices and the
+    # long form with a chain of 3 arrows, a composite no class with at most
+    # 5 vertices has
+    rep = verify_slides(5)
+    anchors = rep.lines[:4] == ("classes: 14380", "relation-slides: 7212",
+                                "block-slides: 77", "failures: 0")
+    hosts = slide_hosts()
+    lengths = Counter()
+    hosts_ok = len(hosts) == 49
+    for family, bq, slide in hosts:
+        if family == "block":
+            got, moves = shift_relation_block(bq, slide)
+            want = shift_relation_block_direct(bq, slide)
+        else:
+            got, moves = shift_relation(bq, slide, ShiftDirection.RIGHT)
+            want = shift_relation_direct(bq, slide, ShiftDirection.RIGHT)
+        hosts_ok = hosts_ok and got == want
+        lengths[family, len(moves)] += 1
+    hosts_ok = hosts_ok and lengths == {
+        ("basic", 1): 9, ("closed", 1): 1, ("long", 4): 9, ("long", 8): 9, ("long", 13): 9,
+        ("block", 3): 4, ("block", 5): 4, ("block", 7): 4}
+    report("08", "slide-replays", rep.passed and anchors and hosts_ok,
+           "%s, %d hand-built hosts" % (", ".join(rep.lines[:3]), len(hosts)))
 
 
 def test_c09_oracle_agreements():

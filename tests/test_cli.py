@@ -294,7 +294,7 @@ class TestOptionBounds:
         ["verify", "lemmas", "--bound", "0"],
         ["verify", "lemmas", "--sweep-vertices", "1"],
         ["verify", "lemmas", "--jobs", "0"],
-        ["fuzz-shift", "--count", "0"],
+        ["verify", "slides", "--vertices", "0"],
     ])
     def test_out_of_range_is_usage_error(self, args):
         code, out, err = run_cli(args, stdin=L0_FILE)
@@ -401,9 +401,49 @@ class TestVerifyCommands:
         assert err == "error: vertex count %d exceeds the bound 6\n" % count
 
     def test_fuzz_shift(self):
-        code, out, _ = run_cli(["fuzz-shift", "--seed", "3", "--count", "25"])
-        assert code == 0
-        assert "patterns: 25" in out
+        # the exhaustive slide check that replaced the seeded fuzz
+        code, out, err = run_cli(["verify", "slides", "--vertices", "3"])
+        assert (code, err) == (0, "")
+        assert out == ("classes: 88\nrelation-slides: 24\nblock-slides: 1\n"
+                       "failures: 0\nRESULT: PASS\n")
+
+    def test_slides_report_failures(self, monkeypatch, usable_cpus):
+        # every relation slide replays to nothing and every block slide stops
+        orbit = importlib.import_module("gentleq.orbit")
+
+        def stop(bq, beta):
+            raise orbit.MoveNotApplicable("apr-reflect@v0: vertex v0 is not a sink")
+
+        usable_cpus(1)
+        monkeypatch.setattr(orbit, "shift_relation", lambda bq, rel, d: (None, ()))
+        monkeypatch.setattr(orbit, "shift_relation_block", stop)
+        code, out, err = run_cli(["verify", "slides", "--vertices", "3"])
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[:4] == ["classes: 88", "relation-slides: 24", "block-slides: 1",
+                             "failures: 25"]
+        assert lines[4] == ("failure: 2;0-1,1-0;1.0 relation (a1, a0) left: "
+                            "the replay differs from the rewrite")
+        assert sum(l.endswith(": the replay differs from the rewrite") for l in lines) == 24
+        stops = [l for l in lines if ": the replay stops at " in l]
+        assert len(stops) == 1 and " block at a" in stops[0]
+        assert lines[-1] == "RESULT: FAIL"
+
+    def test_fuzz_shift_is_gone(self):
+        code, out, err = run_cli(["fuzz-shift"])
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error:")
+
+    def test_slides_vertex_bound_fails_fast(self, monkeypatch):
+        orbit = importlib.import_module("gentleq.orbit")
+
+        def no_enumeration(*_args):
+            raise AssertionError("the report started its work")
+
+        monkeypatch.setattr(orbit, "_enumerate_cached", no_enumeration)
+        code, out, err = run_cli(["verify", "slides", "--vertices", "7"])
+        assert (code, out) == (2, "")
+        assert err == "error: vertex count 7 exceeds the bound 6\n"
 
 
 class TestDeterminism:
@@ -429,6 +469,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ["verify", "completeness", "--vertices", "5"],
         ["verify", "minimality", "--max-vertices", "6", "--orbit-vertices", "4"],
+        ["verify", "slides", "--vertices", "4"],
     ])
     def test_usable_cpus_do_not_change_output(self, forks, usable_cpus, args):
         orbit = importlib.import_module("gentleq.orbit")
