@@ -12,10 +12,10 @@ labeling.  Everything is immutable and every operation is a pure function.
 Names live at the edges: the package reads a bound quiver on indices, as
 one record ``_Ints`` of arrow ends, relations and the arrows out of and into
 each vertex, and attaches names only to what it returns.  A bound quiver is
-checked and put on its record in one pass when it is made; it computes its
-``validate`` result per flag and its canonical code once, on first use, and
-keeps them in a memo that is not part of ``==``, ``hash``, ``repr`` or its
-pickled state.
+checked and put on its record in one pass when it is made; the record
+computes its ``validate`` result per flag, its canonical code and the
+relation-free predecessor of each arrow once, on first use, and keeps them
+out of ``==``, ``hash``, ``repr`` and the pickled state.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "is_isomorphic",
 ]
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class QuiverError(Exception):
@@ -66,7 +66,7 @@ class InvalidQuiverError(QuiverError):
 
 
 def _check_id(token: str, what: str) -> None:
-    if not _ID_RE.match(token):
+    if not _ID_RE.fullmatch(token):
         raise ValueError("invalid %s identifier %r" % (what, token))
 
 
@@ -74,9 +74,10 @@ class _Ints:
     """A bound quiver on indices: vertex count ``n``, the ``(source, target)``
     of each arrow, the relations as ``(first, second)`` arrow positions, the
     arrows out of and into each vertex (unless given as ``adjacency``) and,
-    once asked for, the opposite quiver's record."""
+    once asked for, the opposite quiver's record, the relation-free
+    predecessors, the ``validate`` verdicts per flag and the canonical code."""
 
-    __slots__ = ("n", "ends", "rels", "outs", "ins", "_op")
+    __slots__ = ("n", "ends", "rels", "outs", "ins", "_op", "_pred", "verdicts", "code")
 
     def __init__(self, n: int, ends, rels, adjacency=None):
         self.n, self.ends, self.rels = n, ends, rels
@@ -87,13 +88,29 @@ class _Ints:
                 ins[t].append(k)
             adjacency = outs, ins
         self.outs, self.ins = adjacency
-        self._op = None
+        self._op = self._pred = self.code = None
+        self.verdicts: dict[bool, tuple] = {}
 
     def opposite(self) -> "_Ints":
         if self._op is None:
             # reversing every arrow swaps the arrows out of and into a vertex
             self._op = _Ints(self.n, *_reverse(self.ends, self.rels), (self.ins, self.outs))
         return self._op
+
+    def free_pred(self) -> list[int]:
+        """The relation-free predecessor of each arrow, or -1 where it has
+        none; an arrow with two breaks G3 and raises ``AssertionError``."""
+        if self._pred is None:
+            rels, ins = self.rels, self.ins
+            pred = [-1] * len(self.ends)
+            for a, (s, _t) in enumerate(self.ends):
+                for b in ins[s]:
+                    if (a, b) not in rels:
+                        if pred[a] >= 0:
+                            raise AssertionError("arrow %d has two relation-free predecessors" % a)
+                        pred[a] = b
+            self._pred = pred
+        return self._pred
 
     def __reduce__(self):
         return _Ints, (self.n, self.ends, self.rels)
@@ -102,18 +119,6 @@ class _Ints:
 def _reverse(ends, rels):
     """The ``(ends, rels)`` of the opposite quiver."""
     return [(t, s) for s, t in ends], {(s, f) for f, s in rels}
-
-
-class _Memo:
-    """What a bound quiver computes about itself once it is used: the
-    ``validate`` result per ``require_connected`` flag and the canonical
-    code."""
-
-    __slots__ = ("violations", "code")
-
-    def __init__(self, code=None):
-        self.violations: dict[bool, tuple] = {}
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,6 @@ class BoundQuiver:
     relations: frozenset[tuple[str, str]]
     name: str = field(default="q", compare=False)
     _ints: _Ints | None = field(default=None, init=False, repr=False, compare=False)
-    _memo: _Memo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vpos: dict[str, int] = {}
@@ -162,20 +166,6 @@ class BoundQuiver:
                 )
             rels.append((f, s))
         object.__setattr__(self, "_ints", _Ints(len(vpos), tuple(ends), frozenset(rels)))
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_memo", None)  # an unpickled copy falls back to the class default
-        return state
-
-
-def _memo_of(bq: BoundQuiver) -> _Memo:
-    """The memo of ``bq``, made on first use."""
-    memo = bq._memo
-    if memo is None:
-        memo = _Memo()
-        object.__setattr__(bq, "_memo", memo)
-    return memo
 
 
 def make_bound_quiver(vertices, arrows, relations, name="q") -> BoundQuiver:
@@ -223,7 +213,7 @@ def parse(text: str) -> BoundQuiver:
                 raise QuiverSyntaxError("duplicate 'quiver' line", lineno)
             if len(args) != 1:
                 raise QuiverSyntaxError("'quiver' takes one name", lineno)
-            if not _ID_RE.match(args[0]):
+            if not _ID_RE.fullmatch(args[0]):
                 raise QuiverSyntaxError("invalid name %r" % args[0], lineno)
             name = args[0]
             continue
@@ -232,7 +222,7 @@ def parse(text: str) -> BoundQuiver:
         if kw == "vertex":
             if len(args) != 1:
                 raise QuiverSyntaxError("'vertex' takes one id", lineno)
-            if not _ID_RE.match(args[0]):
+            if not _ID_RE.fullmatch(args[0]):
                 raise QuiverSyntaxError("invalid vertex id %r" % args[0], lineno)
             if args[0] in vset:
                 raise QuiverSyntaxError("duplicate vertex id %r" % args[0], lineno)
@@ -243,7 +233,7 @@ def parse(text: str) -> BoundQuiver:
                 raise QuiverSyntaxError("'arrow' takes id, source, target", lineno)
             a, s, t = args
             for tok in args:
-                if not _ID_RE.match(tok):
+                if not _ID_RE.fullmatch(tok):
                     raise QuiverSyntaxError("invalid identifier %r" % tok, lineno)
             if a in arrows:
                 raise QuiverSyntaxError("duplicate arrow id %r" % a, lineno)
@@ -345,13 +335,13 @@ def validate(bq: BoundQuiver, require_connected: bool = False) -> tuple[Violatio
     that starts from the arrows in id order and takes the continuations of
     each arrow in listed order.
 
-    The result is computed once per quiver object and flag; the witnesses
+    The result is computed once per quiver record and flag; the witnesses
     are searched for only when the integer check ``_valid`` (or
     connectivity) fails.
     """
-    verdicts = _memo_of(bq).violations
+    q = bq._ints
+    verdicts = q.verdicts
     if require_connected not in verdicts:
-        q = bq._ints
         # the connected check reuses a plain verdict already found
         valid = verdicts[False] == () if False in verdicts else _valid(q)
         if valid and (not require_connected or _arcs_connected(q.n, q.ends)):
@@ -578,18 +568,17 @@ def _decode(code: tuple) -> _Ints:
 
 def _canonical_code(bq: BoundQuiver) -> tuple:
     """The canonical code of ``bq``: its names mapped to indices, then
-    ``_code``; computed once per quiver object."""
-    memo = _memo_of(bq)
-    if memo.code is None:
-        q = bq._ints
-        memo.code = _code(q.n, q.ends, q.rels)
-    return memo.code
+    ``_code``; computed once per quiver record."""
+    q = bq._ints
+    if q.code is None:
+        q.code = _code(q.n, q.ends, q.rels)
+    return q.code
 
 
 def _form(code: tuple) -> BoundQuiver:
     """The canonical form a code stands for, on ``v<i>`` / ``a<k>`` names.
 
-    The form is its own canonical labeling, so its memo starts with ``code``.
+    The form is its own canonical labeling, so its record starts with ``code``.
     """
     n, base, rels = code
     m = len(base)
@@ -601,7 +590,7 @@ def _form(code: tuple) -> BoundQuiver:
         frozenset([(an[c // m], an[c % m]) for c in rels]),
         "c",
     )
-    object.__setattr__(form, "_memo", _Memo(code))
+    form._ints.code = code
     return form
 
 

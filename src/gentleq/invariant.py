@@ -256,17 +256,13 @@ def cartan_matrix(bq: BoundQuiver):
     row_of = {v: i for i, v in enumerate(order)}
     row = [row_of[v] for v in bq.vertices]
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    # a valid quiver gives each arrow at most one relation-free successor
-    succ = [-1] * len(ends)
+    # each relation-free path is counted from its last arrow back
+    pred = q.free_pred()
     for a, (_s, t) in enumerate(ends):
-        for b in q.outs[t]:
-            if (b, a) not in q.rels:
-                succ[a] = b
-    for a, (s, _t) in enumerate(ends):
         cur = a
         while cur >= 0:
-            rows[row[s]][row[ends[cur][1]]] += 1
-            cur = succ[cur]
+            rows[row[ends[cur][0]]][row[t]] += 1
+            cur = pred[cur]
     return order, tuple(tuple(r) for r in rows)
 
 

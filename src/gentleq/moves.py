@@ -116,10 +116,8 @@ def _gen_apr_blocker(q: _Ints, x: int) -> int | None:
     ends, into = q.ends, q.ins[x]
     if any(ends[a][1] == x for a in q.outs[x]):
         return None if any(ends[b][0] != x for b in into) else -1
-    for a in q.outs[x]:
-        if all((a, b) in q.rels for b in into):
-            return a
-    return None
+    pred = q.free_pred()
+    return next((a for a in q.outs[x] if pred[a] < 0), None)
 
 
 def _gen_apr(q: _Ints, x: int):
@@ -141,13 +139,10 @@ def _gen_apr(q: _Ints, x: int):
         new_src = dict.fromkeys(outs, ends[others[0]][0])
         new_rels = rels
     else:
-        new_src = {}
+        pred = q.free_pred()
+        new_src = {a: ends[pred[a]][0] for a in outs}
         new_rels = {(f, s) for f, s in rels if x not in ends[f]}
-        for a in outs:
-            frees = [b for b in into if (a, b) not in rels]
-            assert len(frees) == 1, "gentleness forces a unique relation-free continuation"
-            new_src[a] = ends[frees[0]][0]
-            new_rels.add((a, frees[0]))
+        new_rels.update((a, pred[a]) for a in outs)
         for g, s in rels:
             if ends[g][1] == x:
                 new_rels.update((a, s) for a in into if a != g)
@@ -167,15 +162,14 @@ def _hw(q: _Ints, x: int):
     ends, rels, into = q.ends, q.rels, q.ins[x]
     if q.n == 1:
         return ends, rels
+    pred = q.free_pred()
     start = {}
     for a in into:
         cur = a
         for _ in range(len(ends) + 1):
-            frees = [b for b in q.ins[ends[cur][0]] if (cur, b) not in rels]
-            assert len(frees) <= 1
-            if not frees:
+            if pred[cur] < 0:
                 break
-            cur = frees[0]
+            cur = pred[cur]
         else:
             raise AssertionError("maximal path walk did not terminate")
         start[a] = cur

@@ -65,7 +65,6 @@ from .core import (
 )
 from .families import (
     FamilySpec,
-    _failed_inequality,
     _family_ints,
     _phi_closed_form,
     _specs,
@@ -670,6 +669,9 @@ def verify_slides(max_vertices: int, jobs: int = 1) -> Report:
 
 
 def _closed_form_specs(bound: int):
+    """The valid L0, L0p (at r = 0), L1 and L2 specs whose parameters sum to
+    at most ``bound``, sorted and distinct; the loop bounds are the
+    inequalities of ``check_spec``, so no spec is tested here."""
     for pp in range(1, bound + 1):
         for r in range(0, min(pp, bound - pp + 1)):
             yield spec("L0", pp, r)
@@ -677,20 +679,18 @@ def _closed_form_specs(bound: int):
         yield spec("L0p", pp, 0)
     for p1 in range(1, bound + 1):
         for p2 in range(1, bound - p1 + 1):
-            for p3 in range(0, bound - p1 - p2 + 1):
+            for p3 in range(max(0, 2 - p2), bound - p1 - p2 + 1):  # p2 + p3 >= 2
                 for p4 in range(0, bound - p1 - p2 - p3 + 1):
-                    for r1 in range(0, min(p1, bound - p1 - p2 - p3 - p4 + 1)):
-                        params = (p1, p2, p3, p4, r1)
-                        if _failed_inequality("L1", params) is None:
-                            yield FamilySpec("L1", params)
+                    # p4 + r1 >= 1
+                    for r1 in range(0 if p4 else 1, min(p1, bound - p1 - p2 - p3 - p4 + 1)):
+                        yield FamilySpec("L1", (p1, p2, p3, p4, r1))
     for p1 in range(1, bound + 1):
         for p2 in range(1, bound - p1 + 1):
             for p3 in range(0, bound - p1 - p2 + 1):
                 for r1 in range(0, min(p1, bound - p1 - p2 - p3 + 1)):
-                    for r2 in range(0, min(p2, bound - p1 - p2 - p3 - r1 + 1)):
-                        params = (p1, p2, p3, r1, r2)
-                        if _failed_inequality("L2", params) is None:
-                            yield FamilySpec("L2", params)
+                    # p3 + r1 + r2 >= 1
+                    for r2 in range(0 if p3 + r1 else 1, min(p2, bound - p1 - p2 - p3 - r1 + 1)):
+                        yield FamilySpec("L2", (p1, p2, p3, r1, r2))
 
 
 def check_closed_form(sp: FamilySpec) -> str | None:
@@ -717,33 +717,39 @@ def _pmap(fn, items, jobs: int) -> list:
     Share ``k`` is ``items[k::jobs]``.  The parent computes share 0 and a
     forked child each other share, which it sends back through a pipe with
     ``marshal``: ``fn`` may be a closure, and its results must be
-    marshallable.  A child that fails has its share computed again in the
-    parent, so an exception surfaces with its serial type and text, and no
-    child outlives the call.  Runs serially for one job, fewer than 64
-    items, or where ``os.fork`` is missing.  The package starts no threads,
-    so a forked child holds no lock another thread took.
+    marshallable.  A share whose fork fails or whose child fails is computed
+    again in the parent, so an exception surfaces with its serial type and
+    text, and no child outlives the call.  Runs serially for one job or
+    where ``os.fork`` is missing, taking the items one at a time, and for
+    fewer than 64 items.  The package starts no threads, so a forked child
+    holds no lock another thread took.
     """
-    items = list(items)
-    jobs = min(jobs, _usable_cpus())
-    if jobs <= 1 or len(items) < 64 or not hasattr(os, "fork"):
+    jobs = min(jobs, _usable_cpus()) if hasattr(os, "fork") else 1
+    if jobs <= 1:
         return [fn(x) for x in items]
-    children = []  # (pid, pipe) of each child not yet reaped, by share
+    items = list(items)
+    if len(items) < 64:
+        return [fn(x) for x in items]
+    children = []  # (pid, pipe) of each child not yet reaped, or None, by share
     try:
         for k in range(1, jobs):
             children.append(_fork_share(fn, items[k::jobs]))
         shares = [[fn(x) for x in items[::jobs]]]
         for k in range(1, jobs):
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            data = None  # the parent computes the share of a failed fork or child
+            if children[0] is not None:
+                pid, pipe = children[0]
+                with pipe:
+                    data = pipe.read()
+                if os.waitpid(pid, 0)[1]:
+                    data = None
             children.pop(0)
-            shares.append(marshal.loads(data) if status == 0 else [fn(x) for x in items[k::jobs]])
+            shares.append([fn(x) for x in items[k::jobs]] if data is None else marshal.loads(data))
     finally:
-        if children:  # an exception left them running
+        if any(children):  # an exception left them running
             import signal  # only this failure path needs it; importing it costs about 30 KB
 
-            for pid, pipe in children:
+            for pid, pipe in filter(None, children):
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -756,14 +762,15 @@ def _pmap(fn, items, jobs: int) -> list:
 def _fork_share(fn, share: list):
     """Fork a child that writes ``marshal.dumps([fn(x) for x in share])`` to
     a pipe and exits with status 0, or exits with 1 at once if anything
-    fails; returns its pid and the read end of the pipe."""
+    fails; returns its pid and the read end of the pipe, or None when the
+    fork fails (EAGAIN, ENOMEM)."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        raise
+        return None
     if pid == 0:
         status = 1
         try:

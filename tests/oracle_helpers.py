@@ -27,6 +27,7 @@ from gentleq.families import (
     _PARAM_COUNT,
     ConstraintViolation,
     FamilySpec,
+    _failed_inequality,
     _family_ints,
     build_family,
 )
@@ -101,6 +102,13 @@ def oracle_adjacency(bq: BoundQuiver) -> tuple:
     those that enter it, in listed order."""
     return ([[k for k, (_a, s, _t) in enumerate(bq.arrows) if s == v] for v in bq.vertices],
             [[k for k, (_a, _s, t) in enumerate(bq.arrows) if t == v] for v in bq.vertices])
+
+
+def oracle_free_preds(bq: BoundQuiver) -> list[list[int]]:
+    """For each arrow in listed order, the positions of the arrows that
+    compose before it outside the relations."""
+    return [[k for k, (b, _s, t) in enumerate(bq.arrows) if t == s and (a, b) not in bq.relations]
+            for a, s, _t in bq.arrows]
 
 
 class _Index:
@@ -633,6 +641,27 @@ def oracle_specs(tag: str, n: int, nrels: int) -> list[FamilySpec]:
     """``families._specs`` by a filtered parameter box (sizes up to 6)."""
     assert n <= 6
     return _oracle_spec_box(6).get((tag, n, nrels), [])
+
+
+def oracle_closed_form_specs(bound: int) -> list[FamilySpec]:
+    """``orbit._closed_form_specs`` by boxes filtered with the inequalities of
+    ``check_spec``."""
+    out = [FamilySpec("L0", (pp, r)) for pp in range(1, bound + 1)
+           for r in range(0, min(pp, bound - pp + 1))]
+    out += [FamilySpec("L0p", (pp, 0)) for pp in range(1, bound + 1)]
+    for p1 in range(1, bound + 1):
+        for p2 in range(1, bound - p1 + 1):
+            for p3 in range(0, bound - p1 - p2 + 1):
+                for p4 in range(0, bound - p1 - p2 - p3 + 1):
+                    for r1 in range(0, min(p1, bound - p1 - p2 - p3 - p4 + 1)):
+                        out.append(FamilySpec("L1", (p1, p2, p3, p4, r1)))
+    for p1 in range(1, bound + 1):
+        for p2 in range(1, bound - p1 + 1):
+            for p3 in range(0, bound - p1 - p2 + 1):
+                for r1 in range(0, min(p1, bound - p1 - p2 - p3 + 1)):
+                    for r2 in range(0, min(p2, bound - p1 - p2 - p3 - r1 + 1)):
+                        out.append(FamilySpec("L2", (p1, p2, p3, r1, r2)))
+    return [sp for sp in out if _failed_inequality(sp.tag, sp.params) is None]
 
 
 def oracle_recognize(bq: BoundQuiver) -> FamilySpec | None:

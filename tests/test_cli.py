@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib
 import io
@@ -484,6 +485,30 @@ class TestDeterminism:
         assert one == two
         assert one[0] == 0 and one[1].endswith("RESULT: PASS\n")
         assert forks_one == 0 and forks_two > 0
+
+    def test_failed_fork_keeps_output(self, monkeypatch, usable_cpus):
+        # a fork that fails (EAGAIN) leaves its share to the parent
+        orbit = importlib.import_module("gentleq.orbit")
+        args = ["verify", "completeness", "--vertices", "4"]
+        calls = []
+
+        def fork():
+            calls.append(1)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        runs = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            orbit._orbit_partition.cache_clear()
+            orbit._enumerate_cached.cache_clear()
+            if cpus == 2:
+                monkeypatch.setattr(os, "fork", fork)
+            runs.append(run_cli(args))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].endswith("RESULT: PASS\n")
+        assert calls
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_round_trip_bit_exact(self):
         code, out, _ = run_cli(["apply", "--move", "opposite", "-"], stdin=L0_FILE)

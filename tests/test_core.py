@@ -50,6 +50,7 @@ from oracle_helpers import (
     oracle_connected,
     oracle_fin_fails,
     oracle_adjacency,
+    oracle_free_preds,
     oracle_generator_images,
     oracle_index,
     oracle_validate,
@@ -102,6 +103,13 @@ class TestIdentifierCheck:
          "invalid quiver name identifier 'q!'"),
         (lambda: make_bound_quiver([""], [], []),
          "invalid vertex identifier ''"),
+        # a trailing newline would make a text that does not parse back
+        (lambda: make_bound_quiver(["x\n", "y"], [("a", "x\n", "y")], []),
+         "invalid vertex identifier 'x\\n'"),
+        (lambda: make_bound_quiver(["x", "y"], [("a\n", "x", "y")], []),
+         "invalid arrow identifier 'a\\n'"),
+        (lambda: make_bound_quiver(["x"], [], [], name="q\n"),
+         "invalid quiver name identifier 'q\\n'"),
     ])
     def test_bad_ids_raise(self, build, message):
         # twice: a rejected id is never remembered as valid
@@ -616,8 +624,13 @@ class TestKernelAgainstOracle:
 
 
 def fresh(bq):
-    """An equal bound quiver with an empty memo."""
+    """An equal bound quiver whose record has computed nothing yet."""
     return BoundQuiver(bq.vertices, bq.arrows, bq.relations, bq.name)
+
+
+def blank_record(q) -> bool:
+    """Whether the record ``q`` has computed nothing about itself yet."""
+    return q._op is None and q._pred is None and q.code is None and not q.verdicts
 
 
 def small_classes():
@@ -626,9 +639,9 @@ def small_classes():
 
 
 class TestQuiverMemo:
-    """Each bound quiver builds its record ``_ints`` when it is made and
-    computes ``validate`` per flag and its canonical code once; the record and
-    the memo change no result and no identity."""
+    """Each bound quiver builds its record ``_ints`` when it is made, and the
+    record computes ``validate`` per flag and the canonical code once; what
+    the record keeps changes no result and no identity."""
 
     @staticmethod
     def outcome(f, bq):
@@ -666,7 +679,25 @@ class TestQuiverMemo:
             for q in (bq, opposite(bq)):
                 code = _canonical_code(fresh(q))
                 form = _form(code)
-                assert form._memo.code == _code(*oracle_index(form)) == code, serialize(q)
+                assert form._ints.code == _code(*oracle_index(form)) == code, serialize(q)
+
+    def test_free_pred_matches_oracle(self):
+        for bq in small_classes():
+            for q in (bq, opposite(bq)):
+                preds = oracle_free_preds(q)
+                assert all(len(p) <= 1 for p in preds), serialize(q)
+                got = q._ints.free_pred()
+                assert got == [p[0] if p else -1 for p in preds], serialize(q)
+                assert q._ints.free_pred() is got
+
+    def test_free_pred_checks_g3(self):
+        # a leaves x, and b and c enter x outside the relations
+        bq = make_bound_quiver(["x", "y", "z", "w"],
+                               [("a", "x", "w"), ("b", "y", "x"), ("c", "z", "x")], [])
+        assert validate(bq)[0].witness == "arrow a has free predecessors b,c"
+        with pytest.raises(AssertionError):
+            bq._ints.free_pred()
+        assert bq._ints._pred is None
 
     def test_decode_round_trip(self):
         for n in range(1, 6):
@@ -683,23 +714,24 @@ class TestQuiverMemo:
         compact_key(used)
         applicable_moves(used)  # makes the opposite record
         assert used._ints._op is not None and blank._ints._op is None
-        assert used._memo.code is not None and blank._memo is None
+        assert used._ints.code is not None and blank._ints.code is None
+        assert used._ints.verdicts and not blank._ints.verdicts
+        assert used._ints._pred is not None and blank._ints._pred is None
         assert used == blank and hash(used) == hash(blank)
         assert repr(used) == repr(blank)
-        assert "_memo" not in repr(used) and "_ints" not in repr(used)
+        assert "_ints" not in repr(used) and "code" not in repr(used)
         assert serialize(used) == serialize(blank)
         assert pickle.dumps(used) == pickle.dumps(blank)
         back = pickle.loads(pickle.dumps(used))
-        assert back == used and back._memo is None
+        assert back == used and blank_record(back._ints)
         assert record_fields(back._ints) == record_fields(used._ints)
         assert (back._ints.outs, back._ints.ins) == (used._ints.outs, used._ints.ins)
         assert validate(back, True) == () and compact_key(back) == compact_key(used)
         renamed = dataclasses.replace(used, name="z")
-        assert renamed == used and renamed._memo is None
+        assert renamed == used and blank_record(renamed._ints)
         assert record_fields(renamed._ints) == record_fields(used._ints)
-        for private in ("_memo", "_ints"):
-            with pytest.raises(ValueError):
-                dataclasses.replace(used, **{private: None})
+        with pytest.raises(ValueError):
+            dataclasses.replace(used, _ints=None)
 
     def test_query_computes_each_fact_once(self, monkeypatch):
         counts = dict.fromkeys(["_code", "_valid", "_arcs_connected", "_witnesses"], 0)

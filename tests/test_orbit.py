@@ -1,3 +1,4 @@
+import errno
 import importlib
 import os
 import random
@@ -46,6 +47,7 @@ from oracle_helpers import (
     canonical_key,
     naive_enumerate,
     opposite,
+    oracle_closed_form_specs,
     oracle_enumerate,
     oracle_junction_choices,
     oracle_normalize,
@@ -231,6 +233,39 @@ class TestPmap:
         parent = os.getpid()
         assert _pmap(lambda x: (x, os.getpid()), range(100), 2) == \
             [(x, parent) for x in range(100)]
+
+    def test_failed_fork_share_computed_in_parent(self, monkeypatch, usable_cpus):
+        usable_cpus(3)
+        real = os.fork
+        calls = []
+
+        def fork():  # the second fork fails: share 2 stays with the parent
+            calls.append(1)
+            if len(calls) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        parent = os.getpid()
+        got = _pmap(lambda x: (x, os.getpid()), range(100), 3)
+        assert [x for x, _pid in got] == list(range(100))
+        assert len(calls) == 2
+        assert {pid for _x, pid in got[0::3] + got[2::3]} == {parent}
+        assert parent not in {pid for _x, pid in got[1::3]}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_serial_takes_items_one_at_a_time(self, usable_cpus):
+        usable_cpus(2)
+        events = []
+
+        def items():
+            for k in range(100):
+                events.append(("yield", k))
+                yield k
+
+        assert _pmap(lambda x: events.append(("fn", x)) or x, items(), 1) == list(range(100))
+        assert events == [e for k in range(100) for e in (("yield", k), ("fn", k))]
 
     def test_usable_cpus(self, monkeypatch, forks, usable_cpus):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -592,6 +627,20 @@ class TestVerifyLemmas:
         for bound in (1, 2, 5, 10, 16):
             specs = list(_closed_form_specs(bound))
             assert all(a < b for a, b in zip(specs, specs[1:])), bound
+
+    def test_closed_form_specs_match_filtered_boxes(self, monkeypatch):
+        # the loop bounds are the inequalities: the generator tests no spec
+        def no_test(*_args):
+            raise AssertionError("the generator tested a spec")
+
+        want = [oracle_closed_form_specs(bound) for bound in range(19)]
+        monkeypatch.setattr(importlib.import_module("gentleq.families"), "_failed_inequality",
+                            no_test)
+        monkeypatch.setattr(importlib.import_module("gentleq.orbit"), "_failed_inequality",
+                            no_test, raising=False)
+        for bound in range(19):
+            assert list(_closed_form_specs(bound)) == want[bound], bound
+        assert (len(want[10]), len(want[16])) == (1018, 9419)
 
     @pytest.mark.parametrize("tags", [("L2pSix",), ("L0p",), ("L2pFive",), ("G0", "G1", "G2")])
     def test_domains_match_box_oracle(self, tags):
