@@ -32,7 +32,6 @@ from .orbit import (
     SizeClass,
     enumerate_classes,
     normalize,
-    orbit,
     verify_completeness,
     verify_lemma_tables,
     verify_minimality,

@@ -206,7 +206,8 @@ def _cmd_enumerate(args) -> int:
     arrows = args.arrows
     if arrows is None:
         arrows = args.vertices + 1
-    codes = _enumerate_cached(_bounded(SizeClass(args.vertices, arrows)), args.two_cycle, 1)
+    size = _bounded(SizeClass(args.vertices, arrows))
+    codes = () if args.two_cycle and arrows != args.vertices + 1 else _enumerate_cached(size, 1)
     for code in codes:
         print("class %s" % core._compact(code))
     print("count: %d" % len(codes))
@@ -274,6 +275,9 @@ def dispatch(argv=None) -> int:
         return EX_DATAERR
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
+        return EX_DATAERR
+    except UnicodeDecodeError as exc:
+        print("i/o error: input is not UTF-8 text: %s" % exc, file=sys.stderr)
         return EX_DATAERR
     except core.QuiverError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -5,9 +5,13 @@ arrow, and its variant with the double arrow hanging off the cycle), the two
 nondegenerate target shapes (one mixed cycle with two connectors, and two
 oriented cycles joined by a path), two auxiliary shapes used for connector
 surgery (six- and five-parameter variants), and three auxiliary double-arrow
-shapes used in the degenerate reduction.  Builders follow explicit recipes;
-``recognize`` inverts them up to isomorphism by looking the canonical code up
-in a table of every spec of the same size, built once per size.
+shapes used in the degenerate reduction.  Builders follow one recipe per
+shape: L2 is the six-parameter connector shape with an empty second half,
+and the three double-arrow families are one shape whose arrow from vz to vy
+stretches into a chain on the a side (G1) or the b side (G2).  ``recognize``
+inverts the recipes up to isomorphism by looking the canonical code up in a
+table of every spec of the same size, built once per size.  The canonical
+lists are the closed-form specs kept by the classification's tie-breaks.
 """
 
 from __future__ import annotations
@@ -79,25 +83,24 @@ class FamilySpec:
         return "%s(%s)" % (self.tag, ",".join(str(p) for p in self.params))
 
 
-def spec(tag: str, *params: int) -> FamilySpec:
+def _check_arity(tag: str, params: tuple) -> None:
+    """Raise ConstraintViolation unless ``tag`` is a family with that many
+    parameters."""
     if tag not in FAMILY_TAGS:
         raise ConstraintViolation("unknown family tag %r" % tag)
     if len(params) != _PARAM_COUNT[tag]:
         raise ConstraintViolation(
-            "%s takes %d parameters, got %d" % (tag, _PARAM_COUNT[tag], len(params))
-        )
+            "%s takes %d parameters, got %d" % (tag, _PARAM_COUNT[tag], len(params)))
+
+
+def spec(tag: str, *params: int) -> FamilySpec:
+    _check_arity(tag, params)
     return FamilySpec(tag, tuple(int(p) for p in params))
 
 
 def check_spec(sp: FamilySpec) -> None:
     """Raise ConstraintViolation naming the first failed inequality."""
-    if sp.tag not in FAMILY_TAGS:
-        raise ConstraintViolation("unknown family tag %r" % sp.tag)
-    if len(sp.params) != _PARAM_COUNT[sp.tag]:
-        raise ConstraintViolation(
-            "%s takes %d parameters, got %d"
-            % (sp.tag, _PARAM_COUNT[sp.tag], len(sp.params))
-        )
+    _check_arity(sp.tag, sp.params)
     failed = _failed_inequality(sp.tag, sp.params)
     if failed is not None:
         raise ConstraintViolation("%s: needs %s" % (sp, failed))
@@ -267,20 +270,6 @@ def _build_l1(p1, p2, p3, p4, r1):
     return b
 
 
-def _build_l2(p1, p2, p3, r1, r2):
-    b = _Builder()
-    va = b.vertex("va")
-    vb = va if p3 == 0 else b.vertex("vb")
-    a = b.path("a", p1, va, va)
-    beta = b.path("b", p2, vb, vb)
-    b.path("g", p3, vb, va)
-    b.rel(a[-1], a[0])
-    b.chain(a[p1 - r1 - 1:])
-    b.rel(beta[-1], beta[0])
-    b.chain(beta[p2 - r2 - 1:])
-    return b
-
-
 def _build_l2p_six(p1, p2, p3, p4, r1, r2):
     b = _Builder()
     va = b.vertex("va")
@@ -320,31 +309,13 @@ def _build_l2p_five(p1, p2, p3, r1, r2):
     return b
 
 
-def _build_g0(pp, q, r):
+def _build_g(pp, q, r, ra=0, rb=0):
+    """The double-arrow shape: the a-side and b-side arrows from vz to vy are
+    chains of ``ra + 1`` and ``rb + 1`` arrows."""
     b = _Builder()
     vx, vy, vz = b.vertex("vx"), b.vertex("vy"), b.vertex("vz")
-    a = [*b.path("a", pp, vy, vx), b.arrow("a", vz, vy, pp + 1)]
-    beta = [*b.path("b", q, vy, vx), b.arrow("b", vz, vy, q + 1)]
-    b.chain(a[pp - r - 1:])
-    b.chain(beta[q - 1:])
-    return b
-
-
-def _build_g1(pp, q, r, rp):
-    b = _Builder()
-    vx, vy, vz = b.vertex("vx"), b.vertex("vy"), b.vertex("vz")
-    a = [*b.path("a", pp, vy, vx), *b.path("a", rp + 1, vz, vy, base=pp + 1)]
-    beta = [*b.path("b", q, vy, vx), b.arrow("b", vz, vy, q + 1)]
-    b.chain(a[pp - r - 1:])
-    b.chain(beta[q - 1:])
-    return b
-
-
-def _build_g2(pp, q, r, rp):
-    b = _Builder()
-    vx, vy, vz = b.vertex("vx"), b.vertex("vy"), b.vertex("vz")
-    a = [*b.path("a", pp, vy, vx), b.arrow("a", vz, vy, pp + 1)]
-    beta = [*b.path("b", q, vy, vx), *b.path("b", rp + 1, vz, vy, base=q + 1)]
+    a = [*b.path("a", pp, vy, vx), *b.path("a", ra + 1, vz, vy, base=pp + 1)]
+    beta = [*b.path("b", q, vy, vx), *b.path("b", rb + 1, vz, vy, base=q + 1)]
     b.chain(a[pp - r - 1:])
     b.chain(beta[q - 1:])
     return b
@@ -354,12 +325,12 @@ _BUILDERS = {
     "L0": _build_l0,
     "L0p": _build_l0p,
     "L1": _build_l1,
-    "L2": _build_l2,
+    "L2": lambda p1, p2, p3, r1, r2: _build_l2p_six(p1, p2, p3, 0, r1, r2),
     "L2pSix": _build_l2p_six,
     "L2pFive": _build_l2p_five,
-    "G0": _build_g0,
-    "G1": _build_g1,
-    "G2": _build_g2,
+    "G0": _build_g,
+    "G1": lambda pp, q, r, rp: _build_g(pp, q, r, ra=rp),
+    "G2": lambda pp, q, r, rp: _build_g(pp, q, r, rb=rp),
 }
 
 
@@ -376,10 +347,6 @@ def _family(sp: FamilySpec, named: bool):
         raise AssertionError("%s built an invalid quiver: %s"
                              % (sp, validate(b.named(sp.tag), require_connected=True)))
     assert len(q.ends) == q.n + 1, "families are two-cycle"
-    if sp.tag in ("G1", "G2") and sp.params[3] == 0:
-        # the three double-arrow shapes coincide when the extra chain vanishes
-        g0 = _family_ints(spec("G0", *sp.params[:3]))
-        assert _code(q.n, q.ends, q.rels) == _code(g0.n, g0.ends, g0.rels)
     return out
 
 
@@ -495,34 +462,54 @@ def _phi_closed_form(sp: FamilySpec) -> Phi:
     raise OutOfLemmaScope("no closed form for %s" % sp.tag)
 
 
+def _closed_form_specs(bound: int):
+    """The valid L0, L0p (at r = 0), L1 and L2 specs whose parameters sum to
+    at most ``bound``, sorted and distinct: the closed-form sweep and
+    ``theorem_list`` read them.  The loop bounds are the inequalities of
+    ``check_spec``, so no spec is tested here."""
+    for pp in range(1, bound + 1):
+        for r in range(0, min(pp, bound - pp + 1)):
+            yield spec("L0", pp, r)
+    for pp in range(1, bound + 1):
+        yield spec("L0p", pp, 0)
+    for p1 in range(1, bound + 1):
+        for p2 in range(1, bound - p1 + 1):
+            for p3 in range(max(0, 2 - p2), bound - p1 - p2 + 1):  # p2 + p3 >= 2
+                for p4 in range(0, bound - p1 - p2 - p3 + 1):
+                    # p4 + r1 >= 1
+                    for r1 in range(0 if p4 else 1, min(p1, bound - p1 - p2 - p3 - p4 + 1)):
+                        yield FamilySpec("L1", (p1, p2, p3, p4, r1))
+    for p1 in range(1, bound + 1):
+        for p2 in range(1, bound - p1 + 1):
+            for p3 in range(0, bound - p1 - p2 + 1):
+                for r1 in range(0, min(p1, bound - p1 - p2 - p3 + 1)):
+                    # p3 + r1 + r2 >= 1
+                    for r2 in range(0 if p3 + r1 else 1, min(p2, bound - p1 - p2 - p3 - r1 + 1)):
+                        yield FamilySpec("L2", (p1, p2, p3, r1, r2))
+
+
+def _tie_break(sp: FamilySpec) -> bool:
+    """Whether ``sp`` is the one the classification lists of its pair: an L1
+    spec and its mixed-cycle flip, an L2 spec and its cycle swap."""
+    if sp.tag == "L1":
+        _p1, p2, p3, p4, r1 = sp.params
+        return (p3, p2) > (p4, r1)
+    if sp.tag == "L2":
+        p1, p2, _p3, r1, r2 = sp.params
+        return (p1, r1) >= (p2, r2)
+    return True
+
+
 def theorem_list(max_vertices: int) -> list[FamilySpec]:
     """Every canonical-list spec whose quiver has at most the given size.
 
-    Nondegenerate entries carry the classification's tie-break constraints so
-    that no two listed specs are equivalent; degenerate entries are the
-    double-arrow families (the primed one only at r = 0).
+    These are the closed-form specs that meet the classification's
+    tie-breaks, so that no two listed specs are equivalent; the degenerate
+    entries are the double-arrow families, the primed one at r = 0.  Each
+    r is below the length of the cycle it sits on, so the parameters of a
+    spec with at most ``max_vertices`` vertices sum to at most twice that.
     """
     if max_vertices < 2:
         raise ValueError("max_vertices must be at least 2")
-    out: list[FamilySpec] = []
-    for pp in range(1, max_vertices):
-        for r in range(0, pp):
-            out.append(spec("L0", pp, r))
-    for pp in range(1, max_vertices - 1):
-        out.append(spec("L0p", pp, 0))
-    for n in range(2, max_vertices + 1):
-        for p1, p2, p3, p4 in _compositions(n + 1, (1, 1, 0, 0)):
-            for r1 in range(0, p1):
-                params = (p1, p2, p3, p4, r1)
-                if (_failed_inequality("L1", params) is None
-                        and (p3 > p4 or (p3 == p4 and p2 > r1))):
-                    out.append(FamilySpec("L1", params))
-        for p1, p2, p3 in _compositions(n + 1, (1, 1, 0)):
-            if p1 < p2:
-                continue
-            for r1 in range(0, p1):
-                for r2 in range(0, p2):
-                    params = (p1, p2, p3, r1, r2)
-                    if _failed_inequality("L2", params) is None and (p1 > p2 or r1 >= r2):
-                        out.append(FamilySpec("L2", params))
-    return sorted(set(out))
+    return [sp for sp in _closed_form_specs(2 * max_vertices)
+            if family_size(sp) <= max_vertices and _tie_break(sp)]

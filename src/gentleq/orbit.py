@@ -19,22 +19,21 @@ assuming it.  Enumeration and closure work on the canonical kernel's integer
 codes ``(n, base, rels)``: the moves, the validity check and the class keys
 all run on the code, and a named quiver or text is made only for what is
 printed or handed to a caller (enumerated classes, report anchors).  The
-partition builds an edge table first, each class's validity check and the
-class indices of its generating moves' outputs, on ``jobs`` processes; the
-closures walk that table, so the result does not depend on ``jobs``.  A
-closure on the table cannot leave the class list, so the partition caps no
-orbit; only ``orbit`` and ``normalize``, which close the orbit of one input,
-take ``max_states``.  Both the partition and ``normalize`` use ``_reach``,
-one breadth-first closure over a step function.  The
-verification drivers rest on that partition: completeness (every class
-reaches a canonical family), minimality (no two canonical representatives
-collide), and the table of small equivalence facts used throughout, which
-takes family instances and moves on indices too.  The slide check needs no
-partition: on every connected valid class up to a vertex bound, at every
-arrow count, each relation slide and block slide that matches must replay
-move by move to exactly its one-shot rewrite.  The audit closure ``orbit``
-applies all seven moves to codes as well and records each edge, naming the
-moves and states only for its result.
+partition builds an edge table first, the class indices of each class's
+generating moves' outputs, on ``jobs`` processes; the closures walk that
+table, so the result does not depend on ``jobs``.  A closure on the table
+cannot leave the class list, so the partition caps no orbit; only ``orbit``
+and ``normalize``, which close the orbit of one input, take ``max_states``.
+Both the partition and ``normalize`` use ``_reach``, one breadth-first
+closure over a step function.  The verification drivers rest on that
+partition: completeness (every class reaches a canonical family), minimality
+(no two canonical representatives collide), and the table of small
+equivalence facts used throughout, which takes family instances and moves on
+indices too.  The slide check needs no partition: on every connected valid
+class up to a vertex bound, at every arrow count, each relation slide and
+block slide that matches must replay move by move to exactly its one-shot
+rewrite.  The audit closure ``orbit`` applies all seven moves to codes as
+well and records each edge, naming the moves and states only for its result.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ from .core import (
 )
 from .families import (
     FamilySpec,
+    _closed_form_specs,
     _family_ints,
     _phi_closed_form,
     _specs,
@@ -250,7 +250,10 @@ def enumerate_classes(size: SizeClass, two_cycle: bool = False) -> list[BoundQui
     labeling (sort its vertices).  Each shape then takes every admissible
     relation set.
     """
-    return [_form(c) for c in _enumerate_cached(_bounded(size), two_cycle, 1)]
+    size = _bounded(size)
+    if two_cycle and size.arrows != size.vertices + 1:
+        return []
+    return [_form(c) for c in _enumerate_cached(size, 1)]
 
 
 def _bounded(size: SizeClass) -> SizeClass:
@@ -262,19 +265,17 @@ def _bounded(size: SizeClass) -> SizeClass:
 
 
 @functools.lru_cache(maxsize=64)
-def _enumerate_cached(size: SizeClass, two_cycle: bool, jobs: int) -> tuple:
-    """The code of each class ``enumerate_classes`` lists, in its order; the
-    forms are built only where a caller needs them.
+def _enumerate_cached(size: SizeClass, jobs: int) -> tuple:
+    """The code of each class of ``size``, in the order ``enumerate_classes``
+    lists them; the forms are built only where a caller needs them.
 
     The degree sequences are mapped to their classes on up to ``jobs``
     processes.  No class has two sorted degree sequences, so the shares are
     disjoint and the sorted result does not depend on ``jobs``.  Callers
-    pass all three arguments positionally, so that a size has one cache
-    entry per process count.
+    pass both arguments positionally, so that a size has one cache entry
+    per process count.
     """
     n, a = size.vertices, size.arrows
-    if two_cycle and a != n + 1:
-        return ()
     shares = _pmap(lambda seq: _classes_of_shapes(_shapes(seq)), _degree_sequences(n, a), jobs)
     return tuple(sorted(itertools.chain.from_iterable(shares), key=_serial_key))
 
@@ -498,17 +499,19 @@ def _orbit_partition(n: int, jobs: int = 1):
     first-listed member of each orbit, and that member's code comes first in
     its member tuple.
 
-    The edge table, each class's ``_step`` with its outputs as class
-    indices, is built first on up to ``jobs`` processes; the closures then
-    walk it.  An output that is no enumerated class raises AssertionError,
-    so no closure can exceed the class count, and every closure is complete.
+    The edge table, each class's generating-move outputs as class indices
+    (enumeration checked the classes), is built first on up to ``jobs``
+    processes; the closures then walk it.  An output that is no enumerated
+    class raises AssertionError, so no closure can exceed the class count,
+    and every closure is complete.
     """
-    classes = _enumerate_cached(_bounded(SizeClass(n, n + 1)), True, jobs)
+    classes = _enumerate_cached(_bounded(SizeClass(n, n + 1)), jobs)
     index = {code: i for i, code in enumerate(classes)}
 
     def row(code):
+        reflections, opp = _generator_codes(_decode(code))
         try:
-            return tuple([index[c] for c in _step(code)])
+            return tuple([index[c] for c in reflections + [opp]])
         except KeyError:
             raise AssertionError("orbit escaped the enumerated classes") from None
 
@@ -577,10 +580,6 @@ def verify_completeness(n: int, jobs: int = 1) -> Report:
     return Report(tuple(lines), passed=not failures)
 
 
-def _nondegenerate_specs(max_vertices: int) -> list[FamilySpec]:
-    return [sp for sp in theorem_list(max_vertices) if sp.tag in ("L1", "L2")]
-
-
 def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4, jobs: int = 1) -> Report:
     """Nondegenerate canonical-list entries are pairwise inequivalent; the
     partitions run on up to ``jobs`` processes."""
@@ -588,7 +587,7 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4, jobs: int 
     # partitioning the smaller sizes
     largest = min(max_vertices, orbit_max_vertices)
     _bounded(SizeClass(largest, largest + 1))
-    specs = _nondegenerate_specs(max_vertices)
+    specs = [sp for sp in theorem_list(max_vertices) if sp.tag in ("L1", "L2")]
     lines = ["nondegenerate-specs: %d" % len(specs)]
     phi_failures = []
     by_phi: dict = {}
@@ -653,7 +652,7 @@ def verify_slides(max_vertices: int, jobs: int = 1) -> Report:
     and the checks run on up to ``jobs`` processes."""
     _bounded(SizeClass(max_vertices, 0))  # fail before any work
     codes = [code for n in range(1, max_vertices + 1) for a in range(2 * n + 1)
-             for code in _enumerate_cached(SizeClass(n, a), False, jobs)]
+             for code in _enumerate_cached(SizeClass(n, a), jobs)]
     results = _pmap(_slide_check, codes, jobs)
     failures = [f for _r, _b, fails in results for f in fails]
     lines = ["classes: %d" % len(codes),
@@ -666,31 +665,6 @@ def verify_slides(max_vertices: int, jobs: int = 1) -> Report:
 
 # ---------------------------------------------------------------------------
 # the table of small equivalence facts
-
-
-def _closed_form_specs(bound: int):
-    """The valid L0, L0p (at r = 0), L1 and L2 specs whose parameters sum to
-    at most ``bound``, sorted and distinct; the loop bounds are the
-    inequalities of ``check_spec``, so no spec is tested here."""
-    for pp in range(1, bound + 1):
-        for r in range(0, min(pp, bound - pp + 1)):
-            yield spec("L0", pp, r)
-    for pp in range(1, bound + 1):
-        yield spec("L0p", pp, 0)
-    for p1 in range(1, bound + 1):
-        for p2 in range(1, bound - p1 + 1):
-            for p3 in range(max(0, 2 - p2), bound - p1 - p2 + 1):  # p2 + p3 >= 2
-                for p4 in range(0, bound - p1 - p2 - p3 + 1):
-                    # p4 + r1 >= 1
-                    for r1 in range(0 if p4 else 1, min(p1, bound - p1 - p2 - p3 - p4 + 1)):
-                        yield FamilySpec("L1", (p1, p2, p3, p4, r1))
-    for p1 in range(1, bound + 1):
-        for p2 in range(1, bound - p1 + 1):
-            for p3 in range(0, bound - p1 - p2 + 1):
-                for r1 in range(0, min(p1, bound - p1 - p2 - p3 + 1)):
-                    # p3 + r1 + r2 >= 1
-                    for r2 in range(0 if p3 + r1 else 1, min(p2, bound - p1 - p2 - p3 - r1 + 1)):
-                        yield FamilySpec("L2", (p1, p2, p3, r1, r2))
 
 
 def check_closed_form(sp: FamilySpec) -> str | None:
@@ -825,7 +799,7 @@ def _move_sweep(sweep_vertices: int, jobs: int) -> list[_Check]:
     n_classes = 0
     for n in range(2, sweep_vertices + 1):
         assignment, _members, family = _orbit_partition(n, jobs)
-        for code in _enumerate_cached(SizeClass(n, n + 1), True, jobs):
+        for code in _enumerate_cached(SizeClass(n, n + 1), jobs):
             q = _decode(code)
             n_classes += 1
             base_phi = _phi(q)

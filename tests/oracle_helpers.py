@@ -23,10 +23,12 @@ from gentleq.core import (
     validate,
 )
 from gentleq.families import (
+    _BUILDERS,
     FAMILY_TAGS,
     _PARAM_COUNT,
     ConstraintViolation,
     FamilySpec,
+    _Builder,
     _failed_inequality,
     _family_ints,
     build_family,
@@ -662,6 +664,82 @@ def oracle_closed_form_specs(bound: int) -> list[FamilySpec]:
                     for r2 in range(0, min(p2, bound - p1 - p2 - p3 - r1 + 1)):
                         out.append(FamilySpec("L2", (p1, p2, p3, r1, r2)))
     return [sp for sp in out if _failed_inequality(sp.tag, sp.params) is None]
+
+
+def _oracle_build_l2(p1, p2, p3, r1, r2):
+    b = _Builder()
+    va = b.vertex("va")
+    vb = va if p3 == 0 else b.vertex("vb")
+    a = b.path("a", p1, va, va)
+    beta = b.path("b", p2, vb, vb)
+    b.path("g", p3, vb, va)
+    b.rel(a[-1], a[0])
+    b.chain(a[p1 - r1 - 1:])
+    b.rel(beta[-1], beta[0])
+    b.chain(beta[p2 - r2 - 1:])
+    return b
+
+
+def _oracle_build_g0(pp, q, r):
+    b = _Builder()
+    vx, vy, vz = b.vertex("vx"), b.vertex("vy"), b.vertex("vz")
+    a = [*b.path("a", pp, vy, vx), b.arrow("a", vz, vy, pp + 1)]
+    beta = [*b.path("b", q, vy, vx), b.arrow("b", vz, vy, q + 1)]
+    b.chain(a[pp - r - 1:])
+    b.chain(beta[q - 1:])
+    return b
+
+
+def _oracle_build_g1(pp, q, r, rp):
+    b = _Builder()
+    vx, vy, vz = b.vertex("vx"), b.vertex("vy"), b.vertex("vz")
+    a = [*b.path("a", pp, vy, vx), *b.path("a", rp + 1, vz, vy, base=pp + 1)]
+    beta = [*b.path("b", q, vy, vx), b.arrow("b", vz, vy, q + 1)]
+    b.chain(a[pp - r - 1:])
+    b.chain(beta[q - 1:])
+    return b
+
+
+def _oracle_build_g2(pp, q, r, rp):
+    b = _Builder()
+    vx, vy, vz = b.vertex("vx"), b.vertex("vy"), b.vertex("vz")
+    a = [*b.path("a", pp, vy, vx), b.arrow("a", vz, vy, pp + 1)]
+    beta = [*b.path("b", q, vy, vx), *b.path("b", rp + 1, vz, vy, base=q + 1)]
+    b.chain(a[pp - r - 1:])
+    b.chain(beta[q - 1:])
+    return b
+
+
+# a recipe per family: a separate one for L2 and each double-arrow family,
+# the package's own for the other five
+ORACLE_RECIPES = {**_BUILDERS, "L2": _oracle_build_l2, "G0": _oracle_build_g0,
+                  "G1": _oracle_build_g1, "G2": _oracle_build_g2}
+
+
+def oracle_theorem_list(max_vertices: int) -> list[FamilySpec]:
+    """``families.theorem_list`` by the classification's loops: every size,
+    every split of it into cycle and connector lengths, kept by the
+    inequalities of ``check_spec`` and the tie-breaks."""
+    out = [FamilySpec("L0", (pp, r)) for pp in range(1, max_vertices) for r in range(pp)]
+    out += [FamilySpec("L0p", (pp, 0)) for pp in range(1, max_vertices - 1)]
+    for n in range(2, max_vertices + 1):
+        for p1, p2, p3, p4 in itertools.product(range(n + 2), repeat=4):
+            if p1 + p2 + p3 + p4 != n + 1:
+                continue
+            for r1 in range(p1):
+                params = (p1, p2, p3, p4, r1)
+                if (_failed_inequality("L1", params) is None
+                        and (p3 > p4 or (p3 == p4 and p2 > r1))):
+                    out.append(FamilySpec("L1", params))
+        for p1, p2, p3 in itertools.product(range(n + 2), repeat=3):
+            if p1 + p2 + p3 != n + 1 or p1 < p2:
+                continue
+            for r1 in range(p1):
+                for r2 in range(p2):
+                    params = (p1, p2, p3, r1, r2)
+                    if _failed_inequality("L2", params) is None and (p1 > p2 or r1 >= r2):
+                        out.append(FamilySpec("L2", params))
+    return sorted(set(out))
 
 
 def oracle_recognize(bq: BoundQuiver) -> FamilySpec | None:

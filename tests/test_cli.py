@@ -21,6 +21,8 @@ INVALID_FILE = ("quiver q\nvertex x\nvertex y\nvertex z\n"
                 "arrow a y x\narrow b z x\narrow c x z\nend\n")
 INVALID_ERROR = ("error: not a valid bound quiver: G3 arrow c has free predecessors "
                  "a,b; FIN relation-avoiding cycle c,b\n")
+# the start of an executable: not UTF-8 text
+UNDECODABLE = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0xc0, 0x100))
 
 
 def child_env(hash_seed: str) -> dict:
@@ -33,8 +35,13 @@ def child_env(hash_seed: str) -> dict:
 
 
 def run_cli(argv, stdin=""):
+    """``dispatch(argv)`` with ``stdin`` as standard input: text, or bytes
+    decoded as strict UTF-8."""
     old = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    if isinstance(stdin, bytes):
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="strict")
+    else:
+        sys.stdin = io.StringIO(stdin)
     try:
         import contextlib
         out = io.StringIO()
@@ -93,6 +100,17 @@ class TestBasicCommands:
     def test_missing_file(self):
         code, _, err = run_cli(["phi", "/nonexistent/path.quiver"])
         assert code == 65
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_input(self, tmp_path, source):
+        path = tmp_path / "binary"
+        path.write_bytes(UNDECODABLE)
+        if source == "file":
+            code, out, err = run_cli(["validate", str(path)])
+        else:
+            code, out, err = run_cli(["validate", "-"], stdin=UNDECODABLE)
+        assert (code, out) == (65, "")
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
 
     def test_apply_pipeline(self):
         text = ("quiver t\nvertex x\nvertex y\nvertex z\n"

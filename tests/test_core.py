@@ -702,7 +702,7 @@ class TestQuiverMemo:
     def test_decode_round_trip(self):
         for n in range(1, 6):
             for a in range(2 * n + 1) if n < 5 else (n, n + 1):
-                for code in _enumerate_cached(SizeClass(n, a), False, 1):
+                for code in _enumerate_cached(SizeClass(n, a), 1):
                     q = _decode(code)
                     assert _code(q.n, q.ends, q.rels) == code
 

@@ -23,14 +23,18 @@ from gentleq.invariant import Phi, phi
 from gentleq.orbit import _closed_form_specs
 
 from oracle_helpers import (
+    ORACLE_RECIPES,
     canonical_key,
     cycle_rank,
     oracle_recognize,
     oracle_specs,
+    oracle_theorem_list,
     random_relabel,
     record_fields,
 )
 import random
+
+import gentleq.families as families
 
 
 def types(*pairs):
@@ -153,6 +157,24 @@ class TestSpecs:
         with pytest.raises(ConstraintViolation) as info:
             check_spec(FamilySpec(tag, params))
         assert str(info.value) == text
+
+
+class TestOneRecipePerShape:
+    def test_recipes_match_the_separate_ones(self):
+        # L2 is the connector shape with an empty second half, and G0, G1 and
+        # G2 are one double-arrow shape: same vertices, arrows, relations and
+        # order as a recipe of their own
+        specs = [sp for tag in FAMILY_TAGS for n in range(1, 9) for r in range(n + 2)
+                 for sp in _specs(tag, n, r)]
+        assert {sp.tag for sp in specs} == set(FAMILY_TAGS)
+        for sp in specs:
+            b = ORACLE_RECIPES[sp.tag](*sp.params)
+            want, got = b.named(sp.tag), build_family(sp)
+            assert (got.vertices, got.arrows, got.relations, got.name) == \
+                (want.vertices, want.arrows, want.relations, want.name), sp
+            q = _family_ints(sp)
+            assert (q.n, q.ends, q.rels, q.outs, q.ins) == \
+                (len(b.outs), b.ends, b.rels, b.outs, b.ins), sp
 
 
 class TestFamilyInts:
@@ -286,3 +308,13 @@ class TestTheoremList:
     def test_min_bound(self):
         with pytest.raises(ValueError):
             theorem_list(1)
+
+    def test_matches_the_classification_loops(self, monkeypatch):
+        # a filter of the closed-form specs: no inequality is tested again
+        want = {n: oracle_theorem_list(n) for n in range(2, 13)}
+        real, calls = families._failed_inequality, []
+        monkeypatch.setattr(families, "_failed_inequality",
+                            lambda *args: calls.append(1) or real(*args))
+        for n in range(2, 13):
+            assert theorem_list(n) == want[n], n
+        assert calls == []

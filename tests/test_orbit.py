@@ -98,12 +98,20 @@ class TestEnumerate:
             _orbit_partition.__wrapped__(9)
 
     def test_one_cache_entry_per_size(self):
-        # enumerate_classes and the orbit partition share the class cache
+        # enumerate_classes and the orbit partition share the class cache,
+        # with or without the two-cycle filter
         _enumerate_cached.cache_clear()
         enumerate_classes(SizeClass(3, 4), two_cycle=True)
         _orbit_partition.__wrapped__(3)
+        enumerate_classes(SizeClass(3, 4), two_cycle=False)
         info = _enumerate_cached.cache_info()
-        assert (info.currsize, info.hits) == (1, 1)
+        assert (info.currsize, info.hits) == (1, 2)
+
+    def test_orbit_names_the_submodule(self):
+        import gentleq.orbit as module
+
+        assert module is importlib.import_module("gentleq.orbit")
+        assert callable(module.orbit)
 
     def test_one_serial_key_per_class(self, monkeypatch):
         # the degree-sequence shares come back unsorted; the merged codes
@@ -113,7 +121,7 @@ class TestEnumerate:
         calls = []
         monkeypatch.setattr(orbit_module, "_serial_key",
                             lambda code: calls.append(1) or real(code))
-        codes = _enumerate_cached.__wrapped__(SizeClass(5, 6), True, 1)
+        codes = _enumerate_cached.__wrapped__(SizeClass(5, 6), 1)
         assert len(codes) == len(calls) == 2600
         assert list(codes) == sorted(codes, key=real)
 
@@ -458,10 +466,24 @@ class TestIntegerStates:
         monkeypatch.setattr(core.BoundQuiver, "__post_init__", lambda self: built.append(1))
         for module in (core, importlib.import_module("gentleq.orbit")):
             monkeypatch.setattr(module, "validate", lambda *args: checked.append(1))
-        codes = _enumerate_cached.__wrapped__(SizeClass(4, 5), True, 1)
+        codes = _enumerate_cached.__wrapped__(SizeClass(4, 5), 1)
         assignment, members, _family = _orbit_partition.__wrapped__(4)
         assert (len(codes), len(assignment), len(members)) == (312, 312, 30)
         assert (built, checked) == ([], [])
+
+    def test_partition_rows_check_no_validity(self, monkeypatch):
+        # enumeration checked each class; the rows only map move outputs
+        import gentleq.core as core
+        import gentleq.families as families
+        import gentleq.moves as moves
+
+        _enumerate_cached(SizeClass(4, 5), 1)
+        theorem_key_table(4)
+        real, calls = core._valid, []
+        for module in (core, families, moves, importlib.import_module("gentleq.orbit")):
+            monkeypatch.setattr(module, "_valid", lambda q: calls.append(1) or real(q))
+        _assignment, members, _family = _orbit_partition.__wrapped__(4)
+        assert (len(members), calls) == (30, [])
 
     def test_no_named_quiver_on_the_lemma_sweeps(self, monkeypatch):
         # the closed-form and move sweeps run on indices: no BoundQuiver, no
