@@ -4,26 +4,23 @@ For a valid bound quiver the arrows fall apart into maximal relation-avoiding
 chains (permitted threads) and maximal relation chains (forbidden threads or
 relation cycles); vertices with at most one arrow in and one arrow out
 contribute trivial threads of either kind depending on whether every
-composition through them is a relation.
+composition through them is a relation.  Avella-Alaminos and Geiss
+("Combinatorial derived invariants for gentle algebras", JPAA 2008) pair
+these threads into cyclic characteristic sequences; the multiset of their
+types ``(n, m)`` is invariant under derived equivalence and is the workhorse
+used to separate equivalence classes.
 
-Characteristic sequences are found by the forced walk of Avella-Alaminos and
-Geiss ("Combinatorial derived invariants for gentle algebras", JPAA 2008).
-Sign functions give every arrow an epsilon at its target, opposite for the
-two arrows entering a vertex, and a sigma at its source, opposite for the two
-arrows leaving a vertex and opposite to the epsilon of the arrow it composes
-with outside the relations.  From a permitted thread the walk steps to the
-forbidden thread ending at the same vertex with the opposite epsilon, and
-from there to the permitted thread starting at that one's start with the
-opposite sigma.  Each step is one lookup, so the walk is a permutation on the
-threads, and its cycles plus the pure relation cycles are the characteristic
-sequences.  The multiset of their types ``(n, m)`` is invariant under derived
-equivalence and is the workhorse used to separate equivalence classes.
-
-The walk runs on integers only.  A thread is stored as its start key, its end
-key and, if forbidden, its length, where the key of an end at vertex ``v``
-with sign ``s`` is ``2*v + (s > 0)``; the opposite sign flips the low bit, so
-each step is one list lookup, and the walk counts pairs and lengths without
-naming a thread.
+``phi`` reads the sequences off the blossoming quiver (Palu-Pilaud-Plamondon,
+"Non-kissing complex and tau-tilting for gentle algebras",
+arXiv:1707.07574): fresh blossom arrows complete every vertex to two arrows
+in and two out, so each arrow into a vertex composes in a relation with one
+arrow out of it and freely with the other.  Every thread then runs from a
+blossom into a vertex to a blossom out of one, the trivial threads included.
+A characteristic sequence is a cycle of one permutation of the blossoms into
+a vertex: along a permitted thread to a blossom, then back along the
+forbidden thread that reaches the same blossom.  These cycles are the
+boundary components of the marked surface of the algebra
+(Opper-Plamondon-Schroll, arXiv:1801.09659).
 """
 
 from __future__ import annotations
@@ -100,125 +97,71 @@ def phi(bq: BoundQuiver) -> Phi:
 
 def _phi(q: _Ints) -> Phi:
     """``phi`` of a bound quiver on indices that its maker has already
-    validated, by the walk on integer thread keys.
+    validated, by the walk on its blossoming quiver.
 
-    Arrow signs: the in-arrows of a vertex get epsilon +1 and -1; an
-    out-arrow gets sigma = -epsilon of the in-arrow it composes with outside
-    the relations, else the opposite of its sibling's sigma, else +1.  A
-    thread carries sigma of its first and epsilon of its last arrow.  A
-    trivial thread at ``v`` takes its signs from the arrow ``g`` leaving and
-    the arrow ``b`` entering ``v``: permitted ``(-sigma(g) or epsilon(b),
-    -epsilon(b) or sigma(g))``, forbidden ``(-sigma(g) or -epsilon(b),
-    -epsilon(b) or -sigma(g))``, where ``or`` falls back when the arrow is
-    missing; at an isolated vertex ``(1, -1)`` and ``(-1, 1)``.
+    Arrows keep their positions and blossoms take fresh ids from ``m`` on, so
+    an id below ``m`` is a real arrow.  In-arrow ``k`` of a vertex, blossoms
+    last, composes in a relation with out-arrow ``k ^ cross`` and freely with
+    the other, where ``cross`` says that the first arrows in and out compose
+    freely.  A quiver with no arrows has one sequence ``(1, 0)`` per vertex;
+    next to arrows, a vertex with none leaves the pairing incomplete.
     """
-    ends, rels, outs, ins = q.ends, q.rels, q.outs, q.ins
+    ends, rels = q.ends, q.rels
     m = len(ends)
-    free_succ, rel_succ = [-1] * m, [-1] * m
-    free_pred, rel_pred = [False] * m, [False] * m
-    eps, sig = [-1] * m, [0] * m  # sigma 0 until it is set
-    for into in ins:
-        if into:
-            eps[into[0]] = 1
-    for b, a in rels:
-        rel_succ[a] = b
-        rel_pred[b] = True
-    for a, (_s, t) in enumerate(ends):
-        for b in outs[t]:
-            if rel_succ[a] != b:
-                free_succ[a] = b
-                free_pred[b] = True
-                sig[b] = -eps[a]
-    for b, (s, _t) in enumerate(ends):
-        if not sig[b]:  # no free predecessor: the opposite of its sibling's
-            out = outs[s]
-            sig[b] = -sig[out[0] if out[-1] == b else out[-1]] or 1
-    # a thread from v with sign s starts at key 2*v + (s > 0), and one into
-    # v with sign e ends at key 2*v + (e > 0); flipping a sign flips bit 0
-    permitted = []  # (start key, end key) of each permitted thread
-    start_end = [-1] * (2 * q.n)  # start key -> end key of a permitted thread
-    stop_start = [-1] * (2 * q.n)  # end key -> start key of a forbidden thread
-    stop_len = [0] * (2 * q.n)  # end key -> length of that forbidden thread
-    n_forbidden = stops = 0  # stops: forbidden end keys not yet walked
-    for a in range(m):
-        if not free_pred[a]:
-            last = a
-            while free_succ[last] >= 0:
-                last = free_succ[last]
-            permitted.append((2 * ends[a][0] + (sig[a] > 0), 2 * ends[last][1] + (eps[last] > 0)))
-    on_thread = [False] * m
-    for a in range(m):
-        if not rel_pred[a]:
-            last, length = a, 1
-            on_thread[a] = True
-            while rel_succ[last] >= 0:
-                last = rel_succ[last]
-                on_thread[last] = True
-                length += 1
-            key = 2 * ends[last][1] + (eps[last] > 0)
-            stops += stop_start[key] < 0
-            stop_start[key], stop_len[key] = 2 * ends[a][0] + (sig[a] > 0), length
-            n_forbidden += 1
+    if not m:
+        return Phi.from_types([(1, 0)] * q.n)
+    size = 4 * q.n  # at least m arrows and 2 * (2n - m) blossoms
+    free, rel = [0] * size, [0] * size
+    starts = []  # the blossoms into a vertex
+    bare = 0  # vertices with no arrows
+    fresh = m
+    for into, out in zip(q.ins, q.outs):
+        bare += not (into or out)
+        cross = bool(into and out) and (out[0], into[0]) not in rels
+        into, out = list(into), list(out)
+        while len(into) < 2:
+            starts.append(fresh)
+            into.append(fresh)
+            fresh += 1
+        while len(out) < 2:
+            out.append(fresh)
+            fresh += 1
+        for k, a in enumerate(into):
+            rel[a], free[a] = out[k ^ cross], out[k ^ cross ^ 1]
+    if bare:  # an isolated vertex would pair only with itself
+        raise PairingIncomplete("no complete pairing of %d permitted and %d forbidden threads"
+                                % ((len(starts) - bare,) * 2))
+    # the relation path from each start ends at a blossom out of a vertex
+    reached = [0] * size  # that blossom -> the start
+    length = [-1] * size  # start -> arrows on its relation path, -1 once walked
+    on_path = [False] * m
+    for s in starts:
+        a, count = rel[s], 0
+        while a < m:
+            on_path[a] = True
+            a, count = rel[a], count + 1
+        reached[a], length[s] = s, count
     types = []
     for a in range(m):
-        if not on_thread[a]:  # the arrows on no forbidden thread form relation cycles
-            length = 0
-            while not on_thread[a]:
-                on_thread[a] = True
-                a = rel_succ[a]
-                length += 1
-            types.append((0, length))
-    isolated = False
-    for v, (into, out) in enumerate(zip(ins, outs)):
-        if len(into) > 1 or len(out) > 1:
-            continue
-        g = sig[out[0]] if out else 0
-        b = eps[into[0]] if into else 0
-        if g and b:  # one arrow in, one out: a trivial thread of one kind
-            if rel_succ[into[0]] != out[0]:
-                permitted.append((2 * v + (g < 0), 2 * v + (b < 0)))
-                continue
-        else:
-            isolated = isolated or not (g or b)
-            permitted.append((2 * v + ((-g or b or 1) > 0), 2 * v + ((-b or g or -1) > 0)))
-        key = 2 * v + ((-b or -g or 1) > 0)
-        stops += stop_start[key] < 0
-        stop_start[key], stop_len[key] = 2 * v + ((-g or -b or -1) > 0), 0
-        n_forbidden += 1
-
-    def incomplete():
-        return PairingIncomplete("no complete pairing of %d permitted and %d forbidden threads"
-                                 % (len(permitted), n_forbidden))
-
-    if ends and isolated:
-        raise incomplete()  # an isolated vertex would pair only with itself
-    for first, end in permitted:
-        start_end[first] = end
-    # from a permitted thread to the forbidden thread ending where it ends
-    # with the opposite epsilon, then to the permitted thread starting where
-    # that one starts with the opposite sigma, until the walk closes
-    for first, end in permitted:
-        if start_end[first] < 0:
-            continue  # already on an earlier cycle
-        start_end[first] = -1
-        pairs = length = 0
-        while True:
-            start = stop_start[end ^ 1]
-            if start < 0:
-                raise incomplete()
-            stop_start[end ^ 1] = -1
-            stops -= 1
-            pairs += 1
-            length += stop_len[end ^ 1]
-            if start ^ 1 == first:
-                break
-            end = start_end[start ^ 1]
-            if end < 0:
-                raise incomplete()
-            start_end[start ^ 1] = -1
-        types.append((pairs, length))
-    if stops:
-        raise incomplete()
+        if not on_path[a]:  # the arrows on no relation path form relation cycles
+            count = 0
+            while not on_path[a]:
+                on_path[a] = True
+                a, count = rel[a], count + 1
+            types.append((0, count))
+    # from a start along free arrows to a blossom, then on from the start
+    # whose relation path reaches that blossom, until the walk closes
+    for s in starts:
+        pairs = count = 0
+        while length[s] >= 0:
+            pairs, count = pairs + 1, count + length[s]
+            length[s] = -1
+            a = free[s]
+            while a < m:
+                a = free[a]
+            s = reached[a]
+        if pairs:
+            types.append((pairs, count))
     return Phi.from_types(types)
 
 

@@ -52,6 +52,7 @@ from .core import (
     _canonical_code,
     _code,
     _compact,
+    _decimal_order,
     _decode,
     _form,
     _Ints,
@@ -297,8 +298,7 @@ def _moves(q: _Ints):
     """Each move that applies to the canonical form of ``q``, in the order
     ``applicable_moves`` lists them there, with the record of its output; an
     invalid output raises AssertionError."""
-    order = sorted(range(q.n), key=lambda x: _name("v", x))
-    for kind, x in _applicable_pairs(q, order) + [(MoveKind.OPPOSITE, None)]:
+    for kind, x in _applicable_pairs(q, _decimal_order(q.n)[0]) + [(MoveKind.OPPOSITE, None)]:
         out = _Ints(q.n, *_image(q, kind, x))
         mv = Move(kind, None if x is None else _name("v", x))
         if not _valid(out):

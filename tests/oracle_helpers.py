@@ -772,8 +772,9 @@ def random_relabel(bq: BoundQuiver, rng: random.Random) -> BoundQuiver:
 
 
 # ---------------------------------------------------------------------------
-# named threads: the integer threads and walk of ``gentleq.invariant`` with
-# the vertex and arrow names attached, for the oracles on names
+# named threads: the integer sign walk of Avella-Alaminos and Geiss, the
+# reference for the blossom walk of ``gentleq.invariant._phi``, and the same
+# threads with the vertex and arrow names attached, for the oracles on names
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,11 @@ class TestBasicCommands:
         code, out, err = run_cli(["phi", "-"], stdin=text)
         assert (code, out) == (2, "")
         assert err == "error: no complete pairing of 4 permitted and 4 forbidden threads\n"
+        # two isolated vertices: 2n - m less the vertices with no arrows
+        text = "quiver q\nvertex x\nvertex y\nvertex z\nvertex w\narrow a y z\nend\n"
+        code, out, err = run_cli(["phi", "-"], stdin=text)
+        assert (code, out) == (2, "")
+        assert err == "error: no complete pairing of 5 permitted and 5 forbidden threads\n"
 
     def test_validate_ok(self):
         code, out, _ = run_cli(["validate", "-"], stdin=L0_FILE)

@@ -21,6 +21,7 @@ from gentleq.orbit import SizeClass, _closed_form_specs, enumerate_classes
 from oracle_helpers import (
     ArrowCycle,
     _threads,
+    _walk,
     euler_data,
     named_cycles,
     named_sequences,
@@ -294,6 +295,26 @@ class TestPhi:
         bound = make_bound_quiver(
             ["x", "y", "z"], [("a", "y", "x"), ("b", "z", "y")], [("a", "b")])
         assert phi(line) == phi(alt) == phi(bound) == Phi.from_types([(4, 2)])
+
+    def test_five_vertices_every_arrow_count(self):
+        # the blossom walk against the sign walk of the oracle on the classes
+        # that no other phi check reaches: five vertices outside the
+        # two-cycle size
+        def walk_phi(q):
+            alternations, cycles = _walk(q)
+            return Phi.from_types(
+                [(len(pairs), sum(len(f[0]) for _t, f in pairs)) for pairs in alternations]
+                + [(0, len(c)) for c in cycles])
+
+        count = 0
+        for a in range(0, 11):
+            if a != 6:
+                for bq in enumerate_classes(SizeClass(5, a)):
+                    q = bq._ints
+                    assert _phi(q) == walk_phi(q)
+                    assert _phi(q.opposite()) == walk_phi(q.opposite())
+                    count += 1
+        assert count == 10798
 
 
 class TestValidateOnce:
