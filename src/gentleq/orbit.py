@@ -24,16 +24,19 @@ generating moves' outputs, on ``jobs`` processes; the closures walk that
 table, so the result does not depend on ``jobs``.  A closure on the table
 cannot leave the class list, so the partition caps no orbit; only ``orbit``
 and ``normalize``, which close the orbit of one input, take ``max_states``.
-Both the partition and ``normalize`` use ``_reach``, one breadth-first
-closure over a step function.  The verification drivers rest on that
-partition: completeness (every class reaches a canonical family), minimality
+The partition, ``normalize`` and the audit closure ``orbit`` all close
+through ``_reach``, one breadth-first closure over a step function; ``orbit``
+applies all seven moves to codes, walks each level in key order, records
+each edge and names the moves and states only for its result.  ``_entries``
+alone matches a closure's states against the canonical list.  The
+verification drivers rest on the partition: completeness (every orbit holds
+exactly one list entry, and every list entry lies in an orbit), minimality
 (no two canonical representatives collide), and the table of small
 equivalence facts used throughout, which takes family instances and moves on
 indices too.  The slide check needs no partition: on every connected valid
 class up to a vertex bound, at every arrow count, each relation slide and
 block slide that matches must replay move by move to exactly its one-shot
-rewrite.  The audit closure ``orbit`` applies all seven moves to codes as
-well and records each edge, naming the moves and states only for its result.
+rewrite.
 """
 
 from __future__ import annotations
@@ -310,48 +313,28 @@ def _moves(q: _Ints):
 def orbit(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> OrbitResult:
     """Breadth-first closure of the class of ``bq`` under all moves.
 
-    The states are canonical codes, each level walked in the order
-    ``serialize`` sorts their forms.  Every applicable move is an edge
-    ``(key, move, key)``, with the move named on the canonical form, also
-    when its output is a new state beyond ``max_states``.  The canonical hits
-    are the states that ``theorem_key_table`` lists, with their specs.  Keys
-    and forms are made only for the result.
+    The states are canonical codes, closed by ``_reach`` with each level
+    walked in the order ``serialize`` sorts their forms.  Every applicable
+    move is an edge ``(key, move, key)``, with the move named on the
+    canonical form, also when its output is a new state beyond
+    ``max_states``.  The canonical hits are the list entries among the
+    states.  Keys and forms are made only for the result, after the closure.
     """
     require_valid(bq)
     n = len(bq.vertices)
-    forms: dict[tuple, BoundQuiver] = {}
-    keys: dict[tuple, str] = {}
+    triples = []  # (state, move, output) of every applicable move, in walk order
 
-    def key(code):
-        if code not in keys:
-            forms[code] = _form(code)
-            keys[code] = serialize(forms[code])
-        return keys[code]
+    def step(code):
+        moves = [(mv, _code(n, image.ends, image.rels)) for mv, image in _moves(_decode(code))]
+        triples.extend([(code, mv, out) for mv, out in moves])
+        return [out for _mv, out in moves]
 
-    states = [_canonical_code(bq)]
-    seen = set(states)
-    edges = []
-    frontier = states[:]
-    complete = True
-    while frontier:
-        nxt = []
-        for code in sorted(frontier, key=_serial_key):
-            for mv, image in _moves(_decode(code)):
-                out = _code(n, image.ends, image.rels)
-                edges.append((key(code), mv, key(out)))
-                if out not in seen:
-                    if len(states) >= max_states:
-                        complete = False
-                        continue
-                    seen.add(out)
-                    states.append(out)
-                    nxt.append(out)
-        frontier = nxt
-    table = theorem_key_table(n)
-    hits = sorted([(key(c), table[c]) for c in states if c in table],
-                  key=lambda kv: (kv[1], kv[0]))
-    return OrbitResult(frozenset([key(c) for c in states]), {key(c): forms[c] for c in states},
-                       tuple(edges), tuple(hits), complete)
+    states, complete = _reach(_canonical_code(bq), step, max_states, _serial_key)
+    forms = {c: _form(c) for c in dict.fromkeys(states + [out for _c, _mv, out in triples])}
+    keys = {c: serialize(form) for c, form in forms.items()}
+    return OrbitResult(frozenset([keys[c] for c in states]), {keys[c]: forms[c] for c in states},
+                       tuple([(keys[c], mv, keys[out]) for c, mv, out in triples]),
+                       tuple([(keys[c], sp) for sp, c in _entries(states, n)]), complete)
 
 
 @functools.lru_cache(maxsize=None)
@@ -405,38 +388,52 @@ def _step(code) -> list:
     return reflections + [opp]
 
 
-def _reach(start, step, max_states: int):
+def _reach(start, step, max_states: int, order=None):
     """Breadth-first closure of ``start`` under ``step``, which lists the
-    states the generating moves reach from a state, the opposite last.
+    states the moves reach from a state, the opposite last.
 
-    Returns ``(states, complete)``: the states reached, in breadth-first
-    order from ``start``, and whether the orbit has at most ``max_states``
-    states.  A complete closure checks that its reflection edges come in
-    inverse pairs.  ``normalize`` steps on canonical codes with ``_step``;
-    the partition steps on class indices through its edge table.
+    Returns ``(states, complete)``: the states in the order first reached,
+    and whether the orbit has at most ``max_states`` states.  A complete
+    closure checks that its reflection edges come in inverse pairs.  The
+    partition (class indices through its edge table) and ``normalize``
+    (``_step`` on codes) walk the queue; ``orbit`` (all seven moves on
+    codes) walks each level in the order of ``order(state)``.
     """
     states = [start]  # the breadth-first queue: it grows while it is walked
     index = {start: 0}
     edges = set()
-    op = []
+    op = [None]  # state index -> the state index of its opposite
     complete = True
-    for i, state in enumerate(states):
-        outs = step(state)
-        for pos, out in enumerate(outs):
-            j = index.get(out)
-            if j is None:
-                if len(states) >= max_states:
-                    complete = False
-                    continue
-                j = index[out] = len(states)
-                states.append(out)
-            if pos < len(outs) - 1:
-                edges.add((i, j))
-            else:
-                op.append(j)
+    walked = 0  # the levels before states[walked] are walked
+    while walked < len(states):
+        level, walked = range(walked, len(states)), len(states)
+        if order is not None:
+            level = sorted(level, key=lambda i: order(states[i]))
+        for i in level:
+            outs = step(states[i])
+            for pos, out in enumerate(outs):
+                j = index.get(out)
+                if j is None:
+                    if len(states) >= max_states:
+                        complete = False
+                        continue
+                    j = index[out] = len(states)
+                    states.append(out)
+                    op.append(None)
+                if pos < len(outs) - 1:
+                    edges.add((i, j))
+                else:
+                    op[i] = j
     if complete:
         _check_inverse_edges(edges, op)
     return states, complete
+
+
+def _entries(codes, n: int) -> list:
+    """The ``(spec, code)`` canonical-list entries among ``codes``, canonical
+    codes of size n, sorted by spec: the first is the least."""
+    table = theorem_key_table(n)
+    return sorted([(table[c], c) for c in codes if c in table])
 
 
 # canonical code -> (least canonical hit or None, orbit size), for every state
@@ -474,8 +471,7 @@ def normalize(bq: BoundQuiver, max_states: int = DEFAULT_MAX_STATES) -> FamilySp
         states, complete = _reach(start, _step, max_states)
         if not complete:
             raise StateLimitExceeded("orbit exceeded %d states" % max_states)
-        table = theorem_key_table(len(bq.vertices))
-        answer = (min((table[c] for c in states if c in table), default=None), len(states))
+        answer = (next((sp for sp, _c in _entries(states, len(bq.vertices))), None), len(states))
         _remember(states, answer)
     elif answer[1] > max(max_states, 1):
         # a closure is complete exactly when the orbit has at most this many states
@@ -516,7 +512,6 @@ def _orbit_partition(n: int, jobs: int = 1):
             raise AssertionError("orbit escaped the enumerated classes") from None
 
     table = _pmap(row, classes, jobs)
-    theorem = theorem_key_table(n)
     assignment: dict[tuple, int] = {}
     members: dict[int, tuple] = {}
     family: dict[int, FamilySpec | None] = {}
@@ -526,10 +521,9 @@ def _orbit_partition(n: int, jobs: int = 1):
         states, _complete = _reach(i, table.__getitem__, len(classes))
         oid = len(members)
         codes = tuple([classes[j] for j in states])
-        for c in codes:
-            assignment[c] = oid
+        assignment.update(dict.fromkeys(codes, oid))
         members[oid] = codes
-        family[oid] = min((theorem[c] for c in codes if c in theorem), default=None)
+        family[oid] = next((sp for sp, _c in _entries(codes, n)), None)
     return assignment, members, family
 
 
@@ -539,12 +533,22 @@ def _orbit_partition(n: int, jobs: int = 1):
 
 @dataclass(frozen=True)
 class Report:
-    lines: tuple[str, ...]
-    passed: bool
+    """A verifier's lines, then ``failures: N`` and the failure lines; it
+    passes exactly when it lists no failure."""
+
+    body: tuple[str, ...]
+    failures: tuple[str, ...]
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        return self.body + ("failures: %d" % len(self.failures),) + self.failures
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def render(self) -> str:
-        tail = ["RESULT: %s" % ("PASS" if self.passed else "FAIL")]
-        return "\n".join(list(self.lines) + tail) + "\n"
+        return "\n".join(self.lines + ("RESULT: %s" % ("PASS" if self.passed else "FAIL"),)) + "\n"
 
     @property
     def exit_code(self) -> int:
@@ -552,8 +556,8 @@ class Report:
 
 
 def verify_completeness(n: int, jobs: int = 1) -> Report:
-    """Every enumerated two-cycle class at size n normalizes to the lists;
-    the partition runs on up to ``jobs`` processes."""
+    """Every enumerated two-cycle class at size n normalizes to the lists,
+    one list entry per orbit; the partition runs on up to ``jobs`` processes."""
     assignment, members, family = _orbit_partition(n, jobs)
     lines = []
     failures = []
@@ -561,6 +565,7 @@ def verify_completeness(n: int, jobs: int = 1) -> Report:
     lines.append("classes: %d" % n_classes)
     lines.append("orbits: %d" % len(members))
     tally: Counter = Counter()
+    found = set()  # the list entries in some orbit
     for oid in members:
         fam = family[oid]
         size = len(members[oid])
@@ -570,14 +575,19 @@ def verify_completeness(n: int, jobs: int = 1) -> Report:
             failures.append("orbit %s reaches no canonical family" % anchor)
         else:
             tally[fam] += size
+        entries = [sp for sp, _c in _entries(members[oid], n)]
+        found.update(entries)
+        if len(entries) > 1:
+            failures.append("orbit %s holds list entries %s"
+                            % (anchor, ", ".join(map(str, entries))))
     for fam in sorted(tally):
         lines.append("family %s: classes=%d" % (fam, tally[fam]))
     uncovered = sum(len(members[o]) for o in members if family[o] is None)
     if sum(tally.values()) + uncovered != n_classes:
         failures.append("family tallies do not partition the class count")
-    lines.append("failures: %d" % len(failures))
-    lines.extend("failure: %s" % f for f in failures)
-    return Report(tuple(lines), passed=not failures)
+    for sp in sorted(set(theorem_key_table(n).values()) - found):
+        failures.append("list entry %s matches no enumerated class" % sp)
+    return Report(tuple(lines), tuple("failure: %s" % f for f in failures))
 
 
 def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4, jobs: int = 1) -> Report:
@@ -599,22 +609,18 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4, jobs: int 
                  % ("FAIL" if phi_failures else "PASS", len(specs), max_vertices))
     orbit_specs = [sp for sp in specs if family_size(sp) <= orbit_max_vertices]
     orbit_failures = []
-    seen: dict[tuple[int, int], FamilySpec] = {}
     for sp in orbit_specs:
+        # the spec against the least nondegenerate entry of its orbit
         n = family_size(sp)
-        assignment, _members, _family = _orbit_partition(n, jobs)
-        oid = assignment[_family_code(sp)]
-        if (n, oid) in seen:
-            orbit_failures.append("orbit collision: %s and %s" % (seen[(n, oid)], sp))
-        else:
-            seen[(n, oid)] = sp
+        assignment, members, _family = _orbit_partition(n, jobs)
+        least = next(e for e, _c in _entries(members[assignment[_family_code(sp)]], n)
+                     if e.tag in ("L1", "L2"))
+        if least != sp:
+            orbit_failures.append("orbit collision: %s and %s" % (least, sp))
     lines.append("orbit-distinct: %s (%d specs, <=%d vertices)"
                  % ("FAIL" if orbit_failures else "PASS",
                     len(orbit_specs), orbit_max_vertices))
-    failures = phi_failures + orbit_failures
-    lines.append("failures: %d" % len(failures))
-    lines.extend("failure: %s" % f for f in failures)
-    return Report(tuple(lines), passed=not failures)
+    return Report(tuple(lines), tuple("failure: %s" % f for f in phi_failures + orbit_failures))
 
 
 def _slide_check(code) -> tuple:
@@ -657,10 +663,8 @@ def verify_slides(max_vertices: int, jobs: int = 1) -> Report:
     failures = [f for _r, _b, fails in results for f in fails]
     lines = ["classes: %d" % len(codes),
              "relation-slides: %d" % sum([r for r, _b, _f in results]),
-             "block-slides: %d" % sum([b for _r, b, _f in results]),
-             "failures: %d" % len(failures)]
-    lines.extend("failure: %s" % f for f in failures)
-    return Report(tuple(lines), passed=not failures)
+             "block-slides: %d" % sum([b for _r, b, _f in results])]
+    return Report(tuple(lines), tuple("failure: %s" % f for f in failures))
 
 
 # ---------------------------------------------------------------------------
@@ -921,12 +925,7 @@ def verify_lemma_tables(bound: int = 8, jobs: int = 1, orbit_vertices: int = 5,
     checks.append(_Check("double-arrow-chain", len(chain_pairs),
                          tuple(_phi_pair_failures(chain_pairs))))
 
-    lines = []
-    all_fail: list[str] = []
-    for ch in checks:
-        status = "PASS" if not ch.failures else "FAIL"
-        lines.append("check %s: %s (%d instances)" % (ch.name, status, ch.instances))
-        all_fail.extend("failure[%s]: %s" % (ch.name, f) for f in ch.failures)
-    lines.append("failures: %d" % len(all_fail))
-    lines.extend(all_fail)
-    return Report(tuple(lines), passed=not all_fail)
+    lines = ["check %s: %s (%d instances)"
+             % (ch.name, "FAIL" if ch.failures else "PASS", ch.instances) for ch in checks]
+    return Report(tuple(lines),
+                  tuple(["failure[%s]: %s" % (ch.name, f) for ch in checks for f in ch.failures]))

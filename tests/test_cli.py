@@ -563,6 +563,22 @@ class TestInstalledEntryPoint:
             outs.add(proc.stdout)
         assert len(outs) == 1
 
+    @pytest.mark.parametrize("args, stdin, status", [
+        (["orbit", "--max-states", "4", "-"],
+         serialize(build_family(spec("L2", 2, 1, 1, 0, 0))), 2),
+        (["verify", "completeness", "--vertices", "4"], "", 0),
+    ], ids=["orbit-cap4", "completeness-n4"])
+    def test_cross_process_closures(self, args, stdin, status):
+        # the capped audit closure keeps the states its key-order walk
+        # reaches first; the partition walks a sorted class list
+        outs = set()
+        for seed in ("3", "5"):
+            proc = subprocess.run([sys.executable, "-m", "gentleq.cli"] + args, input=stdin,
+                                  capture_output=True, text=True, env=child_env(seed))
+            assert (proc.returncode, proc.stderr) == (status, "")
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+
     def test_cross_process_enumerate(self):
         args = [sys.executable, "-m", "gentleq.cli", "enumerate",
                 "--vertices", "3", "--two-cycle"]

@@ -8,12 +8,14 @@ import pytest
 from gentleq.core import (
     QuiverError,
     _canonical_code,
+    _code,
+    _compact,
     _decode,
     _form,
     parse,
     serialize,
 )
-from gentleq.families import build_family, family_size, spec, theorem_list
+from gentleq.families import FamilySpec, build_family, family_size, spec, theorem_list
 from gentleq.moves import MoveKind
 from gentleq.orbit import (
     DEFAULT_MAX_STATES,
@@ -563,12 +565,37 @@ class TestGeneratorClosure:
         assert checked == [len(m) for m in members.values()]
 
     def test_every_complete_closure_checked(self, monkeypatch):
+        # the normalize closure and the audit closure each check their
+        # inverse edges; a capped audit closure checks none
         checked = []
         monkeypatch.setattr(importlib.import_module("gentleq.orbit"), "_check_inverse_edges",
                             lambda edges, op: checked.append(len(op)))
         bq = build_family(spec("L0", 3, 0))
         normalize(bq)
-        assert checked == [len(orbit(bq).component)]
+        size = len(orbit(bq).component)
+        assert checked == [size, size]
+        assert not orbit(bq, size - 1).complete
+        assert checked == [size, size]
+
+    def test_audit_closure_missing_inverse_raises(self, monkeypatch):
+        # a move table that loses one reflection edge at one state of a
+        # complete orbit breaks the inverse pairs of the audit closure
+        orbit_module = importlib.import_module("gentleq.orbit")
+        real = orbit_module._moves
+        bq = build_family(spec("L0", 3, 0))
+        start = _canonical_code(bq)
+        first_out = next(_code(o.n, o.ends, o.rels) for _mv, o in real(_decode(start)))
+
+        def moves(q):
+            for mv, out in real(q):
+                if (_code(q.n, q.ends, q.rels) != start or mv.kind == MoveKind.OPPOSITE
+                        or _code(out.n, out.ends, out.rels) != first_out):
+                    yield mv, out
+
+        assert orbit(bq).complete
+        monkeypatch.setattr(orbit_module, "_moves", moves)
+        with pytest.raises(AssertionError, match="has no inverse"):
+            orbit(bq)
 
 
 class TestOrbitAgainstOracle:
@@ -590,9 +617,11 @@ class TestOrbitAgainstOracle:
             self.check(orbit(rep, DEFAULT_MAX_STATES),
                        oracle_orbit_of_key(serialize(rep), DEFAULT_MAX_STATES))
 
-    @pytest.mark.parametrize("max_states", [1, 4])
+    @pytest.mark.parametrize("max_states", [1, 4, 7, 20])
     def test_capped_orbits(self, two_cycle_classes, max_states):
-        for n in (2, 3):
+        # caps 7 and 20 cut a breadth-first level in the middle, where the
+        # key order of the walk decides which states are kept
+        for n in (2, 3, 4):
             for bq in two_cycle_classes(n):
                 self.check(orbit(bq, max_states),
                            oracle_orbit(bq, max_states, theorem_key_table(n)))
@@ -628,6 +657,42 @@ class TestVerifyCompleteness:
                     if l.startswith("family "))
         classes = int(next(l for l in rep.lines if l.startswith("classes:")).split()[1])
         assert tally == classes
+
+
+class TestCompletenessEntries:
+    """Each orbit holds exactly one canonical-list entry, and each entry of
+    size n lies in an orbit; a table that breaks either fails the report."""
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        # a copy of the size-4 table that the partition reads; its cache is
+        # cleared before and after, so no other test sees the edited table
+        table = dict(theorem_key_table(4))
+        monkeypatch.setattr(importlib.import_module("gentleq.orbit"), "theorem_key_table",
+                            lambda n: table)
+        _orbit_partition.cache_clear()
+        yield table
+        _orbit_partition.cache_clear()
+
+    def test_two_entries_in_one_orbit(self, table):
+        _assignment, members, family = _orbit_partition(4)
+        oid, codes = next((oid, m) for oid, m in members.items() if len(m) > 1)
+        # a second member, besides the orbit's own entry
+        table[next(c for c in codes if c not in table)] = FamilySpec("L2", (9, 9, 9, 0, 0))
+        _orbit_partition.cache_clear()
+        rep = verify_completeness(4)
+        assert (rep.passed, rep.exit_code) == (False, 1)
+        assert rep.render().endswith("failures: 1\nfailure: orbit %s holds list entries "
+                                     "%s, L2(9,9,9,0,0)\nRESULT: FAIL\n"
+                                     % (_compact(codes[0]), family[oid]))
+
+    def test_entry_matches_no_class(self, table):
+        table[(4, (), ())] = FamilySpec("L2", (9, 9, 9, 0, 0))
+        rep = verify_completeness(4)
+        assert (rep.passed, rep.exit_code) == (False, 1)
+        assert rep.lines[-2:] == ("failures: 1",
+                                  "failure: list entry L2(9,9,9,0,0) matches no enumerated class")
+        assert rep.render().endswith("RESULT: FAIL\n")
 
 
 class TestVerifyMinimality:
