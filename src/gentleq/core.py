@@ -399,40 +399,43 @@ def _valid(q: _Ints) -> bool:
     ends, rels = q.ends, q.rels
     succ = [-1] * len(ends)  # the relation-free successor of each arrow
     for o, i in zip(q.outs, q.ins):
-        if len(o) > 2 or len(i) > 2:
+        n_out, n_in = len(o), len(i)
+        if n_out > 2 or n_in > 2:
             return False
         # G3 and G4: of two arrows on one side of the vertex, each arrow on
         # the other side is related to exactly one
-        if len(o) == 1:
+        if n_out == 1:
             b = o[0]
             for a in i:
                 if (b, a) not in rels:
                     succ[a] = b
-        elif len(o) == 2:
+        elif n_out == 2:
             b, c = o
             for a in i:
                 related = (b, a) in rels
                 if related == ((c, a) in rels):
                     return False
                 succ[a] = c if related else b
-        if len(i) == 2:
+        if n_in == 2:
             a, c = i
             for b in o:
                 if ((b, a) in rels) == ((b, c) in rels):
                     return False
     # FIN: with one successor per arrow, a relation-avoiding cycle is a walk
-    # along successors that comes back to an arrow of the walk itself
-    state = [0] * len(ends)  # 0 unseen, 1 on the current walk, 2 done
-    for a in range(len(ends)):
-        walk = []
-        while a >= 0 and not state[a]:
-            state[a] = 1
-            walk.append(a)
+    # along successors that comes back to its start.  G3 and G4 give each
+    # arrow at most one predecessor too, so a walk from an arrow no walk has
+    # seen closes on its start or stops at an arrow an earlier walk has seen,
+    # whose walk went on to an end
+    seen = [False] * len(ends)
+    for start in range(len(ends)):
+        if seen[start]:
+            continue
+        a = start
+        while a >= 0 and not seen[a]:
+            seen[a] = True
             a = succ[a]
-        if a >= 0 and state[a] == 1:
+        if a == start:
             return False
-        for b in walk:
-            state[b] = 2
     return True
 
 

@@ -431,57 +431,56 @@ def recognize(bq: BoundQuiver) -> FamilySpec | None:
 def phi_formula(sp: FamilySpec) -> Phi:
     """Closed form of the derived invariant for the four classified families."""
     check_spec(sp)
-    return _phi_closed_form(sp)
+    return Phi.from_types(_closed_types(sp))
 
 
-def _phi_closed_form(sp: FamilySpec) -> Phi:
-    """``phi_formula`` of a spec that has passed ``check_spec``."""
+def _closed_types(sp: FamilySpec) -> list[tuple[int, int]]:
+    """The sorted closed-form types, with repeats, of a spec that has passed
+    ``check_spec``: ``phi_formula`` as the list ``invariant._types`` gives."""
     p = sp.params
     if sp.tag == "L0":
         pp, _r = p
-        return Phi.from_types([(pp, pp + 2)])
+        return [(pp, pp + 2)]
     if sp.tag == "L0p":
         pp, r = p
         if r != 0:
             raise OutOfLemmaScope("closed form covers %s only at r = 0" % sp.tag)
-        return Phi.from_types([(pp + 1, pp + 3)])
+        return [(pp + 1, pp + 3)]
     if sp.tag == "L1":
         p1, p2, p3, p4, r1 = p
-        return Phi.from_types([
-            (p1 - r1 - 1, p1 + p2),
-            (p2 + p3 - 1, p3),
-            (r1 + p4, p4),
-        ])
+        return sorted([(p1 - r1 - 1, p1 + p2), (p2 + p3 - 1, p3), (r1 + p4, p4)])
     if sp.tag == "L2":
         p1, p2, p3, r1, r2 = p
-        return Phi.from_types([
-            (p1 - r1 - 1, p1),
-            (p2 - r2 - 1, p2),
-            (r1 + r2 + p3, p3),
-        ])
+        return sorted([(p1 - r1 - 1, p1), (p2 - r2 - 1, p2), (r1 + r2 + p3, p3)])
     raise OutOfLemmaScope("no closed form for %s" % sp.tag)
 
 
-def _closed_form_specs(bound: int):
+def _closed_form_specs(bound: int, max_vertices: int | None = None):
     """The valid L0, L0p (at r = 0), L1 and L2 specs whose parameters sum to
-    at most ``bound``, sorted and distinct: the closed-form sweep and
-    ``theorem_list`` read them.  The loop bounds are the inequalities of
-    ``check_spec``, so no spec is tested here."""
-    for pp in range(1, bound + 1):
+    at most ``bound``, and whose quivers have at most ``max_vertices``
+    vertices when that is given, sorted and distinct: the closed-form sweep
+    and ``theorem_list`` read them.  The loop bounds are the inequalities of
+    ``check_spec`` and the vertex counts of ``_SHAPE``, so no spec is tested
+    here."""
+    if max_vertices is None:
+        max_vertices = bound + 2  # the size of L0p(bound, 0), the largest spec
+    for pp in range(1, min(bound, max_vertices - 1) + 1):
         for r in range(0, min(pp, bound - pp + 1)):
             yield spec("L0", pp, r)
-    for pp in range(1, bound + 1):
+    for pp in range(1, min(bound, max_vertices - 2) + 1):
         yield spec("L0p", pp, 0)
-    for p1 in range(1, bound + 1):
-        for p2 in range(1, bound - p1 + 1):
-            for p3 in range(max(0, 2 - p2), bound - p1 - p2 + 1):  # p2 + p3 >= 2
-                for p4 in range(0, bound - p1 - p2 - p3 + 1):
+    # L1 and L2 have one vertex fewer than the sum of their size parameters
+    top = min(bound, max_vertices + 1)
+    for p1 in range(1, top + 1):
+        for p2 in range(1, top - p1 + 1):
+            for p3 in range(max(0, 2 - p2), top - p1 - p2 + 1):  # p2 + p3 >= 2
+                for p4 in range(0, top - p1 - p2 - p3 + 1):
                     # p4 + r1 >= 1
                     for r1 in range(0 if p4 else 1, min(p1, bound - p1 - p2 - p3 - p4 + 1)):
                         yield FamilySpec("L1", (p1, p2, p3, p4, r1))
-    for p1 in range(1, bound + 1):
-        for p2 in range(1, bound - p1 + 1):
-            for p3 in range(0, bound - p1 - p2 + 1):
+    for p1 in range(1, top + 1):
+        for p2 in range(1, top - p1 + 1):
+            for p3 in range(0, top - p1 - p2 + 1):
                 for r1 in range(0, min(p1, bound - p1 - p2 - p3 + 1)):
                     # p3 + r1 + r2 >= 1
                     for r2 in range(0 if p3 + r1 else 1, min(p2, bound - p1 - p2 - p3 - r1 + 1)):
@@ -507,9 +506,9 @@ def theorem_list(max_vertices: int) -> list[FamilySpec]:
     tie-breaks, so that no two listed specs are equivalent; the degenerate
     entries are the double-arrow families, the primed one at r = 0.  Each
     r is below the length of the cycle it sits on, so the parameters of a
-    spec with at most ``max_vertices`` vertices sum to at most twice that.
+    spec with at most ``max_vertices`` vertices sum to at most twice that;
+    the generator's loops stop at the vertex bound itself.
     """
     if max_vertices < 2:
         raise ValueError("max_vertices must be at least 2")
-    return [sp for sp in _closed_form_specs(2 * max_vertices)
-            if family_size(sp) <= max_vertices and _tie_break(sp)]
+    return [sp for sp in _closed_form_specs(2 * max_vertices, max_vertices) if _tie_break(sp)]

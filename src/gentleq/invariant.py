@@ -21,6 +21,10 @@ a vertex: along a permitted thread to a blossom, then back along the
 forbidden thread that reaches the same blossom.  These cycles are the
 boundary components of the marked surface of the algebra
 (Opper-Plamondon-Schroll, arXiv:1801.09659).
+
+The walk ``_types`` returns the types as a sorted list with repeats, which
+the lemma sweeps compare directly; a ``Phi`` is made from that list only at
+the API and report boundary: ``phi``, ``phi_formula`` and failure lines.
 """
 
 from __future__ import annotations
@@ -97,7 +101,15 @@ def phi(bq: BoundQuiver) -> Phi:
 
 def _phi(q: _Ints) -> Phi:
     """``phi`` of a bound quiver on indices that its maker has already
-    validated, by the walk on its blossoming quiver.
+    validated: the ``Phi`` of its ``_types``."""
+    return Phi.from_types(_types(q))
+
+
+def _types(q: _Ints) -> list[tuple[int, int]]:
+    """The sorted ``(pairs, length)`` types of the characteristic sequences
+    of a validated bound quiver on indices, with repeats, by the walk on its
+    blossoming quiver.  The lemma sweeps compare these lists, and a ``Phi``
+    is made from them only at the API and report boundary.
 
     Arrows keep their positions and blossoms take fresh ids from ``m`` on, so
     an id below ``m`` is a real arrow.  In-arrow ``k`` of a vertex, blossoms
@@ -109,25 +121,37 @@ def _phi(q: _Ints) -> Phi:
     ends, rels = q.ends, q.rels
     m = len(ends)
     if not m:
-        return Phi.from_types([(1, 0)] * q.n)
+        return [(1, 0)] * q.n
     size = 4 * q.n  # at least m arrows and 2 * (2n - m) blossoms
     free, rel = [0] * size, [0] * size
     starts = []  # the blossoms into a vertex
     bare = 0  # vertices with no arrows
     fresh = m
     for into, out in zip(q.ins, q.outs):
-        bare += not (into or out)
-        cross = bool(into and out) and (out[0], into[0]) not in rels
-        into, out = list(into), list(out)
-        while len(into) < 2:
+        # each side padded to two arrows, in-blossoms first
+        if len(into) == 2:
+            i0, i1 = into
+        elif into:
+            i0, i1 = into[0], fresh
             starts.append(fresh)
-            into.append(fresh)
             fresh += 1
-        while len(out) < 2:
-            out.append(fresh)
+        else:
+            i0, i1 = fresh, fresh + 1
+            starts += (i0, i1)
+            fresh += 2
+            bare += not out
+        if len(out) == 2:
+            o0, o1 = out
+        elif out:
+            o0, o1 = out[0], fresh
             fresh += 1
-        for k, a in enumerate(into):
-            rel[a], free[a] = out[k ^ cross], out[k ^ cross ^ 1]
+        else:
+            o0, o1 = fresh, fresh + 1
+            fresh += 2
+        if into and out and (o0, i0) not in rels:  # cross: they compose freely
+            o0, o1 = o1, o0
+        rel[i0], free[i0] = o0, o1
+        rel[i1], free[i1] = o1, o0
     if bare:  # an isolated vertex would pair only with itself
         raise PairingIncomplete("no complete pairing of %d permitted and %d forbidden threads"
                                 % ((len(starts) - bare,) * 2))
@@ -135,20 +159,23 @@ def _phi(q: _Ints) -> Phi:
     reached = [0] * size  # that blossom -> the start
     length = [-1] * size  # start -> arrows on its relation path, -1 once walked
     on_path = [False] * m
+    walked = 0
     for s in starts:
         a, count = rel[s], 0
         while a < m:
             on_path[a] = True
             a, count = rel[a], count + 1
         reached[a], length[s] = s, count
+        walked += count
     types = []
-    for a in range(m):
-        if not on_path[a]:  # the arrows on no relation path form relation cycles
-            count = 0
-            while not on_path[a]:
-                on_path[a] = True
-                a, count = rel[a], count + 1
-            types.append((0, count))
+    if walked < m:  # the arrows on no relation path form relation cycles
+        for a in range(m):
+            if not on_path[a]:
+                count = 0
+                while not on_path[a]:
+                    on_path[a] = True
+                    a, count = rel[a], count + 1
+                types.append((0, count))
     # from a start along free arrows to a blossom, then on from the start
     # whose relation path reaches that blossom, until the walk closes
     for s in starts:
@@ -162,7 +189,8 @@ def _phi(q: _Ints) -> Phi:
             s = reached[a]
         if pairs:
             types.append((pairs, count))
-    return Phi.from_types(types)
+    types.sort()
+    return types
 
 
 def degeneracy_class(bq: BoundQuiver) -> str:
@@ -171,7 +199,7 @@ def degeneracy_class(bq: BoundQuiver) -> str:
     # connected, so the cycle rank is arrows - vertices + 1
     if len(bq.arrows) - len(bq.vertices) + 1 != 2:
         raise QuiverError("degeneracy split applies to two-cycle quivers only")
-    total = _phi(bq._ints).total
+    total = len(_types(bq._ints))
     if total == 3:
         return NONDEGENERATE
     if total == 1:

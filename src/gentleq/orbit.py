@@ -69,15 +69,15 @@ from .core import (
 from .families import (
     FamilySpec,
     _closed_form_specs,
+    _closed_types,
     _family_ints,
-    _phi_closed_form,
     _specs,
     family_size,
     phi_formula,
     spec,
     theorem_list,
 )
-from .invariant import _phi
+from .invariant import Phi, _types
 from .moves import (
     Move,
     MoveKind,
@@ -672,11 +672,12 @@ def verify_slides(max_vertices: int, jobs: int = 1) -> Report:
 
 
 def check_closed_form(sp: FamilySpec) -> str | None:
-    """Worker: closed form versus computed invariant for one spec."""
-    got = _phi(_family_ints(sp))  # checks the spec
-    want = _phi_closed_form(sp)
+    """Worker: closed form versus computed invariant for one spec, compared
+    as sorted type lists; a ``Phi`` is made only for a failure line."""
+    got = _types(_family_ints(sp))  # checks the spec
+    want = _closed_types(sp)
     if want != got:
-        return "%s: computed %s, formula %s" % (sp, got, want)
+        return "%s: computed %s, formula %s" % (sp, Phi.from_types(got), Phi.from_types(want))
     return None
 
 
@@ -772,10 +773,11 @@ class _Check:
 def _phi_pair_failures(pairs):
     out = []
     for left, right in pairs:
-        pl = _phi(_family_ints(left))
-        pr = _phi(_family_ints(right))
+        pl = _types(_family_ints(left))
+        pr = _types(_family_ints(right))
         if pl != pr:
-            out.append("phi(%s)=%s differs from phi(%s)=%s" % (left, pl, right, pr))
+            out.append("phi(%s)=%s differs from phi(%s)=%s"
+                       % (left, Phi.from_types(pl), right, Phi.from_types(pr)))
     return out
 
 
@@ -793,7 +795,8 @@ def _move_sweep(sweep_vertices: int, jobs: int) -> list[_Check]:
     ``sweep_vertices`` vertices keeps the size and ``phi``; ``phi`` is the
     same on the opposite and splits the classes by degeneracy.
 
-    Runs on the classes' codes: no key or named quiver is made; the
+    Runs on the classes' codes and compares sorted type lists: no key,
+    named quiver or ``Phi`` is made while the checks pass; the
     enumeration and partitions run on up to ``jobs`` processes.
     """
     move_fails = []
@@ -806,12 +809,12 @@ def _move_sweep(sweep_vertices: int, jobs: int) -> list[_Check]:
         for code in _enumerate_cached(SizeClass(n, n + 1), jobs):
             q = _decode(code)
             n_classes += 1
-            base_phi = _phi(q)
+            base = _types(q)
             if not _valid(q.opposite()):
                 raise AssertionError("the opposite of %s is invalid" % _compact(code))
-            if _phi(q.opposite()) != base_phi:
+            if _types(q.opposite()) != base:
                 op_fails.append("phi changes under opposite for %s" % _compact(code))
-            total = base_phi.total
+            total = len(base)
             fam = family[assignment[code]]
             if total not in (1, 3):
                 degen_fails.append("phi total %d for %s" % (total, _compact(code)))
@@ -822,7 +825,7 @@ def _move_sweep(sweep_vertices: int, jobs: int) -> list[_Check]:
                 n_moves += 1
                 if len(image.ends) != n + 1:
                     move_fails.append("%s changed the size class" % mv)
-                elif _phi(image) != base_phi:
+                elif _types(image) != base:
                     move_fails.append("%s on %s changed phi" % (mv, _compact(code)))
     return [_Check("move-invariance", n_moves, tuple(move_fails)),
             _Check("phi-under-opposite", n_classes, tuple(op_fails)),

@@ -257,6 +257,16 @@ class TestGoldenFiles:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "c01d245ff1e8bd50311e4a34d4447de407998f51c49a4a9872b97f29644df6d6")
 
+    def test_lemmas_b16_digest(self):
+        # the bound-16 sweep report, pinned by its SHA-256 digest
+        code, out, err = run_cli(["verify", "lemmas", "--jobs", "1", "--bound", "16",
+                                  "--orbit-vertices", "4"])
+        assert (code, err) == (0, "")
+        assert out.startswith("check closed-form-sweep: PASS (9419 instances)\n")
+        assert out.endswith("failures: 0\nRESULT: PASS\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6c6ab89b3f38089ec53c0199c68b52a4b3f8a755fe3067ce62bc6cedd4135bd6")
+
     def test_frozen_family_names(self):
         # one spec per family, each running every path call of its recipe:
         # the G1/G2 chains numbered from base, and a zero-length connector in
@@ -378,14 +388,14 @@ class TestVerifyCommands:
 
     def test_lemmas_reports_closed_form_failure(self, monkeypatch):
         orbit = importlib.import_module("gentleq.orbit")
-        real = orbit._phi_closed_form
+        real = orbit._closed_types
         wrong = spec("L2", 1, 1, 1, 0, 0)
 
         def formula(sp):
-            return phi_formula(spec("L0", 1, 0)) if sp == wrong else real(sp)
+            return real(spec("L0", 1, 0)) if sp == wrong else real(sp)
 
-        # the sweep reads the closed form of specs it has already checked
-        monkeypatch.setattr(orbit, "_phi_closed_form", formula)
+        # the sweep reads the closed-form types of specs it has already checked
+        monkeypatch.setattr(orbit, "_closed_types", formula)
         code, out, err = run_cli([
             "verify", "lemmas", "--bound", "4", "--orbit-vertices", "2",
             "--sweep-vertices", "2", "--jobs", "1"])

@@ -318,3 +318,24 @@ class TestTheoremList:
         for n in range(2, 13):
             assert theorem_list(n) == want[n], n
         assert calls == []
+
+    def test_generator_stops_at_the_vertex_bound(self, monkeypatch):
+        # the list is the filter it replaced, and the generator yields no
+        # spec that theorem_list would throw away for its size
+        def oracle(n):
+            return [sp for sp in _closed_form_specs(2 * n)
+                    if family_size(sp) <= n and families._tie_break(sp)]
+
+        want = {n: oracle(n) for n in range(2, 13)}
+        real, sizes = families._closed_form_specs, []
+
+        def recorded(*args):
+            for sp in real(*args):
+                sizes.append(family_size(sp))
+                yield sp
+
+        monkeypatch.setattr(families, "_closed_form_specs", recorded)
+        for n in range(2, 13):
+            sizes.clear()
+            assert theorem_list(n) == want[n], n
+            assert max(sizes) == n, n

@@ -489,12 +489,16 @@ class TestIntegerStates:
 
     def test_no_named_quiver_on_the_lemma_sweeps(self, monkeypatch):
         # the closed-form and move sweeps run on indices: no BoundQuiver, no
-        # validate and no named move
+        # validate, no named move, and no Phi while every check passes
         import gentleq.core as core
+        import gentleq.invariant as invariant
 
         orbit_module = importlib.import_module("gentleq.orbit")
-        built, checked = [], []
+        built, checked, phis = [], [], []
         monkeypatch.setattr(core.BoundQuiver, "__post_init__", lambda self: built.append(1))
+        real_phi = invariant.Phi.__init__
+        monkeypatch.setattr(invariant.Phi, "__init__",
+                            lambda self, *args: phis.append(1) or real_phi(self, *args))
         for name in ("core", "families", "moves", "orbit"):
             monkeypatch.setattr(importlib.import_module("gentleq." + name), "validate",
                                 lambda *args: checked.append(1))
@@ -508,7 +512,7 @@ class TestIntegerStates:
         assert [(c.name, c.instances, c.failures) for c in checks] == [
             ("move-invariance", 2379, ()), ("phi-under-opposite", 353, ()),
             ("degeneracy-split", 353, ())]
-        assert (built, checked) == ([], [])
+        assert (built, checked, phis) == ([], [], [])
 
     def test_invalid_state_is_reported(self, monkeypatch):
         # a generating move that broke validity would stop the closure
