@@ -15,8 +15,7 @@ from . import core, families, invariant, moves
 from .orbit import (
     DEFAULT_MAX_STATES,
     SizeClass,
-    _bounded,
-    _enumerate_cached,
+    _class_codes,
     _usable_cpus,
     normalize,
     orbit,
@@ -206,8 +205,7 @@ def _cmd_enumerate(args) -> int:
     arrows = args.arrows
     if arrows is None:
         arrows = args.vertices + 1
-    size = _bounded(SizeClass(args.vertices, arrows))
-    codes = () if args.two_cycle and arrows != args.vertices + 1 else _enumerate_cached(size, 1)
+    codes = _class_codes(SizeClass(args.vertices, arrows), args.two_cycle)
     for code in codes:
         print("class %s" % core._compact(code))
     print("count: %d" % len(codes))

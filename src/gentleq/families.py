@@ -366,18 +366,18 @@ def family_size(sp: FamilySpec) -> int:
     return sum(sp.params[i] for i in size) + offset
 
 
-def _compositions(total: int, minima: tuple[int, ...]):
-    """All tuples of ``len(minima)`` integers, each at least its minimum,
-    summing to ``total``, in lexicographic order; lazily beyond two parts, so
-    memory stays linear in ``total``."""
-    if len(minima) == 2:
-        return [(k, total - k) for k in range(minima[0], total - minima[1] + 1)]
-    if len(minima) == 1:
-        return [(total,)] if total >= minima[0] else []
-    if not minima:
+def _compositions(total: int, parts: int):
+    """All tuples of ``parts`` nonnegative integers summing to ``total``, in
+    lexicographic order; lazily beyond two parts, so memory stays linear in
+    ``total``."""
+    if parts == 2:
+        return [(k, total - k) for k in range(total + 1)]
+    if parts == 1:
+        return [(total,)] if total >= 0 else []
+    if not parts:
         return [()] if total == 0 else []
-    return ((k,) + rest for k in range(minima[0], total - sum(minima[1:]) + 1)
-            for rest in _compositions(total - k, minima[1:]))
+    return ((k,) + rest for k in range(total + 1)
+            for rest in _compositions(total - k, parts - 1))
 
 
 def _specs(tag: str, n: int, nrels: int) -> list[FamilySpec]:
@@ -393,11 +393,11 @@ def _specs(tag: str, n: int, nrels: int) -> list[FamilySpec]:
     shared = [i for i in rels if i in size]
     params = [0] * _PARAM_COUNT[tag]
     out = []
-    for part in _compositions(n - offset, (0,) * len(size)):
+    for part in _compositions(n - offset, len(size)):
         for i, x in zip(size, part):
             params[i] = x
         left = nrels - roffset - sum([params[i] for i in shared])
-        for rest in _compositions(left, (0,) * len(free)):
+        for rest in _compositions(left, len(free)):
             for i, x in zip(free, rest):
                 params[i] = x
             if _failed_inequality(tag, params) is None:

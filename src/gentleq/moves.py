@@ -76,14 +76,8 @@ _DUAL = {
     MoveKind.OPPOSITE: MoveKind.OPPOSITE,
 }
 
-_KIND_ORDER = [
-    MoveKind.APR_REFLECT,
-    MoveKind.APR_COREFLECT,
-    MoveKind.GEN_APR_REFLECT,
-    MoveKind.GEN_APR_COREFLECT,
-    MoveKind.HW_REFLECT,
-    MoveKind.HW_COREFLECT,
-]
+# the order of the kinds at one vertex in ``applicable_moves``
+_KIND_ORDER = [kind for kind in MoveKind if kind is not MoveKind.OPPOSITE]
 
 
 @dataclass(frozen=True)
@@ -160,8 +154,6 @@ def _hw(q: _Ints, x: int):
     (those not into ``x``), and the relations ending at ``x`` are dropped.
     """
     ends, rels, into = q.ends, q.rels, q.ins[x]
-    if q.n == 1:
-        return ends, rels
     pred = q.free_pred()
     start = {}
     for a in into:
@@ -195,22 +187,23 @@ def _image(q: _Ints, kind: MoveKind, x: int | None):
     return _reverse(*_image(q.opposite(), _DUAL[kind], x))
 
 
-def _generator_codes(q: _Ints) -> tuple[list[tuple], tuple]:
-    """The codes of the generating moves' outputs on ``q``: (reflections,
-    opposite).
+def _generator_codes(q: _Ints) -> list[tuple]:
+    """The codes of the generating moves' outputs on ``q``, the opposite
+    last.
 
-    The reflections are ``gen-apr-reflect`` at every vertex meeting its
-    preconditions and ``hw-reflect`` at every sink, in vertex order, without
-    validation; ``gentleq.orbit`` says why these moves reach every move's
-    output.
+    The reflections come first: ``gen-apr-reflect`` at every vertex meeting
+    its preconditions and ``hw-reflect`` at every sink, in vertex order,
+    without validation; ``gentleq.orbit`` says why these moves reach every
+    move's output.
     """
-    reflections = []
+    codes = []
     for x in range(q.n):
         if _gen_apr_blocker(q, x) is None:
-            reflections.append(_code(q.n, *_gen_apr(q, x)))
+            codes.append(_code(q.n, *_gen_apr(q, x)))
         if not q.outs[x]:
-            reflections.append(_code(q.n, *_hw(q, x)))
-    return reflections, _code(q.n, *_reverse(q.ends, q.rels))
+            codes.append(_code(q.n, *_hw(q, x)))
+    codes.append(_code(q.n, *_reverse(q.ends, q.rels)))
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +397,17 @@ def _match_shift_right(bq: BoundQuiver, q: _Ints, rel) -> _ShiftPlan:
     return _ShiftPlan(tuple(moves), new, rels - {(a1, a2)} | {(a2, a3)})
 
 
+def _slide_plan(bq: BoundQuiver, rel, direction: ShiftDirection) -> _ShiftPlan:
+    """The slide of ``rel`` in ``direction`` on ``bq``: a left slide is the
+    right slide of the reversed relation on the opposite, with its moves
+    dualized and its rewrite reversed."""
+    q = bq._ints
+    if direction is ShiftDirection.RIGHT:
+        return _match_shift_right(bq, q, rel)
+    plan = _match_shift_right(bq, q.opposite(), (rel[1], rel[0]))
+    return _ShiftPlan(tuple(m.dual() for m in plan.moves), *_reverse(plan.ends, plan.rels))
+
+
 def shift_relation(bq: BoundQuiver, rel, direction: ShiftDirection):
     """Slide a relation one step along its path via primitive moves.
 
@@ -411,31 +415,24 @@ def shift_relation(bq: BoundQuiver, rel, direction: ShiftDirection):
     shape around the relation does not allow the slide.
     """
     require_valid(bq)
-    q = bq._ints
-    if direction is ShiftDirection.RIGHT:
-        return _replay(bq, _match_shift_right(bq, q, rel).moves)
-    plan = _match_shift_right(bq, q.opposite(), (rel[1], rel[0]))
-    return _replay(bq, tuple(m.dual() for m in plan.moves))
+    return _replay(bq, _slide_plan(bq, rel, direction).moves)
 
 
 def shift_relation_direct(bq: BoundQuiver, rel, direction: ShiftDirection) -> BoundQuiver:
     """The slide's one-shot rewrite, bypassing the primitives; ``verify
     slides`` checks that ``shift_relation`` replays to it."""
     require_valid(bq)
-    q = bq._ints
-    if direction is ShiftDirection.RIGHT:
-        plan = _match_shift_right(bq, q, rel)
-        return _named(bq, plan.ends, plan.rels)
-    plan = _match_shift_right(bq, q.opposite(), (rel[1], rel[0]))
-    return _named(bq, *_reverse(plan.ends, plan.rels))
+    plan = _slide_plan(bq, rel, direction)
+    return _named(bq, plan.ends, plan.rels)
 
 
-def _match_block(bq: BoundQuiver, q: _Ints, beta: str) -> _ShiftPlan:
+def _match_block(bq: BoundQuiver, beta: str) -> _ShiftPlan:
     """Match the block slide anchored at a free arrow into a bare sink of
-    ``q``, which is ``bq`` on indices."""
+    ``bq``, on its indices."""
     vs, ids = bq.vertices, [a for a, _s, _t in bq.arrows]
     if beta not in ids:
         raise PatternMismatch("unknown arrow %r" % beta)
+    q = bq._ints
     ends, rels = q.ends, q.rels
     b = ids.index(beta)
     if any(b in pair for pair in rels):
@@ -483,10 +480,10 @@ def shift_relation_block(bq: BoundQuiver, beta: str):
 
     Returns ``(quiver, moves)`` like ``shift_relation``."""
     require_valid(bq)
-    return _replay(bq, _match_block(bq, bq._ints, beta).moves)
+    return _replay(bq, _match_block(bq, beta).moves)
 
 
 def shift_relation_block_direct(bq: BoundQuiver, beta: str) -> BoundQuiver:
     require_valid(bq)
-    plan = _match_block(bq, bq._ints, beta)
+    plan = _match_block(bq, beta)
     return _named(bq, plan.ends, plan.rels)

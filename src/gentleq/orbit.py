@@ -73,7 +73,6 @@ from .families import (
     _family_ints,
     _specs,
     family_size,
-    phi_formula,
     spec,
     theorem_list,
 )
@@ -254,10 +253,16 @@ def enumerate_classes(size: SizeClass, two_cycle: bool = False) -> list[BoundQui
     labeling (sort its vertices).  Each shape then takes every admissible
     relation set.
     """
+    return [_form(c) for c in _class_codes(size, two_cycle)]
+
+
+def _class_codes(size: SizeClass, two_cycle: bool) -> tuple:
+    """The codes of the classes ``enumerate_classes`` lists, once the size
+    is checked against the vertex bound."""
     size = _bounded(size)
     if two_cycle and size.arrows != size.vertices + 1:
-        return []
-    return [_form(c) for c in _enumerate_cached(size, 1)]
+        return ()
+    return _enumerate_cached(size, 1)
 
 
 def _bounded(size: SizeClass) -> SizeClass:
@@ -384,8 +389,7 @@ def _step(code) -> list:
     if not _valid(q):
         raise AssertionError("a generating move produced an invalid quiver: %s"
                              % (validate(_form(code)),))
-    reflections, opp = _generator_codes(q)
-    return reflections + [opp]
+    return _generator_codes(q)
 
 
 def _reach(start, step, max_states: int, order=None):
@@ -505,9 +509,8 @@ def _orbit_partition(n: int, jobs: int = 1):
     index = {code: i for i, code in enumerate(classes)}
 
     def row(code):
-        reflections, opp = _generator_codes(_decode(code))
         try:
-            return tuple([index[c] for c in reflections + [opp]])
+            return tuple([index[c] for c in _generator_codes(_decode(code))])
         except KeyError:
             raise AssertionError("orbit escaped the enumerated classes") from None
 
@@ -599,12 +602,13 @@ def verify_minimality(max_vertices: int, orbit_max_vertices: int = 4, jobs: int 
     _bounded(SizeClass(largest, largest + 1))
     specs = [sp for sp in theorem_list(max_vertices) if sp.tag in ("L1", "L2")]
     lines = ["nondegenerate-specs: %d" % len(specs)]
-    phi_failures = []
-    by_phi: dict = {}
+    by_types: dict = {}
     for sp in specs:
-        by_phi.setdefault(phi_formula(sp), []).append(sp)
-    for k in sorted((k for k, v in by_phi.items() if len(v) > 1), key=str):
-        phi_failures.append("phi collision %s: %s" % (k, ", ".join(map(str, by_phi[k]))))
+        by_types.setdefault(tuple(_closed_types(sp)), []).append(sp)
+    # a Phi is made only for a collision line
+    collisions = [(Phi.from_types(k), v) for k, v in by_types.items() if len(v) > 1]
+    phi_failures = ["phi collision %s: %s" % (k, ", ".join(map(str, v)))
+                    for k, v in sorted(collisions, key=lambda c: str(c[0]))]
     lines.append("phi-distinct: %s (%d specs, <=%d vertices)"
                  % ("FAIL" if phi_failures else "PASS", len(specs), max_vertices))
     orbit_specs = [sp for sp in specs if family_size(sp) <= orbit_max_vertices]
@@ -810,10 +814,6 @@ def _move_sweep(sweep_vertices: int, jobs: int) -> list[_Check]:
             q = _decode(code)
             n_classes += 1
             base = _types(q)
-            if not _valid(q.opposite()):
-                raise AssertionError("the opposite of %s is invalid" % _compact(code))
-            if _types(q.opposite()) != base:
-                op_fails.append("phi changes under opposite for %s" % _compact(code))
             total = len(base)
             fam = family[assignment[code]]
             if total not in (1, 3):
@@ -827,6 +827,8 @@ def _move_sweep(sweep_vertices: int, jobs: int) -> list[_Check]:
                     move_fails.append("%s changed the size class" % mv)
                 elif _types(image) != base:
                     move_fails.append("%s on %s changed phi" % (mv, _compact(code)))
+                    if mv.kind is MoveKind.OPPOSITE:
+                        op_fails.append("phi changes under opposite for %s" % _compact(code))
     return [_Check("move-invariance", n_moves, tuple(move_fails)),
             _Check("phi-under-opposite", n_classes, tuple(op_fails)),
             _Check("degeneracy-split", n_classes, tuple(degen_fails))]
@@ -854,8 +856,9 @@ def verify_lemma_tables(bound: int = 8, jobs: int = 1, orbit_vertices: int = 5,
 
     checks.extend(_move_sweep(sweep_vertices, jobs))
 
+    entries = theorem_list(orbit_vertices)
     flip_pairs, swap_pairs = [], []  # the mixed-cycle flip, the cycle swap
-    for sp in theorem_list(orbit_vertices):
+    for sp in entries:
         if sp.tag == "L1":
             p1, p2, p3, p4, r1 = sp.params
             flip_pairs.append((sp, spec("L1", p1 + p2 - r1 - 1, r1 + 1, p4, p3, p2 - 1)))
@@ -896,16 +899,13 @@ def verify_lemma_tables(bound: int = 8, jobs: int = 1, orbit_vertices: int = 5,
 
     # every canonical-list algebra meets its opposite
     opp_fails = []
-    opp_count = 0
-    for sp in theorem_list(orbit_vertices):
-        n = family_size(sp)
-        opp_count += 1
-        assignment, _m, _f = _orbit_partition(n, jobs)
+    for sp in entries:
+        assignment, _m, _f = _orbit_partition(family_size(sp), jobs)
         q = _family_ints(sp)
         op = q.opposite()
         if assignment[_code(q.n, q.ends, q.rels)] != assignment[_code(op.n, op.ends, op.rels)]:
             opp_fails.append("%s and its opposite are in different orbits" % sp)
-    checks.append(_Check("opposite-in-orbit", opp_count, tuple(opp_fails)))
+    checks.append(_Check("opposite-in-orbit", len(entries), tuple(opp_fails)))
 
     # the double-arrow reduction chain, past the orbit bound: phi only
     chain_pairs = []

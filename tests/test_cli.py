@@ -267,6 +267,21 @@ class TestGoldenFiles:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "6c6ab89b3f38089ec53c0199c68b52a4b3f8a755fe3067ce62bc6cedd4135bd6")
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["verify", "minimality", "--max-vertices", "8"],
+         "0658ed814bb8035ca56ffcb74c636475686f11b302f6bcc0216e18ed7c8625c1"),
+        (["verify", "slides", "--vertices", "4"],
+         "fb263ead75d64471f0a4cbe6395806a78b12cb80f558dab4389369d8d35dd058"),
+        (["verify", "lemmas", "--jobs", "1"],
+         "9072f8597db65dae1f305a58e71f08b90d84837413192de7b5855d8d8386481a"),
+    ], ids=["minimality-8", "slides-4", "lemmas-defaults"])
+    def test_report_digest(self, argv, digest):
+        # reports that no golden file pins, by the SHA-256 digest of stdout
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.endswith("failures: 0\nRESULT: PASS\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_frozen_family_names(self):
         # one spec per family, each running every path call of its recipe:
         # the G1/G2 chains numbered from base, and a zero-length connector in

@@ -9,6 +9,7 @@ from gentleq.families import (
     ConstraintViolation,
     FamilySpec,
     OutOfLemmaScope,
+    _compositions,
     _family_ints,
     _specs,
     build_family,
@@ -137,6 +138,14 @@ class TestSpecs:
                     assert all(family_size(sp) == n for sp in got)
                     total += len(got)
         assert total == 954
+
+    def test_compositions_match_brute_force(self):
+        # lexicographic tuples of nonnegative parts; a negative total has none
+        for total in range(-1, 7):
+            for parts in range(0, 5):
+                want = [t for t in itertools.product(range(max(total, 0) + 1), repeat=parts)
+                        if sum(t) == total]
+                assert list(_compositions(total, parts)) == want, (total, parts)
 
     def test_at_most_one_relation_per_arrow(self):
         # the lemma domains read relation counts 0 to n + 1 only

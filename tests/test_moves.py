@@ -192,7 +192,7 @@ class TestIntegerKernel:
         for n in range(1, 6):
             for bq in two_cycle_classes(n):
                 code = _canonical_code(bq)
-                reflections, opp = _generator_codes(_decode(code))
+                *reflections, opp = _generator_codes(_decode(code))
                 want, want_opp = oracle_generator_images(bq)
                 # a class lists its vertices v0, v1, ... in index order
                 assert reflections == [_canonical_code(out) for out in want]
@@ -200,7 +200,7 @@ class TestIntegerKernel:
                 copy = random_relabel(bq, rng)
                 for q in (copy, opposite(copy)):
                     want, want_opp = oracle_generator_images(q)
-                    got, got_opp = _generator_codes(_decode(_canonical_code(q)))
+                    *got, got_opp = _generator_codes(_decode(_canonical_code(q)))
                     assert sorted(got) == sorted(_canonical_code(out) for out in want)
                     assert got_opp == _canonical_code(want_opp)
 

@@ -706,6 +706,21 @@ class TestVerifyMinimality:
         assert any(l.startswith("phi-distinct: PASS") for l in rep.lines)
         assert any(l.startswith("orbit-distinct: PASS") for l in rep.lines)
 
+    def test_phi_collisions_are_reported(self, monkeypatch):
+        # one line per shared closed form, in the order of its text, naming
+        # the specs in list order
+        def fake(sp):
+            return [(1, 3)] if sp.tag == "L1" else [(1, 3), (2, 4)]
+
+        for name in ("families", "orbit"):
+            monkeypatch.setattr(importlib.import_module("gentleq." + name), "_closed_types", fake)
+        rep = verify_minimality(5, orbit_max_vertices=2)
+        specs = [sp for sp in theorem_list(5) if sp.tag in ("L1", "L2")]
+        named = {tag: ", ".join(str(sp) for sp in specs if sp.tag == tag) for tag in ("L1", "L2")}
+        assert rep.failures == ("failure: phi collision {(1,3):1, (2,4):1}: %s" % named["L2"],
+                                "failure: phi collision {(1,3):1}: %s" % named["L1"])
+        assert "phi-distinct: FAIL (%d specs, <=5 vertices)" % len(specs) in rep.lines
+
     def test_degenerate_families_share_phi(self):
         # the open-conjecture side: same invariant, not flagged
         from gentleq.families import phi_formula
@@ -777,6 +792,23 @@ class TestVerifyLemmas:
             "failure[connector-slide]: L2pSix(1,1,1,0,0,0) and L2pSix(1,1,0,1,0,0) "
             "are not in the same orbit",
         ]
+
+    def test_opposite_failures_are_reported(self, monkeypatch):
+        # a phi that sees the orientation fails the opposite check on each
+        # class whose opposite it separates, next to that move's own failure
+        def fake(q):
+            return [(sum([t for _s, t in q.ends]), 0)]
+
+        monkeypatch.setattr(importlib.import_module("gentleq.orbit"), "_types", fake)
+        checks = {c.name: c for c in importlib.import_module("gentleq.orbit")._move_sweep(3, 1)}
+        anchors = [_compact(code) for n in (2, 3)
+                   for code in _enumerate_cached(SizeClass(n, n + 1), 1)
+                   if fake(_decode(code)) != fake(_decode(code).opposite())]
+        assert anchors
+        assert checks["phi-under-opposite"].failures == tuple(
+            "phi changes under opposite for %s" % a for a in anchors)
+        assert [f for f in checks["move-invariance"].failures if f.startswith("opposite ")] == [
+            "opposite on %s changed phi" % a for a in anchors]
 
     def test_quick_pass(self):
         rep = verify_lemma_tables(bound=5, orbit_vertices=3, sweep_vertices=3)
